@@ -105,6 +105,11 @@ class AlgebraBasis:
         if self.dim != spec.dim:
             raise AssertionError("basis size does not match the dimension formula")
         self.label_index = {lab: k for k, lab in enumerate(self.labels)}
+        # matrix position -> index of the E basis element that owns it:
+        # the element has coefficient 1 there and no other has an entry
+        self.entry_index = {(self.position[lab[1]], self.position[lab[2]]): k
+                            for k, lab in enumerate(self.labels)
+                            if lab[0] == "E"}
 
     # -- construction -------------------------------------------------
 
@@ -145,17 +150,8 @@ class AlgebraBasis:
 
     # -- views ---------------------------------------------------------
 
-    @property
-    def vector_names(self) -> tuple[str, ...]:
-        """Basis-vector names: v_1..v_n for gl/sl, v_1..v_n,(v_0),v_-1..v_-n
-        for sp/so."""
-        return tuple(f"v_{i}" for i in self.indices)
-
     def basis_matrix(self, k: int) -> Matrix:
         return sparse_to_matrix(self.elements[k], self.n)
-
-    def basis_matrices(self) -> list[Matrix]:
-        return [self.basis_matrix(k) for k in range(self.dim)]
 
     # -- membership and coordinates -------------------------------------
 
@@ -183,26 +179,26 @@ class AlgebraBasis:
         return self.coordinates_sparse(matrix_to_sparse(m))
 
     def coordinates_sparse(self, x: Sparse) -> tuple[Fraction, ...]:
-        fam = self.spec.family
-        coords = []
-        if fam is Family.SL:
+        """Dense coordinate tuple of a member given by its entries."""
+        coords = self.sparse_coordinates(x)
+        return tuple(coords.get(k, Fraction(0)) for k in range(self.dim))
+
+    def sparse_coordinates(self, x: Sparse) -> dict[int, Fraction]:
+        """Nonzero coordinates {basis index: value} of a member.
+
+        Each E element's coordinate is the entry at the position it owns;
+        the sl Cartan elements H_k take the partial diagonal sums.
+        """
+        index = self.entry_index
+        coords = {index[key]: v for key, v in x.items()
+                  if v != 0 and key in index}
+        if self.spec.family is Family.SL:
             partial = Fraction(0)
-            partials = {}
             for k in range(1, self.n):
                 partial += x.get((k - 1, k - 1), Fraction(0))
-                partials[k] = partial
-            for lab in self.labels:
-                if lab[0] == "H":
-                    coords.append(partials[lab[1]])
-                else:
-                    _, i, j = lab
-                    coords.append(x.get((i - 1, j - 1), Fraction(0)))
-            return tuple(coords)
-        pos = self.position
-        for lab in self.labels:
-            _, i, j = lab
-            coords.append(x.get((pos[i], pos[j]), Fraction(0)))
-        return tuple(coords)
+                if partial != 0:
+                    coords[self.label_index[("H", k)]] = partial
+        return coords
 
     def from_coordinates(self, coords: Sequence[Scalar]) -> Matrix:
         if len(coords) != self.dim:
@@ -306,17 +302,6 @@ class GradedDecomposition:
     degrees: tuple[Fraction, ...]
     buckets: dict  # degree -> tuple of basis indices
 
-    def piece(self, degree: Scalar) -> Subspace:
-        degree = as_fraction(degree)
-        dim = self.g.dim
-        idxs = self.buckets.get(degree, ())
-        vecs = []
-        for k in idxs:
-            v = [Fraction(0)] * dim
-            v[k] = Fraction(1)
-            vecs.append(v)
-        return Subspace.from_vectors(dim, vecs)
-
     def piece_dim(self, degree: Scalar) -> int:
         return len(self.buckets.get(as_fraction(degree), ()))
 
@@ -344,7 +329,11 @@ def graded_decomposition(g: AlgebraBasis, H: GradingElement) -> GradedDecomposit
 
 
 def ad_coordinate_matrix(g: AlgebraBasis, e: Matrix) -> Matrix:
-    """Matrix of ad e on g in basis coordinates (columns = [e, b_k])."""
+    """Dense matrix of ad e on g in basis coordinates (columns = [e, b_k]).
+
+    The dense reference for the block engine in `gradings`, which never
+    builds it; `centralizer` and the tests use it.
+    """
     es = matrix_to_sparse(e)
     cols = [g.coordinates_sparse(sparse_bracket(es, elem)) for elem in g.elements]
     return Matrix([[cols[k][r] for k in range(g.dim)] for r in range(g.dim)])

@@ -33,12 +33,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebras import (AlgebraBasis, AlgebraSpec, Family, GradingElement,
-                       _signed_indices, ad_coordinate_matrix, build_algebra,
-                       graded_decomposition)
-from .gradings import (Characteristic, VerificationError,
-                       characteristic_from_pyramid, characteristic_of,
-                       fill_boxes, grading_of_pyramid, is_good,
-                       nilpotent_of_pyramid, normalize_traceless)
+                       _signed_indices, build_algebra, graded_decomposition)
+from .gradings import (AdBlocks, Characteristic, VerificationError,
+                       ad_blocks, characteristic_from_pyramid,
+                       characteristic_of, fill_boxes, grading_of_pyramid,
+                       is_good, nilpotent_of_pyramid, normalize_traceless)
 from .linalg import Matrix, as_fraction
 from .partitions import Partition, center_dim
 from .pyramids import (TYPE_A, Pyramid, Row, enumerate_pyramids,
@@ -113,9 +112,9 @@ def _shifted_grading(spec: AlgebraSpec, base: Pyramid,
     return GradingElement(spec, tuple(diag))
 
 
-def _entry(g: AlgebraBasis, H: GradingElement, e: Matrix, ad: Matrix,
+def _entry(g: AlgebraBasis, H: GradingElement, e: Matrix, blocks: AdBlocks,
            pyr: Pyramid, source: tuple, is_dynkin: bool) -> GradingEntry:
-    pair = is_good(g, H, e, ad)
+    pair = is_good(g, H, e, blocks)
     if not pair.verified:
         raise VerificationError(f"enumerated grading failed the goodness check "
                                 f"({g.spec.family.value}, source {source})")
@@ -140,12 +139,12 @@ def good_gradings_gl(p: Partition) -> GoodGradingFamily:
     g = build_algebra(spec)
     base = symmetric_pyramid(p)
     e = nilpotent_of_pyramid(spec, base)
-    ad = ad_coordinate_matrix(g, e)
+    blocks = ad_blocks(g, e)
     entries = []
     for pyr in enumerate_pyramids(p):
         H = normalize_traceless(grading_of_pyramid(spec, pyr))
         shifts = tuple(int(r.first + r.count - 1) for r in pyr.rows)
-        entries.append(_entry(g, H, e, ad, pyr, ("shifts", shifts),
+        entries.append(_entry(g, H, e, blocks, pyr, ("shifts", shifts),
                               all(s == 0 for s in shifts)))
     return GoodGradingFamily(spec, p, tuple(entries))
 
@@ -159,13 +158,13 @@ def good_gradings_sp(p: Partition) -> GoodGradingFamily:
     g = build_algebra(spec)
     base = symplectic_pyramid(p)
     e = nilpotent_of_pyramid(spec, base)
-    ad = ad_coordinate_matrix(g, e)
+    blocks = ad_blocks(g, e)
     cparts = symplectic_center_parts(p)
     entries = []
     for shifts, pyr in zip(symplectic_shift_vectors(p), symplectic_pyramids(p)):
         H = _shifted_grading(spec, base, shifts)
         t = tuple(shifts.get(v, Fraction(0)) for v in cparts)
-        entries.append(_entry(g, H, e, ad, pyr, ("t", t),
+        entries.append(_entry(g, H, e, blocks, pyr, ("t", t),
                               all(x == 0 for x in t)))
     return GoodGradingFamily(spec, p, tuple(entries))
 
@@ -181,13 +180,13 @@ def good_gradings_so(p: Partition, size: int | None = None) -> GoodGradingFamily
     g = build_algebra(spec)
     base = orthogonal_pyramid(p)
     e = nilpotent_of_pyramid(spec, base)
-    ad = ad_coordinate_matrix(g, e)
+    blocks = ad_blocks(g, e)
     cparts = orthogonal_center_parts(p)
     entries = []
     for shifts, pyr in zip(orthogonal_shift_vectors(p), orthogonal_pyramids(p)):
         H = _shifted_grading(spec, base, shifts)
         t = tuple(shifts.get(v, Fraction(0)) for v in cparts)
-        entries.append(_entry(g, H, e, ad, pyr, ("t", t),
+        entries.append(_entry(g, H, e, blocks, pyr, ("t", t),
                               all(x == 0 for x in t)))
     return GoodGradingFamily(spec, p, tuple(entries))
 
@@ -272,6 +271,36 @@ def _gl_center_grading(spec: AlgebraSpec, p: Partition, base: Pyramid,
     return GradingElement(spec, tuple(diag))
 
 
+# Largest grid a sweep may walk: (floor(2 bound / step) + 1)^c candidates.
+# The sweeps in the tests and in the verify benchmark need at most 169
+# (13^2: c = 2, bound 3, step 1/2); the c = 3 sweep of so_18 with
+# p = (5,5,3,3,1,1) at step 1/2 needs 21^3 = 9261.
+MAX_SWEEP_CANDIDATES = 10_000
+
+
+def sweep_grid(spec: AlgebraSpec, p: Partition, grid_bound, grid_step
+               ) -> tuple[Fraction, Fraction, int]:
+    """The sweep's widened grid bound, its step and the center dimension c.
+
+    Raises ValueError, before anything is allocated, for a bad step, for
+    c > 3, or for a grid of more than MAX_SWEEP_CANDIDATES candidates.
+    """
+    _reject_zero(p)
+    if p.n != spec.size:
+        raise ValueError("partition total != matrix size")
+    c = center_dim(spec, p)
+    if c > 3:
+        raise ValueError("center dimension too large for a grid sweep")
+    bound = max(as_fraction(grid_bound), Fraction(p.parts[0]))
+    step = as_fraction(grid_step)
+    if step <= 0:
+        raise ValueError("grid step must be positive")
+    if (2 * bound // step + 1) ** c > MAX_SWEEP_CANDIDATES:
+        raise ValueError(f"grid sweep exceeds {MAX_SWEEP_CANDIDATES} "
+                         f"candidates; use a larger step")
+    return bound, step, c
+
+
 def sweep_oracle(spec: AlgebraSpec, p: Partition,
                  grid_bound=Fraction(3), grid_step=Fraction(1, 2)
                  ) -> list[GradingElement]:
@@ -289,16 +318,7 @@ def sweep_oracle(spec: AlgebraSpec, p: Partition,
     no good grading shifts any row by more than that, so the sweep is
     exhaustive over the whole candidate space.
     """
-    _reject_zero(p)
-    if p.n != spec.size:
-        raise ValueError("partition total != matrix size")
-    c = center_dim(spec, p)
-    if c > 3:
-        raise ValueError("center dimension too large for a grid sweep")
-    bound = max(as_fraction(grid_bound), Fraction(p.parts[0]))
-    step = as_fraction(grid_step)
-    if step <= 0:
-        raise ValueError("grid step must be positive")
+    bound, step, c = sweep_grid(spec, p, grid_bound, grid_step)
     vals = _grid(bound, step)
     fam = spec.family
     if fam in (Family.GL, Family.SL):
@@ -332,7 +352,7 @@ def sweep_oracle(spec: AlgebraSpec, p: Partition,
 
     g = build_algebra(spec)
     e = nilpotent_of_pyramid(spec, base)
-    ad = ad_coordinate_matrix(g, e)
+    blocks = ad_blocks(g, e)
     found: dict[tuple, GradingElement] = {}
     for t in itertools.product(vals, repeat=c):
         H = candidate(t)
@@ -340,12 +360,12 @@ def sweep_oracle(spec: AlgebraSpec, p: Partition,
             continue
         if not graded_decomposition(g, H).is_integral():
             continue
-        if not is_good(g, H, e, ad).verified:
+        if not is_good(g, H, e, blocks).verified:
             continue
         ct = canonical(t)
         if ct not in found:
             Hc = candidate(ct)
-            if not is_good(g, Hc, e, ad).verified:
+            if not is_good(g, Hc, e, blocks).verified:
                 raise VerificationError("sign flip changed the goodness verdict")
             found[ct] = Hc
     return [found[ct] for ct in sorted(found)]

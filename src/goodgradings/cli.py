@@ -16,7 +16,8 @@ import time
 from fractions import Fraction
 
 from .algebras import AlgebraSpec, Family
-from .classify import GoodGradingFamily, good_gradings, sweep_oracle
+from .classify import (GoodGradingFamily, good_gradings, sweep_grid,
+                       sweep_oracle)
 from .exceptional import ExceptionalDataError, exceptional_lookup
 from .gradings import VerificationError
 from .parabolic import ParabolicSpec, richardson_is_good
@@ -48,6 +49,13 @@ def _parse_partition(s: str) -> Partition:
         return Partition.of(_parse_ints(s))
     except ValueError as exc:
         raise InputError(str(exc))
+
+
+def _parse_fraction(s: str) -> Fraction:
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"expected an exact rational such as 1/2, got {s!r}")
 
 
 def _family_spec(letter: str, p: Partition) -> AlgebraSpec:
@@ -167,9 +175,12 @@ def _cmd_verify(args) -> int:
     started = time.monotonic()
     p = _parse_partition(args.partition)
     spec = _family_spec(args.family, p)
+    bound = _parse_fraction(args.bound)
+    step = _parse_fraction(args.step)
     try:
+        sweep_grid(spec, p, bound, step)
         fam = good_gradings(spec, p)
-        swept = sweep_oracle(spec, p, Fraction(args.bound), Fraction(args.step))
+        swept = sweep_oracle(spec, p, bound, step)
     except ValueError as exc:
         raise InputError(str(exc))
     enumerated = fam.diagonals()

@@ -10,6 +10,16 @@ ad e is injective on every negative-degree piece; equivalently iff
 Both characterizations are computed here and must agree; a mismatch is
 an internal error, never a property of the input.
 
+The ranks come from a block engine built once per nilpotent: ad e is
+assembled column by column as sparse coordinates, split into connected
+blocks (columns that reach a common row), and each block is ranked
+once by rational row reduction.  Every diagonal H with [H, e] = 2e maps
+each block from one degree d into degree d + 2, so the per-degree ranks
+for any such H are sums of block ranks, and the blocks serve every
+candidate grading of e (`is_good`, the sweep oracle, the generic
+oracle).  The dense ad e of `algebras.ad_coordinate_matrix` is the
+reference the tests compare against; no runtime path builds it.
+
 Signs in the nilpotent: the prose picture "send each box to its right
 neighbor" needs coefficients +-1 to land inside sp/so.  Arrows come in
 mirror pairs a: s->d versus a': -d->-s, and membership forces
@@ -23,11 +33,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebras import (AlgebraBasis, AlgebraSpec, Family, GradingElement,
-                       Sparse, ad_coordinate_matrix, graded_decomposition,
-                       matrix_to_sparse, sparse_bracket, sparse_to_matrix,
-                       _signed_indices)
+                       Sparse, graded_decomposition, matrix_to_sparse,
+                       sparse_bracket, sparse_to_matrix, _signed_indices)
 from .linalg import Matrix, rank, rref
-from .linalg import bracket as mbracket
 from .partitions import Partition
 from .pyramids import ORTHOGONAL, SYMPLECTIC, TYPE_A, Pyramid
 
@@ -211,35 +219,107 @@ class GoodPair:
         return len(self.centralizer_degrees)
 
 
-def _submatrix_rank(ad: Matrix, row_idx, col_idx) -> int:
-    rows = [[ad.data[r][c] for c in col_idx] for r in row_idx]
-    if not rows or not col_idx:
-        return 0
-    return len(rref(rows)[1])
+@dataclass(frozen=True)
+class AdBlocks:
+    """ad e split into connected blocks, each ranked once.
+
+    A block is (columns, rows, rank): the basis indices k whose images
+    [e, b_k] it holds, the basis indices those images reach, and the
+    rank of that submatrix of ad e.  Columns that reach a common row
+    share a block, so rows and columns of distinct blocks are disjoint
+    and the rest of ad e is zero.  Under any diagonal H with [H, e] = 2e
+    a column and the rows it reaches differ in degree by exactly 2, so
+    each block maps one degree d into degree d + 2, and the rank of
+    ad e : g_d -> g_{d+2} is the sum of the ranks of the blocks at d.
+    """
+
+    e: Matrix
+    entries: Sparse
+    blocks: tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]
+
+
+def ad_blocks(g: AlgebraBasis, e: Matrix) -> AdBlocks:
+    """Assemble ad e sparsely, split it into connected blocks, rank each."""
+    es = matrix_to_sparse(e)
+    cols = {}
+    for k, elem in enumerate(g.elements):
+        col = g.sparse_coordinates(sparse_bracket(es, elem))
+        if col:
+            cols[k] = col
+    parent = {k: k for k in cols}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    owner: dict[int, int] = {}  # row -> first column reaching it
+    for k, col in cols.items():
+        for r in col:
+            j = owner.setdefault(r, k)
+            if j != k:
+                parent[find(k)] = find(j)
+    members: dict[int, tuple[list[int], list[int]]] = {}
+    for k in cols:
+        members.setdefault(find(k), ([], []))[0].append(k)
+    for r, k in owner.items():
+        members[find(k)][1].append(r)
+    blocks = []
+    for columns, rows in members.values():
+        rows.sort()
+        if len(columns) == 1 or len(rows) == 1:
+            rk = 1
+        else:
+            rk = len(rref([[cols[c].get(r, 0) for c in columns]
+                           for r in rows])[1])
+        blocks.append((tuple(columns), tuple(rows), rk))
+    return AdBlocks(e, es, tuple(blocks))
+
+
+def _blocks_of(g: AlgebraBasis, e: Matrix, blocks: AdBlocks | None) -> AdBlocks:
+    if blocks is None:
+        return ad_blocks(g, e)
+    if blocks.e is not e and blocks.e != e:
+        raise ValueError("ad e blocks were built from a different element")
+    return blocks
 
 
 def graded_ad_ranks(g: AlgebraBasis, H: GradingElement, e: Matrix,
-                    ad: Matrix | None = None, dec=None):
-    """Per-degree ranks of ad e: g_j -> g_{j+2}; returns (decomposition, ranks)."""
+                    blocks: AdBlocks | None = None, dec=None):
+    """Per-degree ranks of ad e: g_j -> g_{j+2}; returns (decomposition, ranks).
+
+    Sums the block ranks by degree.  Raises ValueError unless every block
+    maps one degree d of H into degree d + 2, that is unless ad e is
+    homogeneous of degree 2 under H.
+    """
     if dec is None:
         dec = graded_decomposition(g, H)
-    if ad is None:
-        ad = ad_coordinate_matrix(g, e)
-    ranks = {}
+    blocks = _blocks_of(g, e, blocks)
+    degree = [Fraction(0)] * g.dim
     for d, idxs in dec.buckets.items():
-        target = dec.buckets.get(d + 2, ())
-        ranks[d] = _submatrix_rank(ad, target, idxs)
+        for k in idxs:
+            degree[k] = d
+    ranks = dict.fromkeys(dec.buckets, 0)
+    for columns, rows, rk in blocks.blocks:
+        d = degree[columns[0]]
+        target = d + 2
+        if any(degree[c] != d for c in columns) \
+                or any(degree[r] != target for r in rows):
+            raise ValueError("ad e does not raise degrees by 2 under H")
+        ranks[d] += rk
     return dec, ranks
 
 
 def is_good(g: AlgebraBasis, H: GradingElement, e: Matrix,
-            ad: Matrix | None = None) -> GoodPair:
+            blocks: AdBlocks | None = None) -> GoodPair:
     """Decide whether e is a good element of the grading defined by H.
 
     Requires e in g, e != 0, [H, e] = 2e, and an integral grading.  The
     verdict is the centralizer dimension identity, cross-checked against
     per-degree injectivity of ad e on negative degrees; the two must
-    agree or a VerificationError is raised.
+    agree or a VerificationError is raised.  `blocks` must come from
+    `ad_blocks(g, e)` for this e; they are built when omitted.
     """
     if H.spec != g.spec:
         raise ValueError("grading element spec does not match the algebra")
@@ -247,12 +327,15 @@ def is_good(g: AlgebraBasis, H: GradingElement, e: Matrix,
         raise ValueError("a good element is a nonzero nilpotent")
     if not g.contains(e):
         raise ValueError("element does not lie in the algebra")
-    if mbracket(H.matrix(), e) != e.scale(2):
+    blocks = _blocks_of(g, e, blocks)
+    diag = H.diagonal
+    # [H, e] = 2e entrywise: (H_i - H_j) e_ij = 2 e_ij
+    if any(diag[i] - diag[j] != 2 for i, j in blocks.entries):
         raise ValueError("element is not homogeneous of degree 2 under H")
     dec = graded_decomposition(g, H)
     if not dec.is_integral():
         raise ValueError("not an integral grading")
-    dec, ranks = graded_ad_ranks(g, H, e, ad, dec)
+    dec, ranks = graded_ad_ranks(g, H, e, blocks, dec)
     centralizer_degs: list[Fraction] = []
     for d, idxs in dec.buckets.items():
         null = len(idxs) - ranks[d]
@@ -269,10 +352,6 @@ def is_good(g: AlgebraBasis, H: GradingElement, e: Matrix,
         raise VerificationError("good pair with negative centralizer degree")
     return GoodPair(H=H, e=e, verified=dim_identity,
                     centralizer_degrees=tuple(centralizer_degs))
-
-
-def grading_is_even(g: AlgebraBasis, H: GradingElement) -> bool:
-    return graded_decomposition(g, H).is_even()
 
 
 # -- characteristics ---------------------------------------------------------

@@ -9,6 +9,7 @@ from goodgradings.classify import (_gl_center_grading, _shifted_grading,
                                    even_good_grading_gl, even_good_gradings_sp,
                                    good_gradings, good_gradings_gl,
                                    good_gradings_so, good_gradings_sp,
+                                   MAX_SWEEP_CANDIDATES, sweep_grid,
                                    sweep_oracle)
 from goodgradings.gradings import is_good, nilpotent_of_pyramid
 from goodgradings.partitions import Partition, symplectic_partitions
@@ -181,6 +182,18 @@ def test_sweep_guards():
                      grid_step=Fraction(0))
     with pytest.raises(ValueError):
         sweep_oracle(AlgebraSpec(Family.GL, 5), Partition((3, 1)))
+
+
+def test_sweep_grid_limit_boundary():
+    # c = 2 and bound 3: step 2/33 gives 100 values per axis, 100^2 in
+    # all, exactly the limit; step 1/17 gives 103^2.  Only the check runs.
+    spec, p = AlgebraSpec(Family.GL, 6), Partition((3, 2, 1))
+    assert MAX_SWEEP_CANDIDATES == 100 ** 2
+    assert sweep_grid(spec, p, 3, Fraction(2, 33)) == (3, Fraction(2, 33), 2)
+    with pytest.raises(ValueError, match="candidates"):
+        sweep_grid(spec, p, 3, Fraction(1, 17))
+    with pytest.raises(ValueError, match="candidates"):
+        sweep_oracle(spec, p, 3, Fraction(1, 10000))
 
 
 def test_entries_report_verified_data():

@@ -1,4 +1,5 @@
 import json
+import time
 
 from goodgradings.cli import canonical_json, main
 
@@ -64,6 +65,20 @@ def test_verify_subcommand(capsys):
     report = json.loads(out)
     assert report["results"]["match"] is True
     assert report["results"]["enumerated"] == 3
+
+
+def test_verify_rejects_an_oversized_grid_fast(capsys):
+    # (2*3/(1/10000) + 1)^2 = 60001^2 candidates: refused before the
+    # enumeration or any grid is built
+    started = time.monotonic()
+    code, out, err = run_cli(capsys, "verify", "--family", "A",
+                             "--partition", "3,2,1", "--step", "1/10000")
+    assert time.monotonic() - started < 1
+    assert code == 2 and out == ""
+    assert "candidates" in err
+    code, _, err = run_cli(capsys, "verify", "--family", "A",
+                           "--partition", "3,2,1", "--step", "1/0")
+    assert code == 2 and "rational" in err
 
 
 def test_pyramids_subcommand(capsys):
