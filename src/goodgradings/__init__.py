@@ -19,7 +19,7 @@ from .gradings import (Characteristic, GoodPair, VerificationError,
                        check_duality_form, check_torus_weights,
                        grading_of_pyramid, is_good, jordan_type,
                        nilpotent_of_pyramid, normalize_traceless)
-from .linalg import Matrix, Subspace, bracket, kernel, rank, solve_membership
+from .linalg import Matrix, Subspace, bracket, kernel, rank
 from .parabolic import (ParabolicSpec, generic_richardson_oracle,
                         grading_is_good_generic, parabolic_grading,
                         richardson_is_good)

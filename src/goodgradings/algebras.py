@@ -1,4 +1,4 @@
-"""Classical matrix Lie algebras gl_n, sl_n, sp_2n, so_N.
+"""Classical matrix Lie algebras gl_n, sp_2n, so_N.
 
 Realizations fix the ordered basis v_1,...,v_n,(v_0),v_{-1},...,v_{-n}
 of the defining representation and the bilinear forms
@@ -11,6 +11,9 @@ matrix diag(d_1..d_n, (0), -d_1..-d_n) lies in the algebra, so grading
 elements are literally diagonal, and each basis element of the algebra
 is an eigenvector of ad H for diagonal H.  Graded decompositions are
 then a matter of bucketing basis elements by eigenvalue.
+
+Type A is realized as gl_n only: a grading of sl_n is a grading of gl_n
+modulo scalars, so type A grading elements are normalized traceless.
 
 Basis elements are kept sparse ({(row, col): value}); they have at most
 two nonzero entries.
@@ -30,7 +33,6 @@ Sparse = dict[tuple[int, int], Fraction]
 
 class Family(str, Enum):
     GL = "GL"
-    SL = "SL"
     SP = "SP"
     SO = "SO"
 
@@ -55,7 +57,6 @@ class AlgebraSpec:
         n = self.size
         return {
             Family.GL: n * n,
-            Family.SL: n * n - 1,
             Family.SP: (n // 2) * (n + 1),
             Family.SO: n * (n - 1) // 2,
         }[self.family]
@@ -63,14 +64,14 @@ class AlgebraSpec:
     @property
     def rank(self) -> int:
         """Rank of the associated simple algebra (A/B/C/D convention)."""
-        if self.family in (Family.GL, Family.SL):
+        if self.family is Family.GL:
             return self.size - 1
         return self.size // 2
 
     @property
     def diagram(self) -> str:
         """Dynkin diagram letter used for characteristics."""
-        if self.family in (Family.GL, Family.SL):
+        if self.family is Family.GL:
             return "A"
         if self.family is Family.SP:
             return "C"
@@ -79,7 +80,7 @@ class AlgebraSpec:
 
 def _signed_indices(spec: AlgebraSpec) -> tuple[int, ...]:
     n = spec.size
-    if spec.family in (Family.GL, Family.SL):
+    if spec.family is Family.GL:
         return tuple(range(1, n + 1))
     half = n // 2
     mid = (0,) if n % 2 else ()
@@ -104,31 +105,23 @@ class AlgebraBasis:
         self.dim = len(self.elements)
         if self.dim != spec.dim:
             raise AssertionError("basis size does not match the dimension formula")
-        self.label_index = {lab: k for k, lab in enumerate(self.labels)}
         # matrix position -> index of the E basis element that owns it:
         # the element has coefficient 1 there and no other has an entry
-        self.entry_index = {(self.position[lab[1]], self.position[lab[2]]): k
-                            for k, lab in enumerate(self.labels)
-                            if lab[0] == "E"}
+        self.entry_index = {(self.position[i], self.position[j]): k
+                            for k, (_, i, j) in enumerate(self.labels)}
 
     # -- construction -------------------------------------------------
 
     def _build(self):
         fam = self.spec.family
         n = self.n
-        if fam in (Family.GL, Family.SL):
+        if fam is Family.GL:
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
-                    if i == j:
-                        continue
-                    self._add(("E", i, j), {(i - 1, j - 1): Fraction(1)})
-            if fam is Family.GL:
-                for i in range(1, n + 1):
-                    self._add(("E", i, i), {(i - 1, i - 1): Fraction(1)})
-            else:
-                for k in range(1, n):
-                    self._add(("H", k), {(k - 1, k - 1): Fraction(1),
-                                         (k, k): Fraction(-1)})
+                    if i != j:
+                        self._add(("E", i, j), {(i - 1, j - 1): Fraction(1)})
+            for i in range(1, n + 1):
+                self._add(("E", i, i), {(i - 1, i - 1): Fraction(1)})
             return
         skew = fam is Family.SP
         for a, i in enumerate(self.indices):
@@ -156,21 +149,21 @@ class AlgebraBasis:
     # -- membership and coordinates -------------------------------------
 
     def contains(self, m: Matrix) -> bool:
-        """Form-compatibility (and tracelessness for sl) of a matrix."""
+        """Form-compatibility of a matrix (every square matrix lies in gl)."""
         if m.rows != self.n or m.cols != self.n:
             return False
         fam = self.spec.family
         if fam is Family.GL:
             return True
-        if fam is Family.SL:
-            return m.trace() == 0
         pos = self.position
         skew = fam is Family.SP
         for a, i in enumerate(self.indices):
             for b, j in enumerate(self.indices):
-                mirror = m.data[pos[-j]][pos[-i]]
+                x = m.data[a][b]
+                if not x:
+                    continue  # a nonzero mirror entry fails its own check
                 sign = _eps(i) * _eps(j) if skew else 1
-                if mirror != -sign * m.data[a][b]:
+                if m.data[pos[-j]][pos[-i]] != -sign * x:
                     return False
         return True
 
@@ -186,19 +179,13 @@ class AlgebraBasis:
     def sparse_coordinates(self, x: Sparse) -> dict[int, Fraction]:
         """Nonzero coordinates {basis index: value} of a member.
 
-        Each E element's coordinate is the entry at the position it owns;
-        the sl Cartan elements H_k take the partial diagonal sums.
+        Each basis element's coordinate is the entry at the position it
+        owns.  Entries at positions no element owns (the mirror halves in
+        sp/so) are dropped, so x must lie in the algebra.
         """
         index = self.entry_index
-        coords = {index[key]: v for key, v in x.items()
-                  if v != 0 and key in index}
-        if self.spec.family is Family.SL:
-            partial = Fraction(0)
-            for k in range(1, self.n):
-                partial += x.get((k - 1, k - 1), Fraction(0))
-                if partial != 0:
-                    coords[self.label_index[("H", k)]] = partial
-        return coords
+        return {index[key]: v for key, v in x.items()
+                if v != 0 and key in index}
 
     def from_coordinates(self, coords: Sequence[Scalar]) -> Matrix:
         if len(coords) != self.dim:
@@ -253,7 +240,7 @@ class GradingElement:
 
     The diagonal is listed in the fixed basis order of the defining
     representation.  For sp/so the entries pair as d(v_{-i}) = -d(v_i)
-    and d(v_0) = 0; for sl the trace vanishes.
+    and d(v_0) = 0.
     """
 
     spec: AlgebraSpec
@@ -264,10 +251,7 @@ class GradingElement:
         object.__setattr__(self, "diagonal", diag)
         if len(diag) != self.spec.size:
             raise ValueError("diagonal length != matrix size")
-        fam = self.spec.family
-        if fam is Family.SL and sum(diag) != 0:
-            raise ValueError("sl grading element must be traceless")
-        if fam in (Family.SP, Family.SO):
+        if self.spec.family in (Family.SP, Family.SO):
             idx = _signed_indices(self.spec)
             pos = {i: a for a, i in enumerate(idx)}
             for i in idx:
@@ -276,19 +260,12 @@ class GradingElement:
                 if i == 0 and diag[pos[0]] != 0:
                     raise ValueError("middle diagonal entry must vanish")
 
-    def value(self, i: int) -> Fraction:
-        """Diagonal value on the basis vector with signed index i."""
-        idx = _signed_indices(self.spec)
-        return self.diagonal[idx.index(i)]
-
     def matrix(self) -> Matrix:
         return Matrix.diagonal(self.diagonal)
 
 
 def label_degree(g: AlgebraBasis, label: tuple, H: GradingElement) -> Fraction:
     """ad H eigenvalue of a basis element."""
-    if label[0] == "H":
-        return Fraction(0)
     _, i, j = label
     pos = g.position
     return H.diagonal[pos[i]] - H.diagonal[pos[j]]

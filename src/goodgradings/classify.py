@@ -5,8 +5,9 @@ family H = h(p) + z, with h(p) the Dynkin element of the base pyramid
 and z ranging over a small set of vectors in the center of the
 reductive part of the centralizer:
 
-* gl/sl: one grading per pyramid with row lengths p (block shifts
-  bounded by consecutive part differences);
+* gl (sl is gl modulo scalars; outputs are normalized traceless): one
+  grading per pyramid with row lengths p (shifts of the distinct parts
+  below the largest, bounded by consecutive part differences);
 * sp: unit shifts of the even multiplicity-2 parts, plus a global
   half shift when every part is even of multiplicity 2;
 * so: unit shifts of the odd multiplicity-2 parts, with the part-1
@@ -17,6 +18,12 @@ Every emitted grading is verified good on the spot, and the pyramid
 column characteristic is cross-checked against the dominant-chamber
 one; failures raise VerificationError because they would mean a bug,
 not bad input.
+
+All families share one parametrization: a grading is
+`_shifted_grading(spec, base, shifts)`, one shift per center part, and
+`center_torus` makes the family choice (base pyramid, center parts,
+shift vectors, pyramids) in one place for the enumeration, the sweep
+and the CLI.
 
 The sweep oracle ignores the casework: it grids the center z-space and
 keeps whatever passes the goodness check, deduplicated by the sign
@@ -31,21 +38,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .algebras import (AlgebraBasis, AlgebraSpec, Family, GradingElement,
                        _signed_indices, build_algebra, graded_decomposition)
 from .gradings import (AdBlocks, Characteristic, VerificationError,
                        ad_blocks, characteristic_from_pyramid,
-                       characteristic_of, fill_boxes, grading_of_pyramid,
-                       is_good, nilpotent_of_pyramid, normalize_traceless)
+                       characteristic_of, fill_boxes, is_good,
+                       nilpotent_of_pyramid, normalize_traceless)
 from .linalg import Matrix, as_fraction
 from .partitions import Partition, center_dim
-from .pyramids import (TYPE_A, Pyramid, Row, enumerate_pyramids,
-                       orthogonal_center_parts, orthogonal_pyramid,
-                       orthogonal_pyramids, orthogonal_shift_vectors,
-                       symmetric_pyramid, symplectic_center_parts,
-                       symplectic_pyramid, symplectic_pyramids,
-                       symplectic_shift_vectors)
+from .pyramids import (Pyramid, enumerate_pyramids, orthogonal_center_parts,
+                       orthogonal_pyramid, orthogonal_pyramids,
+                       orthogonal_shift_vectors, symmetric_pyramid,
+                       symplectic_center_parts, symplectic_pyramid,
+                       symplectic_pyramids, symplectic_shift_vectors,
+                       type_a_center_parts, type_a_shift_vectors)
 
 
 @dataclass(frozen=True)
@@ -91,12 +99,45 @@ def _reject_zero(p: Partition):
         raise ValueError("the zero orbit has no good element")
 
 
+class CenterTorus(NamedTuple):
+    """A family's choice of pyramids, as functions of the partition p.
+
+    Every good grading of e(p) is h(base(p)) plus a vector of the center
+    of the reductive centralizer of e(p): one shift per center part.
+    The shift vectors list the good ones in the order of the pyramids.
+    """
+
+    base: Callable[[Partition], Pyramid]
+    center_parts: Callable[[Partition], tuple[int, ...]]
+    shift_vectors: Callable[[Partition], list[dict[int, Fraction]]]
+    pyramids: Callable[[Partition], list[Pyramid]]
+
+
+def center_torus(spec: AlgebraSpec) -> CenterTorus:
+    """The one place where the family picks its pyramid functions.
+
+    The table is built per call from the module's names, so a name
+    rebound at run time (the traced benchmark wraps these) takes effect.
+    """
+    return {
+        Family.GL: CenterTorus(symmetric_pyramid, type_a_center_parts,
+                               type_a_shift_vectors, enumerate_pyramids),
+        Family.SP: CenterTorus(symplectic_pyramid, symplectic_center_parts,
+                               symplectic_shift_vectors, symplectic_pyramids),
+        Family.SO: CenterTorus(orthogonal_pyramid, orthogonal_center_parts,
+                               orthogonal_shift_vectors, orthogonal_pyramids),
+    }[spec.family]
+
+
 def _shifted_grading(spec: AlgebraSpec, base: Pyramid,
                      shifts: dict[int, Fraction]) -> GradingElement:
-    """h(base) plus the center vector shifting the given parts' row pairs.
+    """h(base) plus the center vector shifting the given parts' rows.
 
     Uses the base pyramid's box filling, so the result is literally
-    h(p) + z(t) on the same basis vectors.
+    h(p) + z(t) on the same basis vectors.  The rows of a part move by
+    its shift in the upper half-plane and against it in the lower one.
+    The result is normalized traceless: for gl that removes the scalar,
+    which acts trivially under ad; sp/so diagonals already sum to zero.
     """
     labels = fill_boxes(spec, base)
     pos = {i: a for a, i in enumerate(_signed_indices(spec))}
@@ -109,7 +150,7 @@ def _shifted_grading(spec: AlgebraSpec, base: Pyramid,
                 s = -s
         for x in r.coords():
             diag[pos[labels[(x, r.y)]]] = x + s
-    return GradingElement(spec, tuple(diag))
+    return normalize_traceless(GradingElement(spec, tuple(diag)))
 
 
 def _entry(g: AlgebraBasis, H: GradingElement, e: Matrix, blocks: AdBlocks,
@@ -125,82 +166,49 @@ def _entry(g: AlgebraBasis, H: GradingElement, e: Matrix, blocks: AdBlocks,
                                 "dominant-chamber characteristic")
     return GradingEntry(H=H, source=source, characteristic=char,
                         is_dynkin=is_dynkin,
-                        is_even=graded_decomposition(g, H).is_even(),
+                        is_even=pair.decomposition.is_even(),
                         centralizer_degrees=pair.centralizer_degrees)
 
 
-def good_gradings_gl(p: Partition) -> GoodGradingFamily:
-    """All good gradings for the nilpotent of Jordan type p in gl_n.
+def good_gradings(spec: AlgebraSpec, p: Partition) -> GoodGradingFamily:
+    """All good gradings for the nilpotent of Jordan type p in the algebra.
 
-    One per pyramid with row lengths p; output normalized traceless.
+    One per pyramid of p.  The source holds the grading's center
+    coordinates: one shift per row for gl ("shifts"), one per center
+    part for sp/so ("t").
     """
     _reject_zero(p)
-    spec = AlgebraSpec(Family.GL, p.n)
+    if p.n != spec.size:
+        raise ValueError("partition total != matrix size")
+    torus = center_torus(spec)
+    base = torus.base(p)
     g = build_algebra(spec)
-    base = symmetric_pyramid(p)
     e = nilpotent_of_pyramid(spec, base)
     blocks = ad_blocks(g, e)
+    kind, keys = ("shifts", p.parts) if spec.family is Family.GL \
+        else ("t", torus.center_parts(p))
     entries = []
-    for pyr in enumerate_pyramids(p):
-        H = normalize_traceless(grading_of_pyramid(spec, pyr))
-        shifts = tuple(int(r.first + r.count - 1) for r in pyr.rows)
-        entries.append(_entry(g, H, e, blocks, pyr, ("shifts", shifts),
-                              all(s == 0 for s in shifts)))
+    for shifts, pyr in zip(torus.shift_vectors(p), torus.pyramids(p)):
+        H = _shifted_grading(spec, base, shifts)
+        values = tuple(shifts.get(v, Fraction(0)) for v in keys)
+        entries.append(_entry(g, H, e, blocks, pyr, (kind, values),
+                              all(x == 0 for x in values)))
     return GoodGradingFamily(spec, p, tuple(entries))
+
+
+def good_gradings_gl(p: Partition) -> GoodGradingFamily:
+    """All good gradings for the nilpotent of Jordan type p in gl_n."""
+    return good_gradings(AlgebraSpec(Family.GL, p.n), p)
 
 
 def good_gradings_sp(p: Partition) -> GoodGradingFamily:
     """All good gradings for the nilpotent of a symplectic partition in sp_N."""
-    _reject_zero(p)
-    if not p.is_symplectic():
-        raise ValueError(f"{p} is not symplectic")
-    spec = AlgebraSpec(Family.SP, p.n)
-    g = build_algebra(spec)
-    base = symplectic_pyramid(p)
-    e = nilpotent_of_pyramid(spec, base)
-    blocks = ad_blocks(g, e)
-    cparts = symplectic_center_parts(p)
-    entries = []
-    for shifts, pyr in zip(symplectic_shift_vectors(p), symplectic_pyramids(p)):
-        H = _shifted_grading(spec, base, shifts)
-        t = tuple(shifts.get(v, Fraction(0)) for v in cparts)
-        entries.append(_entry(g, H, e, blocks, pyr, ("t", t),
-                              all(x == 0 for x in t)))
-    return GoodGradingFamily(spec, p, tuple(entries))
+    return good_gradings(AlgebraSpec(Family.SP, p.n), p)
 
 
-def good_gradings_so(p: Partition, size: int | None = None) -> GoodGradingFamily:
+def good_gradings_so(p: Partition) -> GoodGradingFamily:
     """All good gradings for the nilpotent of an orthogonal partition in so_N."""
-    _reject_zero(p)
-    if not p.is_orthogonal():
-        raise ValueError(f"{p} is not orthogonal")
-    if size is not None and size != p.n:
-        raise ValueError("partition total != requested size")
-    spec = AlgebraSpec(Family.SO, p.n)
-    g = build_algebra(spec)
-    base = orthogonal_pyramid(p)
-    e = nilpotent_of_pyramid(spec, base)
-    blocks = ad_blocks(g, e)
-    cparts = orthogonal_center_parts(p)
-    entries = []
-    for shifts, pyr in zip(orthogonal_shift_vectors(p), orthogonal_pyramids(p)):
-        H = _shifted_grading(spec, base, shifts)
-        t = tuple(shifts.get(v, Fraction(0)) for v in cparts)
-        entries.append(_entry(g, H, e, blocks, pyr, ("t", t),
-                              all(x == 0 for x in t)))
-    return GoodGradingFamily(spec, p, tuple(entries))
-
-
-def good_gradings(spec: AlgebraSpec, p: Partition) -> GoodGradingFamily:
-    if spec.family in (Family.GL, Family.SL):
-        if p.n != spec.size:
-            raise ValueError("partition total != matrix size")
-        return good_gradings_gl(p)
-    if spec.family is Family.SP:
-        if p.n != spec.size:
-            raise ValueError("partition total != matrix size")
-        return good_gradings_sp(p)
-    return good_gradings_so(p, spec.size)
+    return good_gradings(AlgebraSpec(Family.SO, p.n), p)
 
 
 # -- even gradings ------------------------------------------------------------
@@ -213,21 +221,15 @@ def even_good_grading_gl(p: Partition) -> GradingElement:
     parts, so all box coordinates share one parity.
     """
     _reject_zero(p)
-    parts = p.parts
     spec = AlgebraSpec(Family.GL, p.n)
     g = build_algebra(spec)
-    rows = [Row(y=1, first=Fraction(-parts[0] + 1), count=parts[0],
-                parts=(parts[0],))]
-    shift = 0
-    for j in range(1, len(parts)):
-        shift += (parts[j - 1] - parts[j]) % 2
-        rows.append(Row(y=j + 1, first=Fraction(-parts[j] + 1 + shift),
-                        count=parts[j], parts=(parts[j],)))
-    pyr = Pyramid(TYPE_A, tuple(rows))
-    H = normalize_traceless(grading_of_pyramid(spec, pyr))
-    e = nilpotent_of_pyramid(spec, symmetric_pyramid(p))
-    pair = is_good(g, H, e)
-    if not pair.verified or not graded_decomposition(g, H).is_even():
+    base = symmetric_pyramid(p)
+    values = [v for v, _ in p.distinct()]
+    breaks = ((v - w) % 2 for v, w in zip(values, values[1:]))
+    shifts = dict(zip(values[1:], map(Fraction, itertools.accumulate(breaks))))
+    H = _shifted_grading(spec, base, shifts)
+    pair = is_good(g, H, nilpotent_of_pyramid(spec, base))
+    if not pair.verified or not pair.decomposition.is_even():
         raise VerificationError("parity-break shifts failed to give an even good grading")
     return H
 
@@ -247,28 +249,6 @@ def _grid(bound: Fraction, step: Fraction) -> list[Fraction]:
         vals.append(v)
         v += step
     return vals
-
-
-def _gl_center_grading(spec: AlgebraSpec, p: Partition, base: Pyramid,
-                       t: tuple[Fraction, ...]) -> GradingElement:
-    """h(p) plus the block-constant center vector with consecutive
-    block differences t, normalized to trace zero."""
-    blocks = p.distinct()
-    d = len(blocks)
-    suffix = [Fraction(0)] * (d + 1)
-    for i in range(d - 1, 0, -1):
-        suffix[i] = suffix[i + 1] + (t[i - 1] if i <= len(t) else Fraction(0))
-    total = sum(Fraction(v * m) * suffix[i + 1] for i, (v, m) in enumerate(blocks))
-    x = -total / p.n
-    consts = [x + suffix[i + 1] for i in range(d)]
-    h = grading_of_pyramid(spec, base)
-    diag = list(h.diagonal)
-    k = 0
-    for (v, m), cst in zip(blocks, consts):
-        for _ in range(v * m):
-            diag[k] += cst
-            k += 1
-    return GradingElement(spec, tuple(diag))
 
 
 # Largest grid a sweep may walk: (floor(2 bound / step) + 1)^c candidates.
@@ -307,12 +287,14 @@ def sweep_oracle(spec: AlgebraSpec, p: Partition,
     """Brute-force search for good gradings H = h(p) + z over a grid.
 
     z runs over the center of the reductive part of the centralizer of
-    e(p): block constants for gl (coordinates = consecutive block
-    differences), signed part shifts for sp/so.  Candidates that do not
-    define an integral grading are skipped; survivors are exactly those
-    passing the goodness check, deduplicated by componentwise sign
-    flips (which the casework never distinguishes) and returned with
-    all coordinates nonnegative, sorted by coordinate vector.
+    e(p): one coordinate per center part of `center_torus`, the shift of
+    that part's rows (for gl relative to the largest part, whose rows
+    stay put).  Candidates that do not define an integral grading are
+    skipped; survivors are exactly those passing the goodness check.
+    For sp/so they are deduplicated by componentwise sign flips (which
+    the casework never distinguishes) and returned with all coordinates
+    nonnegative; for gl each shift vector is a grading of its own.  The
+    result is sorted by coordinate vector.
 
     The grid bound is raised to the largest part of p when necessary:
     no good grading shifts any row by more than that, so the sweep is
@@ -320,49 +302,29 @@ def sweep_oracle(spec: AlgebraSpec, p: Partition,
     """
     bound, step, c = sweep_grid(spec, p, grid_bound, grid_step)
     vals = _grid(bound, step)
-    fam = spec.family
-    if fam in (Family.GL, Family.SL):
-        base = symmetric_pyramid(p)
-        spec = AlgebraSpec(Family.GL, p.n)
+    torus = center_torus(spec)
+    base = torus.base(p)
+    cparts = torus.center_parts(p)
+    type_a = spec.family is Family.GL
 
-        def candidate(t):
-            if any(x.denominator != 1 for x in t):
-                return None
-            return _gl_center_grading(spec, p, base, t)
-
-        def canonical(t):
-            return t
-    else:
-        if fam is Family.SP:
-            if not p.is_symplectic():
-                raise ValueError(f"{p} is not symplectic")
-            base = symplectic_pyramid(p)
-            cparts = symplectic_center_parts(p)
-        else:
-            if not p.is_orthogonal():
-                raise ValueError(f"{p} is not orthogonal")
-            base = orthogonal_pyramid(p)
-            cparts = orthogonal_center_parts(p)
-
-        def candidate(t):
-            return _shifted_grading(spec, base, dict(zip(cparts, t)))
-
-        def canonical(t):
-            return tuple(abs(x) for x in t)
+    def candidate(t):
+        return _shifted_grading(spec, base, dict(zip(cparts, t)))
 
     g = build_algebra(spec)
     e = nilpotent_of_pyramid(spec, base)
     blocks = ad_blocks(g, e)
     found: dict[tuple, GradingElement] = {}
     for t in itertools.product(vals, repeat=c):
-        H = candidate(t)
-        if H is None:
+        # gl rows hold integer coordinates, so a non-integer shift puts
+        # half-integer degrees between two blocks: skip it unbuilt
+        if type_a and any(x.denominator != 1 for x in t):
             continue
+        H = candidate(t)
         if not graded_decomposition(g, H).is_integral():
             continue
         if not is_good(g, H, e, blocks).verified:
             continue
-        ct = canonical(t)
+        ct = t if type_a else tuple(abs(x) for x in t)
         if ct not in found:
             Hc = candidate(ct)
             if not is_good(g, Hc, e, blocks).verified:

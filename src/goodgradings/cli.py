@@ -10,20 +10,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
 
 from .algebras import AlgebraSpec, Family
-from .classify import (GoodGradingFamily, good_gradings, sweep_grid,
-                       sweep_oracle)
+from .classify import (GoodGradingFamily, center_torus, good_gradings,
+                       sweep_grid, sweep_oracle)
 from .exceptional import ExceptionalDataError, exceptional_lookup
 from .gradings import VerificationError
 from .parabolic import ParabolicSpec, richardson_is_good
 from .partitions import Partition
-from .pyramids import (enumerate_pyramids, orthogonal_pyramids,
-                       render_pyramid, symplectic_pyramids)
+from .pyramids import render_pyramid
 from .series import (pyramid_count_series, pyramid_counts_by_partition,
                      pyramid_series_identity_check, unimodal_count_series)
 
@@ -85,14 +83,6 @@ def _family_spec(letter: str, p: Partition) -> AlgebraSpec:
     raise InputError(f"unknown family {letter!r} (expected A/B/C/D or GL)")
 
 
-def _pyramid_list(spec: AlgebraSpec, p: Partition):
-    if spec.family in (Family.GL, Family.SL):
-        return enumerate_pyramids(p)
-    if spec.family is Family.SP:
-        return symplectic_pyramids(p)
-    return orthogonal_pyramids(p)
-
-
 def _frac(x: Fraction) -> str:
     return str(x)
 
@@ -136,17 +126,13 @@ def _emit(report: dict, fmt: str, text_lines: list[str]) -> None:
 
 
 def _report(command: str, inputs: dict, results: dict, started: float) -> dict:
-    report = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "input": inputs,
         "results": results,
         "timing_ms": int((time.monotonic() - started) * 1000),
     }
-    threads = os.environ.get("GOODGRADINGS_THREADS")
-    if threads is not None:
-        report["threads"] = threads
-    return report
 
 
 def _cmd_classify(args) -> int:
@@ -190,7 +176,7 @@ def _cmd_verify(args) -> int:
         "enumerated": len(enumerated),
         "swept": len(brute),
         "match": match,
-        "pyramids": len(_pyramid_list(spec, p)),
+        "pyramids": len(center_torus(spec).pyramids(p)),
     }
     lines = [f"partition {p} in {spec.family.value.lower()}_{spec.size}:",
              f"  enumerated gradings: {len(enumerated)}",
@@ -211,7 +197,7 @@ def _cmd_pyramids(args) -> int:
     p = _parse_partition(args.partition)
     spec = _family_spec(args.family, p)
     try:
-        pyrs = _pyramid_list(spec, p)
+        pyrs = center_torus(spec).pyramids(p)
     except ValueError as exc:
         raise InputError(str(exc))
     results = {
@@ -256,8 +242,7 @@ def _cmd_series(args) -> int:
 
 
 def _richardson_reason(par: ParabolicSpec, good: bool) -> str:
-    fam = par.spec.family
-    if fam in (Family.GL, Family.SL):
+    if par.spec.family is Family.GL:
         return ("composition is unimodal" if good
                 else "composition is not unimodal")
     if good:
@@ -330,7 +315,7 @@ def _cmd_render(args) -> int:
     p = _parse_partition(args.partition)
     spec = _family_spec(args.family, p)
     try:
-        pyrs = _pyramid_list(spec, p)
+        pyrs = center_torus(spec).pyramids(p)
     except ValueError as exc:
         raise InputError(str(exc))
     if not 0 <= args.index < len(pyrs):

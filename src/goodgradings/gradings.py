@@ -32,9 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebras import (AlgebraBasis, AlgebraSpec, Family, GradingElement,
-                       Sparse, graded_decomposition, matrix_to_sparse,
-                       sparse_bracket, sparse_to_matrix, _signed_indices)
+from .algebras import (AlgebraBasis, AlgebraSpec, Family, GradedDecomposition,
+                       GradingElement, Sparse, graded_decomposition,
+                       matrix_to_sparse, sparse_bracket, sparse_to_matrix,
+                       _signed_indices)
 from .linalg import Matrix, rank, rref
 from .partitions import Partition
 from .pyramids import ORTHOGONAL, SYMPLECTIC, TYPE_A, Pyramid
@@ -47,8 +48,8 @@ class VerificationError(RuntimeError):
 
 
 def _check_flavor(spec: AlgebraSpec, pyr: Pyramid):
-    wanted = {Family.GL: TYPE_A, Family.SL: TYPE_A,
-              Family.SP: SYMPLECTIC, Family.SO: ORTHOGONAL}[spec.family]
+    wanted = {Family.GL: TYPE_A, Family.SP: SYMPLECTIC,
+              Family.SO: ORTHOGONAL}[spec.family]
     if pyr.flavor != wanted:
         raise ValueError(f"pyramid flavor {pyr.flavor} does not match {spec.family}")
     if pyr.size() != spec.size:
@@ -64,7 +65,7 @@ def fill_boxes(spec: AlgebraSpec, pyr: Pyramid) -> dict[Box, int]:
     the middle box gets 0, and mirror boxes get the negated index.
     """
     _check_flavor(spec, pyr)
-    if spec.family in (Family.GL, Family.SL):
+    if spec.family is Family.GL:
         boxes = [(x, r.y) for r in pyr.rows for x in r.coords()]
         return {box: k + 1 for k, box in enumerate(boxes)}
     labels: dict[Box, int] = {}
@@ -158,7 +159,7 @@ def nilpotent_of_pyramid(spec: AlgebraSpec, pyr: Pyramid) -> Matrix:
         key = (pos[labels[dst]], pos[labels[src]])
         entries[key] = entries.get(key, Fraction(0)) + coeff
 
-    if fam in (Family.GL, Family.SL):
+    if fam is Family.GL:
         for src, dst in arrows:
             put(src, dst, 1)
     elif fam is Family.SP:
@@ -207,12 +208,17 @@ def normalize_traceless(H: GradingElement) -> GradingElement:
 
 @dataclass(frozen=True)
 class GoodPair:
-    """Verdict of the goodness check for a homogeneous nilpotent."""
+    """Verdict of the goodness check for a homogeneous nilpotent.
+
+    Carries the graded decomposition the check built, so callers read
+    the grading's pieces (evenness, g_{-1}) without rebuilding it.
+    """
 
     H: GradingElement
     e: Matrix
     verified: bool
     centralizer_degrees: tuple[Fraction, ...]
+    decomposition: GradedDecomposition
 
     @property
     def centralizer_dim(self) -> int:
@@ -239,7 +245,14 @@ class AdBlocks:
 
 
 def ad_blocks(g: AlgebraBasis, e: Matrix) -> AdBlocks:
-    """Assemble ad e sparsely, split it into connected blocks, rank each."""
+    """Assemble ad e sparsely, split it into connected blocks, rank each.
+
+    Raises ValueError unless e lies in g: sparse coordinates drop the
+    entries no basis element owns, so the blocks of a non-member would
+    be silently wrong.  Checked here once per e, not once per grading.
+    """
+    if not g.contains(e):
+        raise ValueError("element does not lie in the algebra")
     es = matrix_to_sparse(e)
     cols = {}
     for k, elem in enumerate(g.elements):
@@ -319,14 +332,13 @@ def is_good(g: AlgebraBasis, H: GradingElement, e: Matrix,
     verdict is the centralizer dimension identity, cross-checked against
     per-degree injectivity of ad e on negative degrees; the two must
     agree or a VerificationError is raised.  `blocks` must come from
-    `ad_blocks(g, e)` for this e; they are built when omitted.
+    `ad_blocks(g, e)` for this e, which checks that e lies in g; they
+    are built when omitted.
     """
     if H.spec != g.spec:
         raise ValueError("grading element spec does not match the algebra")
     if e.is_zero():
         raise ValueError("a good element is a nonzero nilpotent")
-    if not g.contains(e):
-        raise ValueError("element does not lie in the algebra")
     blocks = _blocks_of(g, e, blocks)
     diag = H.diagonal
     # [H, e] = 2e entrywise: (H_i - H_j) e_ij = 2 e_ij
@@ -351,7 +363,8 @@ def is_good(g: AlgebraBasis, H: GradingElement, e: Matrix,
     if dim_identity and centralizer_degs and centralizer_degs[0] < 0:
         raise VerificationError("good pair with negative centralizer degree")
     return GoodPair(H=H, e=e, verified=dim_identity,
-                    centralizer_degrees=tuple(centralizer_degs))
+                    centralizer_degrees=tuple(centralizer_degs),
+                    decomposition=dec)
 
 
 # -- characteristics ---------------------------------------------------------
@@ -397,7 +410,7 @@ def characteristic_of(g: AlgebraBasis, H: GradingElement) -> Characteristic:
         raise ValueError("characteristics are defined for integral gradings")
     fam = g.spec.family
     n = g.spec.size
-    if fam in (Family.GL, Family.SL):
+    if fam is Family.GL:
         d = sorted(H.diagonal, reverse=True)
         labels = tuple(d[i] - d[i + 1] for i in range(n - 1))
         return Characteristic("A", n - 1, labels)
@@ -434,7 +447,7 @@ def characteristic_from_pyramid(spec: AlgebraSpec, pyr: Pyramid) -> Characterist
     heights: dict[Fraction, int] = {}
     for x, _ in pyr.boxes():
         heights[x] = heights.get(x, 0) + 1
-    if spec.family in (Family.GL, Family.SL):
+    if spec.family is Family.GL:
         xs = sorted(heights)
         labels: list[Fraction] = []
         bottom = xs[0]
@@ -503,8 +516,7 @@ def check_duality_form(g: AlgebraBasis, H: GradingElement, e: Matrix) -> bool:
     pair = is_good(g, H, e)
     if not pair.verified:
         raise ValueError("pair is not good")
-    dec = graded_decomposition(g, H)
-    idxs = dec.buckets.get(Fraction(-1), ())
+    idxs = pair.decomposition.buckets.get(Fraction(-1), ())
     if not idxs:
         return True
     es = matrix_to_sparse(e)
@@ -525,13 +537,13 @@ def check_duality_form(g: AlgebraBasis, H: GradingElement, e: Matrix) -> bool:
 def check_torus_weights(g: AlgebraBasis, H: GradingElement, e: Matrix) -> bool:
     """No nonzero vector of g_1 is killed by the whole diagonal torus of g^e_0.
 
-    Supported for gl/sl.  The torus is the space of diagonal matrices
+    Supported for gl (type A).  The torus is the space of diagonal matrices
     commuting with e: constant along the arrow-connected classes of
     basis vectors.  Since it acts diagonally on the matrix-unit basis,
     the joint kernel on g_1 is spanned by the matrix units it fixes.
     """
-    if g.spec.family not in (Family.GL, Family.SL):
-        raise ValueError("torus-weight check is supported for gl/sl only")
+    if g.spec.family is not Family.GL:
+        raise ValueError("torus-weight check is supported for gl only")
     pair = is_good(g, H, e)
     if not pair.verified:
         raise ValueError("pair is not good")
@@ -550,11 +562,8 @@ def check_torus_weights(g: AlgebraBasis, H: GradingElement, e: Matrix) -> bool:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[ri] = rj
-    dec = graded_decomposition(g, H)
-    for k in dec.buckets.get(Fraction(1), ()):
-        lab = g.labels[k]
-        if lab[0] == "E":
-            _, i, j = lab
-            if find(i - 1) == find(j - 1):
-                return False
+    for k in pair.decomposition.buckets.get(Fraction(1), ()):
+        _, i, j = g.labels[k]
+        if find(i - 1) == find(j - 1):
+            return False
     return True

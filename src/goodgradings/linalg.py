@@ -54,19 +54,9 @@ class Matrix:
             m.data[i][i] = as_fraction(x)
         return m
 
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        i, j = key
-        return self.data[i][j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return tuple(self.data[i])
-
     def _check_same_shape(self, other: "Matrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("size mismatch")
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.data[i][j] for i in range(self.rows))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
@@ -103,16 +93,9 @@ class Matrix:
                         orow[j] += a * b
         return Matrix(out)
 
-    __mul__ = __matmul__
-
     def transpose(self) -> "Matrix":
         return Matrix([[self.data[i][j] for i in range(self.rows)]
                        for j in range(self.cols)])
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.data for x in row)
@@ -222,14 +205,6 @@ class Subspace:
                 f = v[lead]
                 v = [a - f * b for a, b in zip(v, row)]
         return all(x == 0 for x in v)
-
-    def __le__(self, other: "Subspace") -> bool:
-        return all(other.contains(v) for v in self.basis)
-
-
-def solve_membership(s: Subspace, v: Sequence[Scalar]) -> bool:
-    """True iff v lies in the span of s. Raises on dimension mismatch."""
-    return s.contains(v)
 
 
 def kernel(m: Matrix) -> Subspace:

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .algebras import (AlgebraBasis, AlgebraSpec, Family, GradingElement,
                        build_algebra, graded_decomposition)
-from .gradings import graded_ad_ranks
+from .gradings import graded_ad_ranks, normalize_traceless
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class ParabolicSpec:
             raise ValueError("composition parts must be positive")
         fam = self.spec.family
         n = self.spec.size
-        if fam in (Family.GL, Family.SL):
+        if fam is Family.GL:
             if self.q != 0:
                 raise ValueError("type A parabolics have q = 0")
             if sum(self.blocks) != n:
@@ -64,15 +64,12 @@ def parabolic_grading(par: ParabolicSpec) -> GradingElement:
     values.
     """
     fam = par.spec.family
-    if fam in (Family.GL, Family.SL):
+    if fam is Family.GL:
         m = len(par.blocks)
         diag: list[Fraction] = []
         for i, a in enumerate(par.blocks, start=1):
             diag.extend([Fraction(m + 1 - 2 * i)] * a)
-        total = sum(diag)
-        n = par.spec.size
-        diag = [d - Fraction(total, n) for d in diag]
-        return GradingElement(AlgebraSpec(Family.GL, n), tuple(diag))
+        return normalize_traceless(GradingElement(par.spec, tuple(diag)))
     t = len(par.blocks)
     n = par.spec.size
     half = n // 2
@@ -170,7 +167,7 @@ def richardson_is_good(par: ParabolicSpec) -> bool:
     c = par.blocks
     q = par.q
     fam = par.spec.family
-    if fam in (Family.GL, Family.SL):
+    if fam is Family.GL:
         from .pyramids import is_unimodal
         return is_unimodal(c)
     if fam is Family.SP:
@@ -236,9 +233,6 @@ def generic_richardson_oracle(par: ParabolicSpec, samples: int = 16,
     degree-2 element has centralizer of dimension dim g_0 (the grading
     is even, so the degree -1 piece vanishes).
     """
-    fam = par.spec.family
-    spec = AlgebraSpec(Family.GL, par.spec.size) \
-        if fam in (Family.GL, Family.SL) else par.spec
-    g = build_algebra(spec)
+    g = build_algebra(par.spec)
     H = parabolic_grading(par)
     return grading_is_good_generic(g, H, samples=samples, seed=seed)

@@ -109,13 +109,13 @@ def center_dim(spec: AlgebraSpec, p: Partition) -> int:
     """Dimension of the center of the reductive part of the centralizer.
 
     This counts the degrees of freedom a good grading has beyond the
-    Dynkin one: number of distinct parts minus one for sl (scalars are
-    quotiented out; gl is treated the same way since scalars act
-    trivially on the grading), odd parts of multiplicity exactly 2 for
-    so, even parts of multiplicity exactly 2 for sp.
+    Dynkin one: number of distinct parts minus one for gl (scalars act
+    trivially on the grading, so they are quotiented out, as for sl),
+    odd parts of multiplicity exactly 2 for so, even parts of
+    multiplicity exactly 2 for sp.
     """
     fam = spec.family
-    if fam in (Family.GL, Family.SL):
+    if fam is Family.GL:
         if p.n != spec.size:
             raise ValueError("partition total != matrix size")
         return len(p.distinct()) - 1

@@ -102,25 +102,9 @@ class Pyramid:
         """All box centers as (x, y), row by row."""
         return [(x, r.y) for r in self.rows for x in r.coords()]
 
-    def row_at(self, y: int) -> Row | None:
-        for r in self.rows:
-            if r.y == y:
-                return r
-        return None
-
-    def has_box(self, x: Scalar, y: int) -> bool:
-        r = self.row_at(y)
-        if r is None:
-            return False
-        x = as_fraction(x)
-        return r.first <= x <= r.last and (x - r.first) % 2 == 0
-
     def column_height(self, x: Scalar) -> int:
         x = as_fraction(x)
         return sum(1 for bx, _ in self.boxes() if bx == x)
-
-    def coordinates_multiset(self) -> tuple[Fraction, ...]:
-        return tuple(sorted((x for x, _ in self.boxes()), reverse=True))
 
 
 # -- type A ---------------------------------------------------------------
@@ -133,26 +117,38 @@ def symmetric_pyramid(p: Partition) -> Pyramid:
     return Pyramid(TYPE_A, tuple(rows))
 
 
+def type_a_center_parts(p: Partition) -> tuple[int, ...]:
+    """Distinct parts below the largest, in decreasing order.
+
+    The center of the reductive centralizer in gl_n is one scalar per
+    distinct part; the scalars act trivially under ad, so the rows of the
+    largest part stay put and every other distinct part carries a shift.
+    """
+    return tuple(v for v, _ in p.distinct()[1:])
+
+
+def type_a_shift_vectors(p: Partition) -> list[dict[int, Fraction]]:
+    """Shift amounts per center part for every type A pyramid of p.
+
+    All rows of one part slide together.  The relative shift between
+    consecutive distinct parts v > w ranges over [-(v - w), v - w], and
+    a part's shift is the sum of the relative shifts from the largest
+    part down to it.  Order: lexicographic in the relative shifts.
+    """
+    values = [v for v, _ in p.distinct()]
+    ranges = [range(w - v, v - w + 1) for v, w in zip(values, values[1:])]
+    return [dict(zip(values[1:], map(Fraction, itertools.accumulate(rel))))
+            for rel in itertools.product(*ranges)]
+
+
 def enumerate_pyramids(p: Partition) -> list[Pyramid]:
-    """All pyramids with row lengths p.
+    """All pyramids with row lengths p, in canonical shift-vector order.
 
     Rows above the bottom one slide horizontally; the relative shift
     between rows j and j+1 ranges over [-(p_j - p_{j+1}), p_j - p_{j+1}].
-    Output order is lexicographic in the vector of relative shifts.
     """
-    parts = p.parts
-    k = len(parts)
-    deltas = [parts[i] - parts[i + 1] for i in range(k - 1)]
-    out = []
-    for rel in itertools.product(*[range(-d, d + 1) for d in deltas]):
-        shift = 0
-        rows = [Row(y=1, first=Fraction(-parts[0] + 1), count=parts[0],
-                    parts=(parts[0],))]
-        for j in range(1, k):
-            shift += rel[j - 1]
-            rows.append(Row(y=j + 1, first=Fraction(-parts[j] + 1 + shift),
-                            count=parts[j], parts=(parts[j],)))
-        out.append(Pyramid(TYPE_A, tuple(rows)))
+    base = symmetric_pyramid(p)
+    out = [_shift_parts(base, s) for s in type_a_shift_vectors(p)]
     if len(out) != pyramid_count_formula(p):
         raise AssertionError("pyramid enumeration disagrees with the count product")
     return out
@@ -193,8 +189,9 @@ def _mirror(r: Row) -> Row:
 
 def _shift_parts(pyr: Pyramid, shifts: dict[int, Fraction]) -> Pyramid:
     """Shift the full rows of the given parts: +s in the upper half-plane,
-    -s in the lower one.  Only parts of multiplicity 2 are ever shifted,
-    so the row of a part is unambiguous."""
+    -s in the lower one.  In sp/so only parts of multiplicity 2 are ever
+    shifted, so the row pair of a part is unambiguous; in type A (every
+    row in the upper half-plane) all rows of a part move together."""
     rows = []
     for r in pyr.rows:
         s = shifts.get(r.parts[0], Fraction(0)) if r.role == "full" and r.y != 0 else Fraction(0)

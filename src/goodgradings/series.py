@@ -75,9 +75,6 @@ class PowerSeries:
             inv[k] = -c0 * acc
         return PowerSeries(tuple(inv))
 
-    def coefficient(self, k: int) -> int:
-        return self.coeffs[k]
-
 
 def _one_minus_q_pow(k: int, order: int) -> PowerSeries:
     return PowerSeries.one(order) - PowerSeries.monomial(k, order)

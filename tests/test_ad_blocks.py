@@ -151,3 +151,19 @@ def test_blocks_of_another_element_are_rejected():
         graded_ad_ranks(g, H, e12, other)
     copy = Matrix(e12.data)
     assert is_good(g, H, e12, ad_blocks(g, copy)) == is_good(g, H, e12)
+
+
+def test_element_outside_the_algebra_is_rejected():
+    # a lone matrix unit without its mirror entry lies in neither so_5 nor
+    # sp_4; sparse coordinates would drop the unowned entry, so the
+    # blocks must refuse it, and is_good with them
+    for spec, diag in [(AlgebraSpec(SO, 5), (2, 0, 0, -2, 0)),
+                       (AlgebraSpec(SP, 4), (2, 0, -2, 0))]:
+        g = build_algebra(spec)
+        H = GradingElement(spec, tuple(map(Fraction, diag)))
+        e = Matrix.zeros(spec.size, spec.size)
+        e.data[0][1] = Fraction(1)  # degree 2 under H
+        with pytest.raises(ValueError, match="does not lie in the algebra"):
+            ad_blocks(g, e)
+        with pytest.raises(ValueError, match="does not lie in the algebra"):
+            is_good(g, H, e)

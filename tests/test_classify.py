@@ -5,13 +5,14 @@ import pytest
 
 from goodgradings.algebras import AlgebraSpec, Family, build_algebra, \
     graded_decomposition
-from goodgradings.classify import (_gl_center_grading, _shifted_grading,
+from goodgradings.classify import (_shifted_grading,
                                    even_good_grading_gl, even_good_gradings_sp,
                                    good_gradings, good_gradings_gl,
                                    good_gradings_so, good_gradings_sp,
                                    MAX_SWEEP_CANDIDATES, sweep_grid,
                                    sweep_oracle)
-from goodgradings.gradings import is_good, nilpotent_of_pyramid
+from goodgradings.gradings import (is_good, nilpotent_of_pyramid,
+                                   normalize_traceless)
 from goodgradings.partitions import Partition, symplectic_partitions
 from goodgradings.pyramids import (orthogonal_pyramid, orthogonal_pyramids,
                                    symmetric_pyramid, symplectic_pyramid,
@@ -118,6 +119,8 @@ def test_even_counts_sp_match_closed_conditions():
 
 
 def test_gl_block_system_matches_pyramids():
+    # each distinct part below the largest shifts its rows by the sum of
+    # the block differences above it, each bounded by the part gap
     for parts in [(2, 1), (3, 1), (5, 1), (3, 2, 1), (4, 2, 2)]:
         p = Partition(parts)
         spec = AlgebraSpec(Family.GL, p.n)
@@ -128,8 +131,10 @@ def test_gl_block_system_matches_pyramids():
                   for i in range(len(blocks) - 1)]
         system = set()
         for a in itertools.product(*ranges):
-            H = _gl_center_grading(spec, p, base,
-                                   tuple(Fraction(x) for x in a))
+            shifts = {blocks[i + 1][0]: Fraction(sum(a[:i + 1]))
+                      for i in range(len(a))}
+            H = _shifted_grading(spec, base, shifts)
+            assert normalize_traceless(H) == H
             system.add(H.diagonal)
         assert system == good_gradings_gl(p).diagonals()
 

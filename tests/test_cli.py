@@ -136,10 +136,3 @@ def test_render_subcommand(capsys):
                            "--partition", "2,2", "--index", "9")
     assert code == 2
 
-
-def test_threads_env_passthrough(capsys, monkeypatch):
-    monkeypatch.setenv("GOODGRADINGS_THREADS", "4")
-    code, out, _ = run_cli(capsys, "series", "--order", "3",
-                           "--format", "json")
-    assert code == 0
-    assert json.loads(out)["threads"] == "4"

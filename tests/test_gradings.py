@@ -23,7 +23,7 @@ SO = Family.SO
 
 
 def base_pyramid(spec, p):
-    if spec.family in (Family.GL, Family.SL):
+    if spec.family is GL:
         return symmetric_pyramid(p)
     if spec.family is SP:
         return symplectic_pyramid(p)

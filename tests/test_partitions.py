@@ -63,7 +63,7 @@ def test_symplectic_orthogonal_membership():
 
 
 def test_center_dim():
-    assert center_dim(AlgebraSpec(Family.SL, 3), Partition((2, 1))) == 1
+    assert center_dim(AlgebraSpec(Family.GL, 3), Partition((2, 1))) == 1
     assert center_dim(AlgebraSpec(Family.SP, 4), Partition((2, 2))) == 1
     assert center_dim(AlgebraSpec(Family.SO, 8), Partition((3, 3, 1, 1))) == 2
     # multiplicity exactly 2, not at least 2
