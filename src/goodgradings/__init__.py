@@ -23,9 +23,8 @@ from .linalg import Matrix, Subspace, bracket, kernel, rank
 from .parabolic import (ParabolicSpec, generic_richardson_oracle,
                         grading_is_good_generic, parabolic_grading,
                         richardson_is_good)
-from .partitions import (Partition, center_dim, orbit_dimension,
-                         orthogonal_partitions, partitions,
-                         symplectic_partitions)
+from .partitions import (Partition, orbit_dimension, orthogonal_partitions,
+                         partitions, symplectic_partitions)
 from .pyramids import (Pyramid, Row, enumerate_pyramids, is_unimodal,
                        orthogonal_pyramid, orthogonal_pyramids,
                        pyramid_to_unimodal, render_pyramid, symmetric_pyramid,

@@ -27,10 +27,11 @@ and the CLI.
 
 The sweep oracle ignores the casework: it grids the center z-space and
 keeps whatever passes the goodness check, deduplicated by the sign
-action.  The requested grid bound is widened to the largest part of p,
-which dominates every shift any good grading can use, so equality of
-the oracle's output with the enumerations is a genuine completeness
-check.
+action.  The grid is fixed by p: every half-integer in [-B, B] on each
+axis, with B = max(3, p_1).  Every center coordinate of an integral
+grading is a half-integer and none exceeds the largest part, so the
+grid holds every candidate, and equality of the oracle's output with
+the enumerations is a genuine completeness check.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from .gradings import (AdBlocks, Characteristic, VerificationError,
                        ad_blocks, characteristic_from_pyramid,
                        characteristic_of, fill_boxes, is_good,
                        nilpotent_of_pyramid, normalize_traceless)
-from .linalg import Matrix, as_fraction
-from .partitions import Partition, center_dim
+from .linalg import Matrix
+from .partitions import Partition
 from .pyramids import (Pyramid, enumerate_pyramids, orthogonal_center_parts,
                        orthogonal_pyramid, orthogonal_pyramids,
                        orthogonal_shift_vectors, symmetric_pyramid,
@@ -242,48 +243,35 @@ def even_good_gradings_sp(p: Partition) -> list[GradingElement]:
 # -- the sweep oracle ----------------------------------------------------------
 
 
-def _grid(bound: Fraction, step: Fraction) -> list[Fraction]:
-    vals = []
-    v = -bound
-    while v <= bound:
-        vals.append(v)
-        v += step
-    return vals
-
-
-# Largest grid a sweep may walk: (floor(2 bound / step) + 1)^c candidates.
-# The sweeps in the tests and in the verify benchmark need at most 169
-# (13^2: c = 2, bound 3, step 1/2); the c = 3 sweep of so_18 with
-# p = (5,5,3,3,1,1) at step 1/2 needs 21^3 = 9261.
+# Largest grid a sweep may walk: (4B + 1)^c candidates, B = max(3, p_1)
+# and c center parts.  The sweeps in the tests and in the verify
+# benchmark need at most 169 (13^2: c = 2, B = 3); the c = 3 sweep of
+# so_18 with p = (5,5,3,3,1,1) needs 21^3 = 9261.  Since B >= 3, any
+# c >= 4 needs at least 13^4 = 28561 and is refused.
 MAX_SWEEP_CANDIDATES = 10_000
 
 
-def sweep_grid(spec: AlgebraSpec, p: Partition, grid_bound, grid_step
-               ) -> tuple[Fraction, Fraction, int]:
-    """The sweep's widened grid bound, its step and the center dimension c.
+def sweep_grid(spec: AlgebraSpec, p: Partition
+               ) -> tuple[list[Fraction], tuple[int, ...]]:
+    """The sweep's grid axis and the center parts it runs over.
 
-    Raises ValueError, before anything is allocated, for a bad step, for
-    c > 3, or for a grid of more than MAX_SWEEP_CANDIDATES candidates.
+    The axis holds every half-integer in [-B, B], B = max(3, p_1), and
+    the sweep walks one axis per center part of `center_torus`.  Raises
+    ValueError, before anything is built, for a grid of more than
+    MAX_SWEEP_CANDIDATES candidates.
     """
     _reject_zero(p)
     if p.n != spec.size:
         raise ValueError("partition total != matrix size")
-    c = center_dim(spec, p)
-    if c > 3:
-        raise ValueError("center dimension too large for a grid sweep")
-    bound = max(as_fraction(grid_bound), Fraction(p.parts[0]))
-    step = as_fraction(grid_step)
-    if step <= 0:
-        raise ValueError("grid step must be positive")
-    if (2 * bound // step + 1) ** c > MAX_SWEEP_CANDIDATES:
-        raise ValueError(f"grid sweep exceeds {MAX_SWEEP_CANDIDATES} "
-                         f"candidates; use a larger step")
-    return bound, step, c
+    cparts = center_torus(spec).center_parts(p)
+    bound = max(3, p.parts[0])
+    if (4 * bound + 1) ** len(cparts) > MAX_SWEEP_CANDIDATES:
+        raise ValueError(f"grid sweep of {p} exceeds "
+                         f"{MAX_SWEEP_CANDIDATES} candidates")
+    return [Fraction(k, 2) for k in range(-2 * bound, 2 * bound + 1)], cparts
 
 
-def sweep_oracle(spec: AlgebraSpec, p: Partition,
-                 grid_bound=Fraction(3), grid_step=Fraction(1, 2)
-                 ) -> list[GradingElement]:
+def sweep_oracle(spec: AlgebraSpec, p: Partition) -> list[GradingElement]:
     """Brute-force search for good gradings H = h(p) + z over a grid.
 
     z runs over the center of the reductive part of the centralizer of
@@ -296,15 +284,12 @@ def sweep_oracle(spec: AlgebraSpec, p: Partition,
     nonnegative; for gl each shift vector is a grading of its own.  The
     result is sorted by coordinate vector.
 
-    The grid bound is raised to the largest part of p when necessary:
-    no good grading shifts any row by more than that, so the sweep is
-    exhaustive over the whole candidate space.
+    The grid is `sweep_grid(spec, p)`: no good grading shifts any row by
+    more than the largest part of p, nor by anything but a half-integer,
+    so the sweep is exhaustive over the whole candidate space.
     """
-    bound, step, c = sweep_grid(spec, p, grid_bound, grid_step)
-    vals = _grid(bound, step)
-    torus = center_torus(spec)
-    base = torus.base(p)
-    cparts = torus.center_parts(p)
+    vals, cparts = sweep_grid(spec, p)
+    base = center_torus(spec).base(p)
     type_a = spec.family is Family.GL
 
     def candidate(t):
@@ -314,7 +299,7 @@ def sweep_oracle(spec: AlgebraSpec, p: Partition,
     e = nilpotent_of_pyramid(spec, base)
     blocks = ad_blocks(g, e)
     found: dict[tuple, GradingElement] = {}
-    for t in itertools.product(vals, repeat=c):
+    for t in itertools.product(vals, repeat=len(cparts)):
         # gl rows hold integer coordinates, so a non-integer shift puts
         # half-integer degrees between two blocks: skip it unbuilt
         if type_a and any(x.denominator != 1 for x in t):

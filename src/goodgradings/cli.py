@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .algebras import AlgebraSpec, Family
 from .classify import (GoodGradingFamily, center_torus, good_gradings,
-                       sweep_grid, sweep_oracle)
+                       sweep_oracle)
 from .exceptional import ExceptionalDataError, exceptional_lookup
 from .gradings import VerificationError
 from .parabolic import ParabolicSpec, richardson_is_good
@@ -49,38 +49,35 @@ def _parse_partition(s: str) -> Partition:
         raise InputError(str(exc))
 
 
-def _parse_fraction(s: str) -> Fraction:
+_FAMILY_LETTERS = {"A": Family.GL, "GL": Family.GL, "B": Family.SO,
+                  "C": Family.SP, "D": Family.SO}
+
+
+def _letter_spec(letter: str, size: int) -> AlgebraSpec:
+    """The algebra of a family letter and matrix size: A/GL, C, B with
+    odd size, D with even size."""
+    letter = letter.upper()
+    if letter not in _FAMILY_LETTERS:
+        raise InputError(f"unknown family {letter!r} (expected A/B/C/D or GL)")
+    if letter == "B" and size % 2 == 0:
+        raise InputError("family B needs an odd matrix size")
+    if letter == "D" and size % 2 == 1:
+        raise InputError("family D needs an even matrix size")
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"expected an exact rational such as 1/2, got {s!r}")
+        return AlgebraSpec(_FAMILY_LETTERS[letter], size)
+    except ValueError as exc:
+        raise InputError(str(exc))
 
 
 def _family_spec(letter: str, p: Partition) -> AlgebraSpec:
-    letter = letter.upper()
-    n = p.n
-    try:
-        if letter in ("A", "GL"):
-            return AlgebraSpec(Family.GL, n)
-        if letter == "C":
-            if not p.is_symplectic():
-                raise InputError(f"{p} is not a symplectic partition")
-            return AlgebraSpec(Family.SP, n)
-        if letter == "B":
-            if n % 2 == 0:
-                raise InputError("family B needs an odd partition total")
-            if not p.is_orthogonal():
-                raise InputError(f"{p} is not an orthogonal partition")
-            return AlgebraSpec(Family.SO, n)
-        if letter == "D":
-            if n % 2 == 1:
-                raise InputError("family D needs an even partition total")
-            if not p.is_orthogonal():
-                raise InputError(f"{p} is not an orthogonal partition")
-            return AlgebraSpec(Family.SO, n)
-    except ValueError as exc:
-        raise InputError(str(exc))
-    raise InputError(f"unknown family {letter!r} (expected A/B/C/D or GL)")
+    # the partition is checked first, so that an odd-total partition for
+    # C is reported as not symplectic rather than as an odd matrix size
+    family = _FAMILY_LETTERS.get(letter.upper())
+    if family is Family.SP and not p.is_symplectic():
+        raise InputError(f"{p} is not a symplectic partition")
+    if family is Family.SO and not p.is_orthogonal():
+        raise InputError(f"{p} is not an orthogonal partition")
+    return _letter_spec(letter, p.n)
 
 
 def _frac(x: Fraction) -> str:
@@ -161,12 +158,9 @@ def _cmd_verify(args) -> int:
     started = time.monotonic()
     p = _parse_partition(args.partition)
     spec = _family_spec(args.family, p)
-    bound = _parse_fraction(args.bound)
-    step = _parse_fraction(args.step)
     try:
-        sweep_grid(spec, p, bound, step)
+        swept = sweep_oracle(spec, p)
         fam = good_gradings(spec, p)
-        swept = sweep_oracle(spec, p, bound, step)
     except ValueError as exc:
         raise InputError(str(exc))
     enumerated = fam.diagonals()
@@ -176,14 +170,13 @@ def _cmd_verify(args) -> int:
         "enumerated": len(enumerated),
         "swept": len(brute),
         "match": match,
-        "pyramids": len(center_torus(spec).pyramids(p)),
+        "pyramids": len(fam),
     }
     lines = [f"partition {p} in {spec.family.value.lower()}_{spec.size}:",
              f"  enumerated gradings: {len(enumerated)}",
              f"  sweep oracle found:  {len(brute)}",
              f"  sets match: {'yes' if match else 'NO'}"]
-    _emit(_report("verify", {"family": args.family, "partition": args.partition,
-                             "bound": args.bound, "step": args.step},
+    _emit(_report("verify", {"family": args.family, "partition": args.partition},
                   results, started), args.format, lines)
     if not match:
         print("verification mismatch between enumeration and sweep oracle",
@@ -253,17 +246,11 @@ def _richardson_reason(par: ParabolicSpec, good: bool) -> str:
 def _cmd_richardson(args) -> int:
     started = time.monotonic()
     blocks = _parse_ints(args.composition)
-    letter = args.family.upper()
     q = args.q
+    type_a = _FAMILY_LETTERS.get(args.family.upper()) is Family.GL
+    spec = _letter_spec(args.family,
+                        sum(blocks) if type_a else 2 * sum(blocks) + q)
     try:
-        if letter in ("A", "GL"):
-            spec = AlgebraSpec(Family.GL, sum(blocks))
-        elif letter == "C":
-            spec = AlgebraSpec(Family.SP, 2 * sum(blocks) + q)
-        elif letter in ("B", "D"):
-            spec = AlgebraSpec(Family.SO, 2 * sum(blocks) + q)
-        else:
-            raise InputError(f"unknown family {letter!r}")
         par = ParabolicSpec(spec, blocks, q)
     except ValueError as exc:
         raise InputError(str(exc))
@@ -350,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify",
                         help="check the enumeration against the sweep oracle")
     common(sp)
-    sp.add_argument("--bound", default="3", help="grid bound (rational)")
-    sp.add_argument("--step", default="1/2", help="grid step (rational)")
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("pyramids", help="enumerate pyramids")

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .algebras import AlgebraSpec, Family
-
 
 @dataclass(frozen=True, order=True)
 class Partition:
@@ -103,29 +101,6 @@ def so_centralizer_dim(p: Partition) -> int:
     s = sum(d * d for d in p.dual().parts)
     odd = sum(1 for q in p.parts if q % 2 == 1)
     return (s - odd) // 2
-
-
-def center_dim(spec: AlgebraSpec, p: Partition) -> int:
-    """Dimension of the center of the reductive part of the centralizer.
-
-    This counts the degrees of freedom a good grading has beyond the
-    Dynkin one: number of distinct parts minus one for gl (scalars act
-    trivially on the grading, so they are quotiented out, as for sl),
-    odd parts of multiplicity exactly 2 for so, even parts of
-    multiplicity exactly 2 for sp.
-    """
-    fam = spec.family
-    if fam is Family.GL:
-        if p.n != spec.size:
-            raise ValueError("partition total != matrix size")
-        return len(p.distinct()) - 1
-    if fam is Family.SP:
-        if p.n != spec.size or not p.is_symplectic():
-            raise ValueError("not a symplectic partition of the right size")
-        return sum(1 for v, m in p.distinct() if v % 2 == 0 and m == 2)
-    if p.n != spec.size or not p.is_orthogonal():
-        raise ValueError("not an orthogonal partition of the right size")
-    return sum(1 for v, m in p.distinct() if v % 2 == 1 and m == 2)
 
 
 def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:

@@ -11,8 +11,9 @@ from fractions import Fraction
 
 from goodgradings.algebras import (AlgebraSpec, Family, GradingElement,
                                    build_algebra, graded_decomposition)
-from goodgradings.classify import (good_gradings_gl, good_gradings_so,
-                                   good_gradings_sp, sweep_oracle)
+from goodgradings.classify import (center_torus, good_gradings_gl,
+                                   good_gradings_so, good_gradings_sp,
+                                   sweep_oracle)
 from goodgradings.exceptional import exceptional_lookup, orbit_labels
 from goodgradings.gradings import (check_duality_form, check_torus_weights,
                                    graded_ad_ranks, grading_of_pyramid,
@@ -92,7 +93,7 @@ def test_criterion_04_type_a_soundness_completeness():
                 assert is_good(g, H, e).verified, (p, pyr)
                 checked += 1
             fam = good_gradings_gl(p)
-            swept = sweep_oracle(spec, p, 3, Fraction(1, 2))
+            swept = sweep_oracle(spec, p)
             assert fam.diagonals() == {H.diagonal for H in swept}, p
     report(4, 60, started,
            f"{checked} pyramid pairs verified good; enumeration equals the "
@@ -106,7 +107,7 @@ def test_criterion_05_type_c():
         spec = AlgebraSpec(Family.SP, N)
         for p in nonzero(symplectic_partitions(N)):
             fam = good_gradings_sp(p)
-            swept = sweep_oracle(spec, p, 3, Fraction(1, 2))
+            swept = sweep_oracle(spec, p)
             assert fam.diagonals() == {H.diagonal for H in swept}, p
             evens = fam.even_entries()
             all_even_mult2 = all(v % 2 == 0 and m == 2 for v, m in p.distinct())
@@ -122,14 +123,13 @@ def test_criterion_06_types_b_d():
     started = time.monotonic()
     families = 0
     half_seen = False
-    from goodgradings.partitions import center_dim
     for N in range(3, 9):
         spec = AlgebraSpec(Family.SO, N)
         for p in nonzero(orthogonal_partitions(N)):
-            if center_dim(spec, p) > 2:
+            if len(center_torus(spec).center_parts(p)) > 2:
                 continue
             fam = good_gradings_so(p)
-            swept = sweep_oracle(spec, p, 3, Fraction(1, 2))
+            swept = sweep_oracle(spec, p)
             assert fam.diagonals() == {H.diagonal for H in swept}, p
             if any(any(x.denominator == 2 for x in ent.H.diagonal)
                    for ent in fam.entries):

@@ -5,7 +5,7 @@ import pytest
 
 from goodgradings.algebras import AlgebraSpec, Family, build_algebra, \
     graded_decomposition
-from goodgradings.classify import (_shifted_grading,
+from goodgradings.classify import (_shifted_grading, center_torus,
                                    even_good_grading_gl, even_good_gradings_sp,
                                    good_gradings, good_gradings_gl,
                                    good_gradings_so, good_gradings_sp,
@@ -13,7 +13,8 @@ from goodgradings.classify import (_shifted_grading,
                                    sweep_oracle)
 from goodgradings.gradings import (is_good, nilpotent_of_pyramid,
                                    normalize_traceless)
-from goodgradings.partitions import Partition, symplectic_partitions
+from goodgradings.partitions import (Partition, orthogonal_partitions,
+                                     partitions, symplectic_partitions)
 from goodgradings.pyramids import (orthogonal_pyramid, orthogonal_pyramids,
                                    symmetric_pyramid, symplectic_pyramid,
                                    symplectic_pyramids)
@@ -165,11 +166,11 @@ def test_sign_symmetry_of_goodness():
 def test_sweep_matches_enumeration_spot_checks():
     p = Partition((2, 2))
     spec = AlgebraSpec(Family.SP, 4)
-    assert {H.diagonal for H in sweep_oracle(spec, p, 2, Fraction(1, 2))} \
+    assert {H.diagonal for H in sweep_oracle(spec, p)} \
         == good_gradings_sp(p).diagonals()
     p = Partition((3, 3, 1))
     spec = AlgebraSpec(Family.SO, 7)
-    assert {H.diagonal for H in sweep_oracle(spec, p, 2, Fraction(1, 2))} \
+    assert {H.diagonal for H in sweep_oracle(spec, p)} \
         == good_gradings_so(p).diagonals()
 
 
@@ -183,22 +184,59 @@ def test_sweep_trivial_center():
 
 def test_sweep_guards():
     with pytest.raises(ValueError):
-        sweep_oracle(AlgebraSpec(Family.GL, 4), Partition((3, 1)),
-                     grid_step=Fraction(0))
-    with pytest.raises(ValueError):
         sweep_oracle(AlgebraSpec(Family.GL, 5), Partition((3, 1)))
+    with pytest.raises(ValueError, match="symplectic"):
+        sweep_oracle(AlgebraSpec(Family.SP, 4), Partition((3, 1)))
+
+
+def test_center_parts():
+    def cparts(family, parts):
+        p = Partition(parts)
+        return center_torus(AlgebraSpec(family, p.n)).center_parts(p)
+
+    assert cparts(Family.GL, (2, 1)) == (1,)
+    assert cparts(Family.SP, (2, 2)) == (2,)
+    assert cparts(Family.SO, (3, 3, 1, 1)) == (3, 1)
+    # multiplicity exactly 2, not at least 2
+    assert cparts(Family.SP, (2, 2, 2, 2)) == ()
+    assert cparts(Family.SP, (2, 1, 1)) == ()
 
 
 def test_sweep_grid_limit_boundary():
-    # c = 2 and bound 3: step 2/33 gives 100 values per axis, 100^2 in
-    # all, exactly the limit; step 1/17 gives 103^2.  Only the check runs.
-    spec, p = AlgebraSpec(Family.GL, 6), Partition((3, 2, 1))
-    assert MAX_SWEEP_CANDIDATES == 100 ** 2
-    assert sweep_grid(spec, p, 3, Fraction(2, 33)) == (3, Fraction(2, 33), 2)
-    with pytest.raises(ValueError, match="candidates"):
-        sweep_grid(spec, p, 3, Fraction(1, 17))
-    with pytest.raises(ValueError, match="candidates"):
-        sweep_oracle(spec, p, 3, Fraction(1, 10000))
+    # (4 max(3, p_1) + 1)^c candidates; only the check runs.
+    assert MAX_SWEEP_CANDIDATES == 10_000
+    for family, parts, size in ((Family.GL, (24, 2, 1), 97 ** 2),
+                                (Family.SO, (5, 5, 3, 3, 1, 1), 21 ** 3)):
+        p = Partition(parts)
+        axis, cparts = sweep_grid(AlgebraSpec(family, p.n), p)
+        assert len(axis) ** len(cparts) == size
+    for family, parts in ((Family.GL, (25, 2, 1)), (Family.GL, (6, 3, 2, 1)),
+                          (Family.SO, (7, 7, 5, 5, 3, 3, 1, 1))):
+        p = Partition(parts)
+        with pytest.raises(ValueError, match="candidates"):
+            sweep_grid(AlgebraSpec(family, p.n), p)
+
+
+def test_sweep_grid_holds_every_shift_vector():
+    # Every center coordinate of every good grading lies on the fixed
+    # grid axis, so the sweep cannot miss one.  Nothing is built.
+    orbits = [(Family.GL, p) for n in range(2, 8) for p in partitions(n)]
+    for N in range(2, 11):
+        if N % 2 == 0:
+            orbits += [(Family.SP, p) for p in symplectic_partitions(N)]
+        if N >= 3:
+            orbits += [(Family.SO, p) for p in orthogonal_partitions(N)]
+    checked = 0
+    for family, p in orbits:
+        if p.is_zero_orbit():
+            continue
+        spec = AlgebraSpec(family, p.n)
+        axis, cparts = sweep_grid(spec, p)
+        for shifts in center_torus(spec).shift_vectors(p):
+            assert set(shifts) <= set(cparts), (family, p)
+            assert all(x in axis for x in shifts.values()), (family, p, shifts)
+            checked += 1
+    assert checked > 300
 
 
 def test_entries_report_verified_data():

@@ -1,5 +1,9 @@
 import json
+import shlex
 import time
+from pathlib import Path
+
+import pytest
 
 from goodgradings.cli import canonical_json, main
 
@@ -68,17 +72,22 @@ def test_verify_subcommand(capsys):
 
 
 def test_verify_rejects_an_oversized_grid_fast(capsys):
-    # (2*3/(1/10000) + 1)^2 = 60001^2 candidates: refused before the
-    # enumeration or any grid is built
+    # (4*25 + 1)^2 = 101^2 candidates: refused before the enumeration or
+    # any algebra is built
     started = time.monotonic()
     code, out, err = run_cli(capsys, "verify", "--family", "A",
-                             "--partition", "3,2,1", "--step", "1/10000")
+                             "--partition", "25,2,1")
     assert time.monotonic() - started < 1
     assert code == 2 and out == ""
     assert "candidates" in err
-    code, _, err = run_cli(capsys, "verify", "--family", "A",
-                           "--partition", "3,2,1", "--step", "1/0")
-    assert code == 2 and "rational" in err
+
+
+def test_verify_has_no_grid_options(capsys):
+    # the grid is fixed by the partition
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--family", "A", "--partition", "2,1",
+              "--step", "1/2"])
+    assert exc.value.code == 2
 
 
 def test_pyramids_subcommand(capsys):
@@ -110,6 +119,16 @@ def test_richardson_subcommand(capsys):
     assert json.loads(out)["results"]["good"] is True
 
 
+def test_richardson_rejects_a_family_parity_mismatch(capsys):
+    # B is so of odd size, D of even size: 2*2 + 0 = 4 and 2*1 + 1 = 3
+    code, out, err = run_cli(capsys, "richardson", "--family", "B",
+                             "--composition", "2", "--q", "0")
+    assert code == 2 and out == "" and "odd" in err
+    code, out, err = run_cli(capsys, "richardson", "--family", "D",
+                             "--composition", "1", "--q", "1")
+    assert code == 2 and out == "" and "even" in err
+
+
 def test_exceptional_subcommand(capsys):
     code, out, _ = run_cli(capsys, "exceptional", "--algebra", "G2",
                            "--orbit", "any")
@@ -136,3 +155,27 @@ def test_render_subcommand(capsys):
                            "--partition", "2,2", "--index", "9")
     assert code == 2
 
+
+def _readme_commands() -> list[list[str]]:
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv[:1] != ["goodgradings"]:
+            continue
+        optional = [a for a in argv if a.startswith("[")]
+        plain = [a for a in argv[1:] if a not in optional]
+        commands.append(plain)
+        if optional:
+            commands.append(plain + [a.strip("[]") for a in optional])
+    return commands
+
+
+def test_readme_command_line_examples_run(capsys):
+    commands = _readme_commands()
+    assert len(commands) == 9
+    for argv in commands:
+        assert main(argv) == 0, argv
+        capsys.readouterr()

@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goodgradings.algebras import AlgebraSpec, Family
-from goodgradings.partitions import (Partition, center_dim, gl_centralizer_dim,
+from goodgradings.partitions import (Partition, gl_centralizer_dim,
                                      orbit_dimension, orthogonal_partitions,
                                      partitions, so_centralizer_dim,
                                      sp_centralizer_dim, symplectic_partitions)
@@ -60,17 +59,6 @@ def test_symplectic_orthogonal_membership():
     assert Partition((3, 3, 1, 1)).is_symplectic()
     assert Partition((3, 1)).is_orthogonal()
     assert not Partition((3, 1)).is_symplectic()
-
-
-def test_center_dim():
-    assert center_dim(AlgebraSpec(Family.GL, 3), Partition((2, 1))) == 1
-    assert center_dim(AlgebraSpec(Family.SP, 4), Partition((2, 2))) == 1
-    assert center_dim(AlgebraSpec(Family.SO, 8), Partition((3, 3, 1, 1))) == 2
-    # multiplicity exactly 2, not at least 2
-    assert center_dim(AlgebraSpec(Family.SP, 8), Partition((2, 2, 2, 2))) == 0
-    assert center_dim(AlgebraSpec(Family.SP, 4), Partition((2, 1, 1))) == 0
-    with pytest.raises(ValueError):
-        center_dim(AlgebraSpec(Family.SP, 4), Partition((3, 1)))
 
 
 def test_partition_generators():
