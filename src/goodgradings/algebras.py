@@ -263,6 +263,13 @@ class GradingElement:
     def matrix(self) -> Matrix:
         return Matrix.diagonal(self.diagonal)
 
+    def is_integral(self) -> bool:
+        """Whether ad H has integer eigenvalues.  They are differences of
+        diagonal entries, and in gl, sp and so_N (N >= 3) every such
+        difference is a sum of them: all entries agree modulo 1."""
+        first = self.diagonal[0]
+        return all((d - first).denominator == 1 for d in self.diagonal)
+
 
 def label_degree(g: AlgebraBasis, label: tuple, H: GradingElement) -> Fraction:
     """ad H eigenvalue of a basis element."""
@@ -281,9 +288,6 @@ class GradedDecomposition:
 
     def piece_dim(self, degree: Scalar) -> int:
         return len(self.buckets.get(as_fraction(degree), ()))
-
-    def is_integral(self) -> bool:
-        return all(d.denominator == 1 for d in self.degrees)
 
     def is_even(self) -> bool:
         return all(d.denominator == 1 and d % 2 == 0 for d in self.degrees)

@@ -25,29 +25,29 @@ All families share one parametrization: a grading is
 shift vectors, pyramids) in one place for the enumeration, the sweep
 and the CLI.
 
-The sweep oracle ignores the casework: it grids the center z-space and
-keeps whatever passes the goodness check, deduplicated by the sign
-action.  The grid is fixed by p: every half-integer in [-B, B] on each
-axis, with B = max(3, p_1).  Every center coordinate of an integral
-grading is a half-integer and none exceeds the largest part, so the
-grid holds every candidate, and equality of the oracle's output with
-the enumerations is a genuine completeness check.
+The sweep oracle ignores the casework: on the algebra and ad e blocks
+the enumeration built, it grids the center z-space and keeps whatever
+passes the goodness check, deduplicated by the sign action.  The grid
+is fixed by p: every half-integer in [-B, B] on each axis, with
+B = max(3, p_1).  Every center coordinate of an integral grading is a
+half-integer and none exceeds the largest part, so the grid holds every
+candidate, and equality of the oracle's output with the enumerations
+is a genuine completeness check.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .algebras import (AlgebraBasis, AlgebraSpec, Family, GradingElement,
-                       _signed_indices, build_algebra, graded_decomposition)
+                       _signed_indices, build_algebra)
 from .gradings import (AdBlocks, Characteristic, VerificationError,
                        ad_blocks, characteristic_from_pyramid,
                        characteristic_of, fill_boxes, is_good,
                        nilpotent_of_pyramid, normalize_traceless)
-from .linalg import Matrix
 from .partitions import Partition
 from .pyramids import (Pyramid, enumerate_pyramids, orthogonal_center_parts,
                        orthogonal_pyramid, orthogonal_pyramids,
@@ -71,9 +71,14 @@ class GradingEntry:
 
 @dataclass(frozen=True)
 class GoodGradingFamily:
+    """The good gradings of e(p) = blocks.e, plus the algebra and ad e
+    blocks they were verified on; eq, hash and repr ignore those two."""
+
     spec: AlgebraSpec
     partition: Partition
     entries: tuple[GradingEntry, ...]
+    g: AlgebraBasis = field(compare=False, repr=False)
+    blocks: AdBlocks = field(compare=False, repr=False)
 
     def __post_init__(self):
         if sum(1 for ent in self.entries if ent.is_dynkin) != 1:
@@ -154,13 +159,13 @@ def _shifted_grading(spec: AlgebraSpec, base: Pyramid,
     return normalize_traceless(GradingElement(spec, tuple(diag)))
 
 
-def _entry(g: AlgebraBasis, H: GradingElement, e: Matrix, blocks: AdBlocks,
+def _entry(g: AlgebraBasis, H: GradingElement, blocks: AdBlocks,
            pyr: Pyramid, source: tuple, is_dynkin: bool) -> GradingEntry:
-    pair = is_good(g, H, e, blocks)
+    pair = is_good(g, H, blocks.e, blocks)
     if not pair.verified:
         raise VerificationError(f"enumerated grading failed the goodness check "
                                 f"({g.spec.family.value}, source {source})")
-    char = characteristic_of(g, H)
+    char = characteristic_of(H)
     pyramid_char = characteristic_from_pyramid(g.spec, pyr)
     if pyramid_char.normalized() != char.normalized():
         raise VerificationError("column characteristic disagrees with the "
@@ -192,9 +197,9 @@ def good_gradings(spec: AlgebraSpec, p: Partition) -> GoodGradingFamily:
     for shifts, pyr in zip(torus.shift_vectors(p), torus.pyramids(p)):
         H = _shifted_grading(spec, base, shifts)
         values = tuple(shifts.get(v, Fraction(0)) for v in keys)
-        entries.append(_entry(g, H, e, blocks, pyr, (kind, values),
+        entries.append(_entry(g, H, blocks, pyr, (kind, values),
                               all(x == 0 for x in values)))
-    return GoodGradingFamily(spec, p, tuple(entries))
+    return GoodGradingFamily(spec, p, tuple(entries), g, blocks)
 
 
 def good_gradings_gl(p: Partition) -> GoodGradingFamily:
@@ -235,11 +240,6 @@ def even_good_grading_gl(p: Partition) -> GradingElement:
     return H
 
 
-def even_good_gradings_sp(p: Partition) -> list[GradingElement]:
-    """The even gradings among the good gradings of e(p) in sp_N."""
-    return [ent.H for ent in good_gradings_sp(p).entries if ent.is_even]
-
-
 # -- the sweep oracle ----------------------------------------------------------
 
 
@@ -271,9 +271,11 @@ def sweep_grid(spec: AlgebraSpec, p: Partition
     return [Fraction(k, 2) for k in range(-2 * bound, 2 * bound + 1)], cparts
 
 
-def sweep_oracle(spec: AlgebraSpec, p: Partition) -> list[GradingElement]:
+def sweep_oracle(fam: GoodGradingFamily) -> list[GradingElement]:
     """Brute-force search for good gradings H = h(p) + z over a grid.
 
+    Runs on the orbit the enumeration built (`fam.g`, `fam.blocks`) and
+    never reads `fam.entries`, so it stays independent of the casework.
     z runs over the center of the reductive part of the centralizer of
     e(p): one coordinate per center part of `center_torus`, the shift of
     that part's rows (for gl relative to the largest part, whose rows
@@ -288,6 +290,7 @@ def sweep_oracle(spec: AlgebraSpec, p: Partition) -> list[GradingElement]:
     more than the largest part of p, nor by anything but a half-integer,
     so the sweep is exhaustive over the whole candidate space.
     """
+    spec, p, g, blocks = fam.spec, fam.partition, fam.g, fam.blocks
     vals, cparts = sweep_grid(spec, p)
     base = center_torus(spec).base(p)
     type_a = spec.family is Family.GL
@@ -295,9 +298,6 @@ def sweep_oracle(spec: AlgebraSpec, p: Partition) -> list[GradingElement]:
     def candidate(t):
         return _shifted_grading(spec, base, dict(zip(cparts, t)))
 
-    g = build_algebra(spec)
-    e = nilpotent_of_pyramid(spec, base)
-    blocks = ad_blocks(g, e)
     found: dict[tuple, GradingElement] = {}
     for t in itertools.product(vals, repeat=len(cparts)):
         # gl rows hold integer coordinates, so a non-integer shift puts
@@ -305,14 +305,14 @@ def sweep_oracle(spec: AlgebraSpec, p: Partition) -> list[GradingElement]:
         if type_a and any(x.denominator != 1 for x in t):
             continue
         H = candidate(t)
-        if not graded_decomposition(g, H).is_integral():
+        if not H.is_integral():
             continue
-        if not is_good(g, H, e, blocks).verified:
+        if not is_good(g, H, blocks.e, blocks).verified:
             continue
         ct = t if type_a else tuple(abs(x) for x in t)
         if ct not in found:
             Hc = candidate(ct)
-            if not is_good(g, Hc, e, blocks).verified:
+            if not is_good(g, Hc, blocks.e, blocks).verified:
                 raise VerificationError("sign flip changed the goodness verdict")
             found[ct] = Hc
     return [found[ct] for ct in sorted(found)]

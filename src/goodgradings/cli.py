@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .algebras import AlgebraSpec, Family
 from .classify import (GoodGradingFamily, center_torus, good_gradings,
-                       sweep_oracle)
+                       sweep_grid, sweep_oracle)
 from .exceptional import ExceptionalDataError, exceptional_lookup
 from .gradings import VerificationError
 from .parabolic import ParabolicSpec, richardson_is_good
@@ -159,8 +159,9 @@ def _cmd_verify(args) -> int:
     p = _parse_partition(args.partition)
     spec = _family_spec(args.family, p)
     try:
-        swept = sweep_oracle(spec, p)
+        sweep_grid(spec, p)  # refuse an oversized grid before any build
         fam = good_gradings(spec, p)
+        swept = sweep_oracle(fam)
     except ValueError as exc:
         raise InputError(str(exc))
     enumerated = fam.diagonals()

@@ -102,22 +102,11 @@ def _arrows(pyr: Pyramid) -> list[tuple[Box, Box]]:
 
 
 def _expected_jordan_type(pyr: Pyramid) -> Partition:
-    blocks: list[int] = []
-    has_v0half = any(r.role == "v0half" for r in pyr.rows)
-    for r in pyr.rows:
-        if r.role == "full":
-            blocks.append(r.count)
-        elif r.role == "center":
-            if not has_v0half:
-                blocks.append(1)
-        elif r.y > 0:
-            if r.role == "half":
-                blocks.append(2 * r.count)
-            elif r.role == "joint":
-                blocks.extend(r.parts)
-            elif r.role == "v0half":
-                blocks.append(2 * r.count + 1)
-    return Partition.of(blocks)
+    # each row records the parts it was built for; a mirror pair counts
+    # once (the upper row), and the middle box only as a lone (1,) block
+    return Partition.of(v for r in pyr.rows
+                        if r.role == "full" or r.y > 0 or r.parts == (1,)
+                        for v in r.parts)
 
 
 def jordan_type(e: Matrix) -> Partition:
@@ -219,10 +208,6 @@ class GoodPair:
     verified: bool
     centralizer_degrees: tuple[Fraction, ...]
     decomposition: GradedDecomposition
-
-    @property
-    def centralizer_dim(self) -> int:
-        return len(self.centralizer_degrees)
 
 
 @dataclass(frozen=True)
@@ -344,10 +329,9 @@ def is_good(g: AlgebraBasis, H: GradingElement, e: Matrix,
     # [H, e] = 2e entrywise: (H_i - H_j) e_ij = 2 e_ij
     if any(diag[i] - diag[j] != 2 for i, j in blocks.entries):
         raise ValueError("element is not homogeneous of degree 2 under H")
-    dec = graded_decomposition(g, H)
-    if not dec.is_integral():
+    if not H.is_integral():
         raise ValueError("not an integral grading")
-    dec, ranks = graded_ad_ranks(g, H, e, blocks, dec)
+    dec, ranks = graded_ad_ranks(g, H, e, blocks)
     centralizer_degs: list[Fraction] = []
     for d, idxs in dec.buckets.items():
         null = len(idxs) - ranks[d]
@@ -397,7 +381,7 @@ class Characteristic:
         return f"{self.diagram}{self.rank}:" + ",".join(str(x) for x in self.labels)
 
 
-def characteristic_of(g: AlgebraBasis, H: GradingElement) -> Characteristic:
+def characteristic_of(H: GradingElement) -> Characteristic:
     """Characteristic read off the dominant-chamber representative.
 
     Sort the diagonal into the dominant chamber of the family's Weyl
@@ -405,11 +389,10 @@ def characteristic_of(g: AlgebraBasis, H: GradingElement) -> Characteristic:
     uniform definition; the pyramid column algorithm is checked against
     it.
     """
-    dec = graded_decomposition(g, H)
-    if not dec.is_integral():
+    if not H.is_integral():
         raise ValueError("characteristics are defined for integral gradings")
-    fam = g.spec.family
-    n = g.spec.size
+    fam = H.spec.family
+    n = H.spec.size
     if fam is Family.GL:
         d = sorted(H.diagonal, reverse=True)
         labels = tuple(d[i] - d[i + 1] for i in range(n - 1))

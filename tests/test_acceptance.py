@@ -93,7 +93,7 @@ def test_criterion_04_type_a_soundness_completeness():
                 assert is_good(g, H, e).verified, (p, pyr)
                 checked += 1
             fam = good_gradings_gl(p)
-            swept = sweep_oracle(spec, p)
+            swept = sweep_oracle(fam)
             assert fam.diagonals() == {H.diagonal for H in swept}, p
     report(4, 60, started,
            f"{checked} pyramid pairs verified good; enumeration equals the "
@@ -104,10 +104,9 @@ def test_criterion_05_type_c():
     started = time.monotonic()
     families = 0
     for N in range(2, 9, 2):
-        spec = AlgebraSpec(Family.SP, N)
         for p in nonzero(symplectic_partitions(N)):
             fam = good_gradings_sp(p)
-            swept = sweep_oracle(spec, p)
+            swept = sweep_oracle(fam)
             assert fam.diagonals() == {H.diagonal for H in swept}, p
             evens = fam.even_entries()
             all_even_mult2 = all(v % 2 == 0 and m == 2 for v, m in p.distinct())
@@ -129,7 +128,7 @@ def test_criterion_06_types_b_d():
             if len(center_torus(spec).center_parts(p)) > 2:
                 continue
             fam = good_gradings_so(p)
-            swept = sweep_oracle(spec, p)
+            swept = sweep_oracle(fam)
             assert fam.diagonals() == {H.diagonal for H in swept}, p
             if any(any(x.denominator == 2 for x in ent.H.diagonal)
                    for ent in fam.entries):

@@ -160,6 +160,36 @@ def test_grading_element_validation():
         GradingElement(AlgebraSpec(Family.SO, 5), (1, 1, 1, -1, -1))
 
 
+def test_is_integral_matches_decomposition_on_seeded_diagonals():
+    # entries share a random residue mod 1, then half the time one of
+    # them is redrawn, so both verdicts occur in every family
+    rng = random.Random(5)
+    specs = [AlgebraSpec(Family.GL, n) for n in range(1, 8)] \
+        + [AlgebraSpec(Family.SP, N) for N in range(2, 11, 2)] \
+        + [AlgebraSpec(Family.SO, N) for N in range(3, 11)]
+    for spec in specs:
+        g = build_algebra(spec)
+        width = spec.size if spec.family is Family.GL else spec.size // 2
+        verdicts = set()
+        for _ in range(100):
+            q = rng.randint(1, 4)
+            offset = Fraction(rng.randrange(q), q)
+            free = [offset + rng.randint(-4, 4) for _ in range(width)]
+            if rng.random() < 0.5:
+                free[rng.randrange(width)] = Fraction(rng.randint(-8, 8), q)
+            if spec.family is Family.GL:
+                diag = free
+            else:
+                diag = free + [0] * (spec.size % 2) + [-x for x in free]
+            H = GradingElement(spec, tuple(diag))
+            degrees = graded_decomposition(g, H).degrees
+            verdict = H.is_integral()
+            assert verdict == all(d.denominator == 1 for d in degrees), \
+                (spec, diag)
+            verdicts.add(verdict)
+        assert verdicts == {True, False} or spec == AlgebraSpec(Family.GL, 1)
+
+
 def test_bracket_degree_additivity():
     spec = AlgebraSpec(Family.SP, 6)
     g = build_algebra(spec)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from goodgradings.algebras import AlgebraSpec, Family, build_algebra, \
     graded_decomposition
 from goodgradings.classify import (_shifted_grading, center_torus,
-                                   even_good_grading_gl, even_good_gradings_sp,
+                                   even_good_grading_gl,
                                    good_gradings, good_gradings_gl,
                                    good_gradings_so, good_gradings_sp,
                                    MAX_SWEEP_CANDIDATES, sweep_grid,
@@ -63,7 +64,7 @@ def test_zero_orbit_rejected():
     with pytest.raises(ValueError):
         good_gradings_gl(Partition((1, 1, 1)))
     with pytest.raises(ValueError):
-        sweep_oracle(AlgebraSpec(Family.GL, 3), Partition((1, 1, 1)))
+        sweep_grid(AlgebraSpec(Family.GL, 3), Partition((1, 1, 1)))
 
 
 def test_family_mismatch_rejected():
@@ -94,10 +95,10 @@ def test_even_good_grading_gl_even_nilpotent_is_dynkin():
 
 
 def test_even_counts_sp():
-    assert len(even_good_gradings_sp(Partition((2, 2)))) == 2
-    assert len(even_good_gradings_sp(Partition((3, 3)))) == 1
-    assert len(even_good_gradings_sp(Partition((2, 1, 1)))) == 0
-    assert len(even_good_gradings_sp(Partition((2, 2, 1, 1)))) == 1
+    assert len(good_gradings_sp(Partition((2, 2))).even_entries()) == 2
+    assert len(good_gradings_sp(Partition((3, 3))).even_entries()) == 1
+    assert len(good_gradings_sp(Partition((2, 1, 1))).even_entries()) == 0
+    assert len(good_gradings_sp(Partition((2, 2, 1, 1))).even_entries()) == 1
     # the two even gradings are t = (0,..) and t = (1,..)
     fam = good_gradings_sp(Partition((2, 2)))
     evens = [ent for ent in fam.entries if ent.is_even]
@@ -110,7 +111,7 @@ def test_even_counts_sp_match_closed_conditions():
         for p in symplectic_partitions(N):
             if p.is_zero_orbit():
                 continue
-            evens = even_good_gradings_sp(p)
+            evens = good_gradings_sp(p).even_entries()
             all_even_mult2 = all(v % 2 == 0 and m == 2 for v, m in p.distinct())
             dynkin_even = len({q % 2 for q in p.parts}) == 1
             even_parts_mult2 = all(m == 2 for v, m in p.distinct() if v % 2 == 0)
@@ -164,29 +165,94 @@ def test_sign_symmetry_of_goodness():
 
 
 def test_sweep_matches_enumeration_spot_checks():
-    p = Partition((2, 2))
-    spec = AlgebraSpec(Family.SP, 4)
-    assert {H.diagonal for H in sweep_oracle(spec, p)} \
-        == good_gradings_sp(p).diagonals()
-    p = Partition((3, 3, 1))
-    spec = AlgebraSpec(Family.SO, 7)
-    assert {H.diagonal for H in sweep_oracle(spec, p)} \
-        == good_gradings_so(p).diagonals()
+    fam = good_gradings_sp(Partition((2, 2)))
+    assert {H.diagonal for H in sweep_oracle(fam)} == fam.diagonals()
+    fam = good_gradings_so(Partition((3, 3, 1)))
+    assert {H.diagonal for H in sweep_oracle(fam)} == fam.diagonals()
 
 
 def test_sweep_trivial_center():
-    p = Partition((4, 2))
-    spec = AlgebraSpec(Family.SP, 6)
-    swept = sweep_oracle(spec, p)
+    fam = good_gradings_sp(Partition((4, 2)))
+    swept = sweep_oracle(fam)
     assert len(swept) == 1
-    assert swept[0].diagonal == good_gradings_sp(p).dynkin.H.diagonal
+    assert swept[0].diagonal == fam.dynkin.H.diagonal
 
 
 def test_sweep_guards():
-    with pytest.raises(ValueError):
-        sweep_oracle(AlgebraSpec(Family.GL, 5), Partition((3, 1)))
+    # the sweep takes an enumerated family, so good_gradings guards its
+    # input; sweep_grid, which verify runs first, guards the grid
+    with pytest.raises(ValueError, match="matrix size"):
+        sweep_grid(AlgebraSpec(Family.GL, 5), Partition((3, 1)))
     with pytest.raises(ValueError, match="symplectic"):
-        sweep_oracle(AlgebraSpec(Family.SP, 4), Partition((3, 1)))
+        good_gradings(AlgebraSpec(Family.SP, 4), Partition((3, 1)))
+
+
+def test_sweep_reads_the_orbit_not_the_entries():
+    for fam in (good_gradings_sp(Partition((2, 2))),
+                good_gradings_so(Partition((3, 3, 1, 1)))):
+        alone = dataclasses.replace(fam, entries=(fam.dynkin,))
+        assert alone.blocks is fam.blocks and alone != fam
+        swept = sweep_oracle(fam)
+        assert len(swept) == len(fam) > 1
+        assert sweep_oracle(alone) == swept
+
+
+def test_family_equality_ignores_the_orbit_build():
+    p = Partition((3, 3, 1, 1))
+    one, two = good_gradings_so(p), good_gradings_so(p)
+    assert one.g is not two.g and one.blocks is not two.blocks
+    assert one == two and hash(one) == hash(two)
+    assert "blocks" not in repr(one) and "AlgebraBasis" not in repr(one)
+
+
+def test_is_integral_matches_decomposition_on_sweep_candidates():
+    # every grid point of the sweeps, including the gl half-shifts the
+    # sweep skips unbuilt; in sp (2,2) every shift keeps all entries
+    # congruent mod 1, so only one verdict occurs there
+    for family, parts, expected in (
+            (Family.GL, (3, 2, 1), {True, False}),
+            (Family.SP, (2, 2), {True}),
+            (Family.SO, (3, 3, 1, 1), {True, False})):
+        p = Partition(parts)
+        spec = AlgebraSpec(family, p.n)
+        g = build_algebra(spec)
+        base = center_torus(spec).base(p)
+        axis, cparts = sweep_grid(spec, p)
+        verdicts = set()
+        for t in itertools.product(axis, repeat=len(cparts)):
+            H = _shifted_grading(spec, base, dict(zip(cparts, t)))
+            degrees = graded_decomposition(g, H).degrees
+            verdict = H.is_integral()
+            assert verdict == all(d.denominator == 1 for d in degrees), \
+                (family, parts, t)
+            verdicts.add(verdict)
+        assert verdicts == expected, (family, parts)
+
+
+def test_verify_builds_the_orbit_once(monkeypatch, capsys):
+    import goodgradings.classify as classify
+    from goodgradings import cli, gradings
+    calls = dict.fromkeys(("build_algebra", "nilpotent_of_pyramid",
+                           "ad_blocks"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(classify, name,
+                            counted(name, getattr(classify, name)))
+    # is_good builds blocks itself when given none; it must not here
+    monkeypatch.setattr(gradings, "ad_blocks",
+                        counted("ad_blocks", gradings.ad_blocks))
+    code = cli.main(["verify", "--family", "D", "--partition", "3,3,1,1",
+                     "--format", "json"])
+    assert code == 0
+    assert '"match": true' in capsys.readouterr().out
+    assert calls == {"build_algebra": 1, "nilpotent_of_pyramid": 1,
+                     "ad_blocks": 1}
 
 
 def test_center_parts():

@@ -5,7 +5,8 @@ import pytest
 from goodgradings.algebras import (AlgebraSpec, Family, GradingElement,
                                    build_algebra, graded_decomposition)
 from goodgradings.classify import _shifted_grading, good_gradings_gl
-from goodgradings.gradings import (characteristic_from_pyramid,
+from goodgradings.gradings import (_expected_jordan_type,
+                                   characteristic_from_pyramid,
                                    characteristic_of, check_duality_form,
                                    check_torus_weights, fill_boxes,
                                    grading_of_pyramid, is_good, jordan_type,
@@ -51,6 +52,22 @@ def test_nilpotent_construction(fam, n, parts):
     assert jordan_type(e) == p
     H = grading_of_pyramid(spec, pyr)
     assert bracket(H.matrix(), e) == e.scale(2)
+
+
+def test_expected_jordan_type_is_the_partition():
+    # the parts recorded on the rows give back p for every pyramid
+    # (A n <= 9, B/C/D N <= 14), so nilpotent_of_pyramid checks e
+    # against the partition itself
+    cases = [(p, enumerate_pyramids(p))
+             for n in range(1, 10) for p in partitions(n)]
+    cases += [(p, symplectic_pyramids(p))
+              for N in range(2, 15, 2) for p in symplectic_partitions(N)]
+    cases += [(p, orthogonal_pyramids(p))
+              for N in range(3, 15) for p in orthogonal_partitions(N)]
+    assert sum(len(pyrs) for _, pyrs in cases) == 1104
+    for p, pyrs in cases:
+        for pyr in pyrs:
+            assert _expected_jordan_type(pyr) == p, (p, pyr)
 
 
 def test_single_block_nilpotent():
@@ -174,16 +191,14 @@ def test_characteristic_regular_and_minimal():
 
 def test_characteristic_subregular_sl3():
     spec = AlgebraSpec(GL, 3)
-    g = build_algebra(spec)
     H = normalize_traceless(grading_of_pyramid(
         spec, symmetric_pyramid(Partition((2, 1)))))
-    assert characteristic_of(g, H).labels == (Fraction(1), Fraction(1))
+    assert characteristic_of(H).labels == (Fraction(1), Fraction(1))
 
 
 def test_characteristic_methods_agree_on_families():
     for N in (4, 6, 8):
         spec = AlgebraSpec(SP, N)
-        g = build_algebra(spec)
         for p in symplectic_partitions(N):
             if p.is_zero_orbit():
                 continue
@@ -192,7 +207,7 @@ def test_characteristic_methods_agree_on_families():
             for shifts, pyr in zip(symplectic_shift_vectors(p),
                                    symplectic_pyramids(p)):
                 H = _shifted_grading(spec, base, shifts)
-                assert characteristic_of(g, H).normalized() == \
+                assert characteristic_of(H).normalized() == \
                     characteristic_from_pyramid(spec, pyr).normalized()
 
 
@@ -200,19 +215,17 @@ def test_characteristic_fork_pair_case():
     # one box pair at +-1/2 forces a 2 on a fork node
     p = Partition((3, 3, 1, 1))
     spec = AlgebraSpec(SO, 8)
-    g = build_algebra(spec)
     base = orthogonal_pyramid(p)
     H = _shifted_grading(spec, base, {3: Fraction(1, 2), 1: Fraction(3, 2)})
-    ch = characteristic_of(g, H)
+    ch = characteristic_of(H)
     assert sorted(ch.labels[-2:]) == [Fraction(1), Fraction(2)]
     assert ch.labels[:2] == (Fraction(1), Fraction(0))
 
 
 def test_characteristic_rejects_non_integral():
     spec = AlgebraSpec(GL, 2)
-    g = build_algebra(spec)
     with pytest.raises(ValueError):
-        characteristic_of(g, GradingElement(spec, (Fraction(1, 2), 0)))
+        characteristic_of(GradingElement(spec, (Fraction(1, 2), 0)))
 
 
 def test_duality_form():

@@ -1,8 +1,10 @@
 """Every public function and method of the library has a caller.
 
-A definition counts as used when its name appears as a name or as an
-attribute anywhere in the library, the tests or the benchmark, other
-than in its own `def` line.  Imports do not count: a name that is only
+A function counts as used when its name is read, as a plain name or as
+an attribute, anywhere in the library, the tests or the benchmark; a
+method counts only when read as an attribute.  Definitions, assignment
+targets and imports do not count: a local variable that shares a
+method's name does not vouch for it, and a name that is only
 re-exported is still dead.
 """
 
@@ -22,30 +24,36 @@ def _parse(path):
 
 
 def _public_definitions():
+    """(where, name, is_method) for every public function and method."""
     for path in sorted(LIBRARY.glob("*.py")):
         for node in _parse(path).body:
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, FUNCTIONS) \
                             and not item.name.startswith("_"):
-                        yield f"{path.name}:{node.name}.{item.name}", item.name
+                        yield (f"{path.name}:{node.name}.{item.name}",
+                               item.name, True)
             elif isinstance(node, FUNCTIONS) and not node.name.startswith("_"):
-                yield f"{path.name}:{node.name}", node.name
+                yield f"{path.name}:{node.name}", node.name, False
 
 
-def _referenced_names():
-    names = set()
+def _references():
+    """(names read, attributes read) across the searched trees."""
+    loads, attrs = set(), set()
     for top in SEARCHED:
         for path in top.rglob("*.py"):
             for node in ast.walk(_parse(path)):
+                if not isinstance(getattr(node, "ctx", None), ast.Load):
+                    continue
                 if isinstance(node, ast.Name):
-                    names.add(node.id)
+                    loads.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-    return names
+                    attrs.add(node.attr)
+    return loads, attrs
 
 
 def test_every_public_function_has_a_caller():
-    used = _referenced_names()
-    dead = [where for where, name in _public_definitions() if name not in used]
+    loads, attrs = _references()
+    dead = [where for where, name, is_method in _public_definitions()
+            if name not in attrs and (is_method or name not in loads)]
     assert not dead, f"public functions with no caller: {dead}"
