@@ -26,18 +26,17 @@ shift vectors, pyramids) in one place for the enumeration, the sweep
 and the CLI.
 
 The sweep oracle ignores the casework: on the algebra and ad e blocks
-the enumeration built, it grids the center z-space and keeps whatever
-passes the goodness check, deduplicated by the sign action.  The grid
-is fixed by p: every half-integer in [-B, B] on each axis, with
-B = max(3, p_1).  Every center coordinate of an integral grading is a
-half-integer and none exceeds the largest part, so the grid holds every
-candidate, and equality of the oracle's output with the enumerations
-is a genuine completeness check.
+the enumeration built, it finds the good gradings h(p) + z(t) as the
+integral points of a polytope.  Its bounds come from the weights of the
+centralizer of e by Fourier-Motzkin elimination, not from the
+classification, so equality with the enumeration is a genuine
+completeness check.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -48,7 +47,8 @@ from .gradings import (AdBlocks, Characteristic, VerificationError,
                        ad_blocks, characteristic_from_pyramid,
                        characteristic_of, fill_boxes, is_good,
                        nilpotent_of_pyramid, normalize_traceless)
-from .partitions import Partition
+from .partitions import (Partition, gl_centralizer_dim, so_centralizer_dim,
+                         sp_centralizer_dim)
 from .pyramids import (Pyramid, enumerate_pyramids, orthogonal_center_parts,
                        orthogonal_pyramid, orthogonal_pyramids,
                        orthogonal_shift_vectors, symmetric_pyramid,
@@ -243,76 +243,91 @@ def even_good_grading_gl(p: Partition) -> GradingElement:
 # -- the sweep oracle ----------------------------------------------------------
 
 
-# Largest grid a sweep may walk: (4B + 1)^c candidates, B = max(3, p_1)
-# and c center parts.  The sweeps in the tests and in the verify
-# benchmark need at most 169 (13^2: c = 2, B = 3); the c = 3 sweep of
-# so_18 with p = (5,5,3,3,1,1) needs 21^3 = 9261.  Since B >= 3, any
-# c >= 4 needs at least 13^4 = 28561 and is refused.
-MAX_SWEEP_CANDIDATES = 10_000
+def _lattice_points(rows: list[tuple[tuple[int, ...], int]], parity: set,
+                    c: int) -> list[tuple[int, ...]]:
+    """The points s of Z^c with a.s + b >= 0 for every row (a, b) and
+    a.s + b even for every parity row.  Fourier-Motzkin elimination, last
+    coordinate first, files each row under its last nonzero coefficient
+    k, where it bounds s_k once s_0..s_{k-1} are fixed.  A coordinate
+    not bounded on both sides raises VerificationError."""
+    def value(a, b, s):
+        return b + sum(x * y for x, y in zip(a, s))
 
-
-def sweep_grid(spec: AlgebraSpec, p: Partition
-               ) -> tuple[list[Fraction], tuple[int, ...]]:
-    """The sweep's grid axis and the center parts it runs over.
-
-    The axis holds every half-integer in [-B, B], B = max(3, p_1), and
-    the sweep walks one axis per center part of `center_torus`.  Raises
-    ValueError, before anything is built, for a grid of more than
-    MAX_SWEEP_CANDIDATES candidates.
-    """
-    _reject_zero(p)
-    if p.n != spec.size:
-        raise ValueError("partition total != matrix size")
-    cparts = center_torus(spec).center_parts(p)
-    bound = max(3, p.parts[0])
-    if (4 * bound + 1) ** len(cparts) > MAX_SWEEP_CANDIDATES:
-        raise ValueError(f"grid sweep of {p} exceeds "
-                         f"{MAX_SWEEP_CANDIDATES} candidates")
-    return [Fraction(k, 2) for k in range(-2 * bound, 2 * bound + 1)], cparts
+    levels = []
+    for k in reversed(range(c)):
+        # one row per coefficient vector: sorted, its tightest b comes last
+        rows = list(dict(sorted(rows, reverse=True)).items())
+        here = [(a, b) for a, b in rows if a[k]]
+        if {a[k] > 0 for a, _ in here} != {True, False}:
+            raise VerificationError(f"the polytope is unbounded in coordinate {k}")
+        levels.insert(0, here)
+        rows = [(a, b) for a, b in rows if not a[k]] + [
+            (tuple(-a2[k] * x + a1[k] * y for x, y in zip(a1, a2)),
+             -a2[k] * b1 + a1[k] * b2)
+            for (a1, b1), (a2, b2) in itertools.product(here, repeat=2)
+            if a1[k] > 0 > a2[k]]
+    points = [()] if all(b >= 0 for _, b in rows) else []
+    for k, level in enumerate(levels):
+        points = [s + (x,) for s in points for x in range(
+            max(-(value(a, b, s) // a[k]) for a, b in level if a[k] > 0),
+            min(value(a, b, s) // -a[k] for a, b in level if a[k] < 0) + 1)]
+    return [s for s in points if all(value(a, b, s) % 2 == 0 for a, b in parity)]
 
 
 def sweep_oracle(fam: GoodGradingFamily) -> list[GradingElement]:
-    """Brute-force search for good gradings H = h(p) + z over a grid.
+    """Every good grading H(t) = h(p) + z(t), read off a polytope in t.
 
-    Runs on the orbit the enumeration built (`fam.g`, `fam.blocks`) and
-    never reads `fam.entries`, so it stays independent of the casework.
-    z runs over the center of the reductive part of the centralizer of
-    e(p): one coordinate per center part of `center_torus`, the shift of
-    that part's rows (for gl relative to the largest part, whose rows
-    stay put).  Candidates that do not define an integral grading are
-    skipped; survivors are exactly those passing the goodness check.
-    For sp/so they are deduplicated by componentwise sign flips (which
-    the casework never distinguishes) and returned with all coordinates
-    nonnegative; for gl each shift vector is a grading of its own.  The
-    result is sorted by coordinate vector.
-
-    The grid is `sweep_grid(spec, p)`: no good grading shifts any row by
-    more than the largest part of p, nor by anything but a half-integer,
-    so the sweep is exhaustive over the whole candidate space.
+    Runs on the orbit the enumeration built (`fam.g`, `fam.blocks`), not
+    on `fam.entries`.  t holds one shift per center part (for gl relative
+    to the largest part).  In s = 2t every degree of ad H(t) is affine
+    with integer coefficients, read off H at t = 0 and at the unit
+    vectors.  H(t) is good iff every degree is an integer (the parity
+    rows) and every weight of g^e has degree >= 0.  A block of ad e
+    holds |cols| - rank centralizer vectors of its first column's weight,
+    a zero column one; their count must match dim g^e.  So the bounds on
+    t come from the orbit, not from the classification.  `is_good`
+    confirms every point; sp/so points are deduplicated by sign flips to
+    nonnegative coordinates.  Sorted by coordinate vector.
     """
     spec, p, g, blocks = fam.spec, fam.partition, fam.g, fam.blocks
-    vals, cparts = sweep_grid(spec, p)
-    base = center_torus(spec).base(p)
-    type_a = spec.family is Family.GL
+    torus = center_torus(spec)
+    base, cparts = torus.base(p), torus.center_parts(p)
+    d0 = _shifted_grading(spec, base, {}).diagonal
+    steps = [tuple(x - y for x, y in zip(
+        _shifted_grading(spec, base, {v: Fraction(1)}).diagonal, d0))
+        for v in cparts]
+    forms = []  # twice the degree of each basis element: (a, b) for a.s + b
+    for _, i, j in g.labels:
+        i, j = g.position[i], g.position[j]
+        form = [st[i] - st[j] for st in steps] + [2 * (d0[i] - d0[j])]
+        if any(x.denominator != 1 for x in form):
+            raise VerificationError("a doubled degree is not an integer")
+        forms.append((tuple(map(int, form[:-1])), int(form[-1])))
+    reached = {k for cols, _, _ in blocks.blocks for k in cols}
+    weights = Counter(w for k, w in enumerate(forms) if k not in reached)
+    for cols, _, rk in blocks.blocks:
+        weights[forms[cols[0]]] += len(cols) - rk
+    closed_form = {Family.GL: gl_centralizer_dim, Family.SP: sp_centralizer_dim,
+                   Family.SO: so_centralizer_dim}[spec.family]
+    if sum(weights.values()) != closed_form(p):
+        raise VerificationError("centralizer weights disagree with dim g^e")
+    rows = [w for w, m in weights.items() if m]
+    parity = {(tuple(x % 2 for x in a), b % 2) for a, b in forms}
 
-    def candidate(t):
-        return _shifted_grading(spec, base, dict(zip(cparts, t)))
+    def grading(t):
+        return GradingElement(spec, tuple(
+            d + sum((x * st[a] for x, st in zip(t, steps)), Fraction(0))
+            for a, d in enumerate(d0)))
 
     found: dict[tuple, GradingElement] = {}
-    for t in itertools.product(vals, repeat=len(cparts)):
-        # gl rows hold integer coordinates, so a non-integer shift puts
-        # half-integer degrees between two blocks: skip it unbuilt
-        if type_a and any(x.denominator != 1 for x in t):
-            continue
-        H = candidate(t)
-        if not H.is_integral():
-            continue
+    for s in _lattice_points(rows, parity, len(cparts)):
+        t = tuple(Fraction(x, 2) for x in s)
+        H = grading(t)
         if not is_good(g, H, blocks.e, blocks).verified:
-            continue
-        ct = t if type_a else tuple(abs(x) for x in t)
+            raise VerificationError("a point of the polytope is not good")
+        ct = t if spec.family is Family.GL else tuple(abs(x) for x in t)
         if ct not in found:
-            Hc = candidate(ct)
-            if not is_good(g, Hc, blocks.e, blocks).verified:
+            found[ct] = H if ct == t else grading(ct)
+            if ct != t and not is_good(g, found[ct], blocks.e, blocks).verified:
                 raise VerificationError("sign flip changed the goodness verdict")
-            found[ct] = Hc
     return [found[ct] for ct in sorted(found)]

@@ -16,14 +16,15 @@ from fractions import Fraction
 
 from .algebras import AlgebraSpec, Family
 from .classify import (GoodGradingFamily, center_torus, good_gradings,
-                       sweep_grid, sweep_oracle)
+                       sweep_oracle)
 from .exceptional import ExceptionalDataError, exceptional_lookup
 from .gradings import VerificationError
 from .parabolic import ParabolicSpec, richardson_is_good
 from .partitions import Partition
 from .pyramids import render_pyramid
-from .series import (pyramid_count_series, pyramid_counts_by_partition,
-                     pyramid_series_identity_check, unimodal_count_series)
+from .series import (pyramid_count_formula, pyramid_count_series,
+                     pyramid_counts_by_partition, pyramid_series_identity_check,
+                     unimodal_count_series)
 
 SCHEMA_VERSION = 1
 
@@ -69,6 +70,13 @@ def _letter_spec(letter: str, size: int) -> AlgebraSpec:
         raise InputError(str(exc))
 
 
+# Input limits of classify, verify, pyramids and render, checked before
+# anything is built.  They admit so_50 (dim 1225), the largest orbit the
+# tests verify; verify of (28,5,3) in gl_36 takes 6.3 s on a 2-CPU Xeon.
+MAX_ALGEBRA_DIM = 1300
+MAX_PYRAMIDS = 242
+
+
 def _family_spec(letter: str, p: Partition) -> AlgebraSpec:
     # the partition is checked first, so that an odd-total partition for
     # C is reported as not symplectic rather than as an odd matrix size
@@ -77,7 +85,15 @@ def _family_spec(letter: str, p: Partition) -> AlgebraSpec:
         raise InputError(f"{p} is not a symplectic partition")
     if family is Family.SO and not p.is_orthogonal():
         raise InputError(f"{p} is not an orthogonal partition")
-    return _letter_spec(letter, p.n)
+    spec = _letter_spec(letter, p.n)
+    if spec.dim > MAX_ALGEBRA_DIM:
+        raise InputError(f"algebra dimension {spec.dim} exceeds {MAX_ALGEBRA_DIM}")
+    # sp/so list their shift vectors: at most 67 within the dimension limit
+    count = pyramid_count_formula(p) if spec.family is Family.GL \
+        else len(center_torus(spec).shift_vectors(p))
+    if count > MAX_PYRAMIDS:
+        raise InputError(f"{p} has {count} pyramids, more than {MAX_PYRAMIDS}")
+    return spec
 
 
 def _frac(x: Fraction) -> str:
@@ -159,7 +175,6 @@ def _cmd_verify(args) -> int:
     p = _parse_partition(args.partition)
     spec = _family_spec(args.family, p)
     try:
-        sweep_grid(spec, p)  # refuse an oversized grid before any build
         fam = good_gradings(spec, p)
         swept = sweep_oracle(fam)
     except ValueError as exc:

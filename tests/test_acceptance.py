@@ -11,9 +11,8 @@ from fractions import Fraction
 
 from goodgradings.algebras import (AlgebraSpec, Family, GradingElement,
                                    build_algebra, graded_decomposition)
-from goodgradings.classify import (center_torus, good_gradings_gl,
-                                   good_gradings_so, good_gradings_sp,
-                                   sweep_oracle)
+from goodgradings.classify import (good_gradings_gl, good_gradings_so,
+                                   good_gradings_sp, sweep_oracle)
 from goodgradings.exceptional import exceptional_lookup, orbit_labels
 from goodgradings.gradings import (check_duality_form, check_torus_weights,
                                    graded_ad_ranks, grading_of_pyramid,
@@ -80,64 +79,74 @@ def test_criterion_03_unimodal():
            f"round trips (n<=10)")
 
 
+def sweep_matches(fam):
+    swept = sweep_oracle(fam)
+    assert fam.diagonals() == {H.diagonal for H in swept}, fam.partition
+    assert len(swept) == len(fam), fam.partition
+
+
 def test_criterion_04_type_a_soundness_completeness():
     started = time.monotonic()
     checked = 0
-    for n in range(2, 7):
+    orbits = 0
+    for n in range(2, 10):
         spec = AlgebraSpec(Family.GL, n)
         g = build_algebra(spec)
         for p in nonzero(partitions(n)):
-            e = nilpotent_of_pyramid(spec, symmetric_pyramid(p))
-            for pyr in enumerate_pyramids(p):
-                H = normalize_traceless(grading_of_pyramid(spec, pyr))
-                assert is_good(g, H, e).verified, (p, pyr)
-                checked += 1
-            fam = good_gradings_gl(p)
-            swept = sweep_oracle(fam)
-            assert fam.diagonals() == {H.diagonal for H in swept}, p
+            if n <= 6:
+                e = nilpotent_of_pyramid(spec, symmetric_pyramid(p))
+                for pyr in enumerate_pyramids(p):
+                    H = normalize_traceless(grading_of_pyramid(spec, pyr))
+                    assert is_good(g, H, e).verified, (p, pyr)
+                    checked += 1
+            sweep_matches(good_gradings_gl(p))
+            orbits += 1
+    for parts in ((6, 3, 2, 1), (5, 4, 3, 2, 1)):  # c = 3 and c = 4
+        sweep_matches(good_gradings_gl(Partition(parts)))
+        orbits += 1
     report(4, 60, started,
-           f"{checked} pyramid pairs verified good; enumeration equals the "
-           f"sweep oracle for every partition of n<=6")
+           f"{checked} pyramid pairs verified good (n<=6); enumeration "
+           f"equals the sweep oracle on {orbits} orbits (n<=9, plus "
+           f"(6,3,2,1) and (5,4,3,2,1))")
 
 
 def test_criterion_05_type_c():
     started = time.monotonic()
     families = 0
-    for N in range(2, 9, 2):
+    for N in range(2, 15, 2):
         for p in nonzero(symplectic_partitions(N)):
             fam = good_gradings_sp(p)
-            swept = sweep_oracle(fam)
-            assert fam.diagonals() == {H.diagonal for H in swept}, p
+            sweep_matches(fam)
             evens = fam.even_entries()
             all_even_mult2 = all(v % 2 == 0 and m == 2 for v, m in p.distinct())
             assert len(evens) <= 2, p
             assert (len(evens) == 2) == all_even_mult2, p
             families += 1
+    sweep_matches(good_gradings_sp(Partition((8, 8, 4, 4, 2, 2))))  # c = 3
     report(5, 120, started,
-           f"{families} symplectic orbits (N<=8): enumeration equals the "
-           f"sweep; even-grading counts as stated")
+           f"{families} symplectic orbits (N<=14): enumeration equals the "
+           f"sweep; even-grading counts as stated; (8,8,4,4,2,2) swept")
 
 
 def test_criterion_06_types_b_d():
     started = time.monotonic()
     families = 0
     half_seen = False
-    for N in range(3, 9):
-        spec = AlgebraSpec(Family.SO, N)
-        for p in nonzero(orthogonal_partitions(N)):
-            if len(center_torus(spec).center_parts(p)) > 2:
-                continue
-            fam = good_gradings_so(p)
-            swept = sweep_oracle(fam)
-            assert fam.diagonals() == {H.diagonal for H in swept}, p
-            if any(any(x.denominator == 2 for x in ent.H.diagonal)
-                   for ent in fam.entries):
-                half_seen = True
-            families += 1
+    orbits = [p for N in range(3, 15) for p in nonzero(orthogonal_partitions(N))]
+    orbits += [Partition(parts) for parts in (        # c = 3, 4 and 5
+        (5, 5, 3, 3, 1, 1), (7, 7, 5, 5, 3, 3, 1, 1),
+        (9, 9, 7, 7, 5, 5, 3, 3, 1, 1))]
+    for p in orbits:
+        fam = good_gradings_so(p)
+        sweep_matches(fam)
+        if any(any(x.denominator == 2 for x in ent.H.diagonal)
+               for ent in fam.entries):
+            half_seen = True
+        families += 1
     assert half_seen, "expected at least one half-integer family (e.g. (3,3,1,1))"
     report(6, 300, started,
-           f"{families} orthogonal orbits (N<=8, c<=2): enumeration equals "
-           f"the sweep, half-integer family included")
+           f"{families} orthogonal orbits (N<=14, plus three with c=3..5): "
+           f"enumeration equals the sweep, half-integer family included")
 
 
 def test_criterion_07_richardson_agreement():

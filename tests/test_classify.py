@@ -6,19 +6,59 @@ import pytest
 
 from goodgradings.algebras import AlgebraSpec, Family, build_algebra, \
     graded_decomposition
-from goodgradings.classify import (_shifted_grading, center_torus,
-                                   even_good_grading_gl,
+from goodgradings.classify import (_lattice_points, _shifted_grading,
+                                   center_torus, even_good_grading_gl,
                                    good_gradings, good_gradings_gl,
                                    good_gradings_so, good_gradings_sp,
-                                   MAX_SWEEP_CANDIDATES, sweep_grid,
                                    sweep_oracle)
-from goodgradings.gradings import (is_good, nilpotent_of_pyramid,
-                                   normalize_traceless)
+from goodgradings.gradings import (AdBlocks, VerificationError, is_good,
+                                   nilpotent_of_pyramid, normalize_traceless)
 from goodgradings.partitions import (Partition, orthogonal_partitions,
                                      partitions, symplectic_partitions)
 from goodgradings.pyramids import (orthogonal_pyramid, orthogonal_pyramids,
                                    symmetric_pyramid, symplectic_pyramid,
                                    symplectic_pyramids)
+
+
+# -- the grid walk: the reference the polytope sweep is compared against --
+
+
+def grid_axis(p):
+    """Every half-integer in [-B, B], B = max(3, p_1): one axis of the
+    grid, which holds every center coordinate of a good grading (checked
+    below) but rests on that classification for its bound."""
+    bound = max(3, p.parts[0])
+    return [Fraction(k, 2) for k in range(-2 * bound, 2 * bound + 1)]
+
+
+def grid_sweep(fam):
+    """The good gradings h(p) + z(t) for t on the grid, as `sweep_oracle`
+    returns them: deduplicated by sign for sp/so, sorted by coordinates."""
+    spec, p, g, blocks = fam.spec, fam.partition, fam.g, fam.blocks
+    torus = center_torus(spec)
+    base, cparts = torus.base(p), torus.center_parts(p)
+    found = {}
+    for t in itertools.product(grid_axis(p), repeat=len(cparts)):
+        H = _shifted_grading(spec, base, dict(zip(cparts, t)))
+        if not H.is_integral() or not is_good(g, H, blocks.e, blocks).verified:
+            continue
+        ct = t if spec.family is Family.GL else tuple(abs(x) for x in t)
+        found.setdefault(ct, _shifted_grading(spec, base, dict(zip(cparts, ct))))
+    return [found[ct] for ct in sorted(found)]
+
+
+def small_orbits(max_gl, max_size):
+    """Every nonzero orbit of gl_n, n <= max_gl, and of sp_N and so_N,
+    N <= max_size, as (spec, partition)."""
+    orbits = [(Family.GL, p) for n in range(2, max_gl + 1)
+              for p in partitions(n)]
+    for N in range(2, max_size + 1):
+        if N % 2 == 0:
+            orbits += [(Family.SP, p) for p in symplectic_partitions(N)]
+        if N >= 3:
+            orbits += [(Family.SO, p) for p in orthogonal_partitions(N)]
+    return [(AlgebraSpec(family, p.n), p) for family, p in orbits
+            if not p.is_zero_orbit()]
 
 
 def test_gl_counts():
@@ -64,7 +104,7 @@ def test_zero_orbit_rejected():
     with pytest.raises(ValueError):
         good_gradings_gl(Partition((1, 1, 1)))
     with pytest.raises(ValueError):
-        sweep_grid(AlgebraSpec(Family.GL, 3), Partition((1, 1, 1)))
+        good_gradings(AlgebraSpec(Family.SO, 3), Partition((1, 1, 1)))
 
 
 def test_family_mismatch_rejected():
@@ -180,9 +220,9 @@ def test_sweep_trivial_center():
 
 def test_sweep_guards():
     # the sweep takes an enumerated family, so good_gradings guards its
-    # input; sweep_grid, which verify runs first, guards the grid
+    # input
     with pytest.raises(ValueError, match="matrix size"):
-        sweep_grid(AlgebraSpec(Family.GL, 5), Partition((3, 1)))
+        good_gradings(AlgebraSpec(Family.GL, 5), Partition((3, 1)))
     with pytest.raises(ValueError, match="symplectic"):
         good_gradings(AlgebraSpec(Family.SP, 4), Partition((3, 1)))
 
@@ -206,9 +246,9 @@ def test_family_equality_ignores_the_orbit_build():
 
 
 def test_is_integral_matches_decomposition_on_sweep_candidates():
-    # every grid point of the sweeps, including the gl half-shifts the
-    # sweep skips unbuilt; in sp (2,2) every shift keeps all entries
-    # congruent mod 1, so only one verdict occurs there
+    # every point of the reference grid, including the gl half-shifts;
+    # in sp (2,2) every shift keeps all entries congruent mod 1, so only
+    # one verdict occurs there
     for family, parts, expected in (
             (Family.GL, (3, 2, 1), {True, False}),
             (Family.SP, (2, 2), {True}),
@@ -216,10 +256,10 @@ def test_is_integral_matches_decomposition_on_sweep_candidates():
         p = Partition(parts)
         spec = AlgebraSpec(family, p.n)
         g = build_algebra(spec)
-        base = center_torus(spec).base(p)
-        axis, cparts = sweep_grid(spec, p)
+        torus = center_torus(spec)
+        base, cparts = torus.base(p), torus.center_parts(p)
         verdicts = set()
-        for t in itertools.product(axis, repeat=len(cparts)):
+        for t in itertools.product(grid_axis(p), repeat=len(cparts)):
             H = _shifted_grading(spec, base, dict(zip(cparts, t)))
             degrees = graded_decomposition(g, H).degrees
             verdict = H.is_integral()
@@ -268,41 +308,72 @@ def test_center_parts():
     assert cparts(Family.SP, (2, 1, 1)) == ()
 
 
-def test_sweep_grid_limit_boundary():
-    # (4 max(3, p_1) + 1)^c candidates; only the check runs.
-    assert MAX_SWEEP_CANDIDATES == 10_000
-    for family, parts, size in ((Family.GL, (24, 2, 1), 97 ** 2),
-                                (Family.SO, (5, 5, 3, 3, 1, 1), 21 ** 3)):
-        p = Partition(parts)
-        axis, cparts = sweep_grid(AlgebraSpec(family, p.n), p)
-        assert len(axis) ** len(cparts) == size
-    for family, parts in ((Family.GL, (25, 2, 1)), (Family.GL, (6, 3, 2, 1)),
-                          (Family.SO, (7, 7, 5, 5, 3, 3, 1, 1))):
-        p = Partition(parts)
-        with pytest.raises(ValueError, match="candidates"):
-            sweep_grid(AlgebraSpec(family, p.n), p)
-
-
 def test_sweep_grid_holds_every_shift_vector():
-    # Every center coordinate of every good grading lies on the fixed
-    # grid axis, so the sweep cannot miss one.  Nothing is built.
-    orbits = [(Family.GL, p) for n in range(2, 8) for p in partitions(n)]
-    for N in range(2, 11):
-        if N % 2 == 0:
-            orbits += [(Family.SP, p) for p in symplectic_partitions(N)]
-        if N >= 3:
-            orbits += [(Family.SO, p) for p in orthogonal_partitions(N)]
+    # Every center coordinate of every good grading lies on the grid
+    # axis of the reference walk, so the walk cannot miss one.  Nothing
+    # is built.
     checked = 0
-    for family, p in orbits:
-        if p.is_zero_orbit():
-            continue
-        spec = AlgebraSpec(family, p.n)
-        axis, cparts = sweep_grid(spec, p)
+    for spec, p in small_orbits(7, 10):
+        cparts = center_torus(spec).center_parts(p)
+        axis = grid_axis(p)
         for shifts in center_torus(spec).shift_vectors(p):
-            assert set(shifts) <= set(cparts), (family, p)
-            assert all(x in axis for x in shifts.values()), (family, p, shifts)
+            assert set(shifts) <= set(cparts), (spec, p)
+            assert all(x in axis for x in shifts.values()), (spec, p, shifts)
             checked += 1
     assert checked > 300
+
+
+def test_sweep_equals_the_grid_walk():
+    # the polytope sweep and the reference grid walk return the same
+    # gradings in the same order on every small orbit with c <= 2
+    compared = 0
+    for spec, p in small_orbits(7, 10):
+        if len(center_torus(spec).center_parts(p)) > 2:
+            continue
+        fam = good_gradings(spec, p)
+        assert sweep_oracle(fam) == grid_sweep(fam), (spec, p)
+        compared += 1
+    assert compared > 100
+
+
+def test_unbounded_polytope_raises():
+    # s_0 >= 0 and s_0 + s_1 >= 0 bound nothing from above
+    with pytest.raises(VerificationError, match="unbounded"):
+        _lattice_points([((1, 0), 0), ((1, 1), 0)], set(), 2)
+    # bounded: 0 <= s_0 <= 2 (the tighter of 2 and 3), s_0 even
+    assert _lattice_points([((1,), 0), ((-1,), 3), ((-1,), 2)],
+                           {((1,), 0)}, 1) == [(0,), (2,)]
+
+
+def test_sweep_counts_the_centralizer_weights():
+    # dropping a block of ad e drops centralizer weights; the sum no
+    # longer matches the closed form for dim g^e
+    fam = good_gradings_so(Partition((3, 3, 1, 1)))
+    blocks = fam.blocks
+    for k, (cols, _, rk) in enumerate(blocks.blocks):
+        if len(cols) > rk:
+            break
+    torn = AdBlocks(blocks.e, blocks.entries,
+                    blocks.blocks[:k] + blocks.blocks[k + 1:])
+    with pytest.raises(VerificationError, match="dim g\\^e"):
+        sweep_oracle(dataclasses.replace(fam, blocks=torn))
+
+
+def test_sweep_checks_few_points(monkeypatch):
+    # so_18, p = (5,5,3,3,1,1): 49 points of the polytope in 12 sign
+    # classes; the grid walk made 2355 is_good calls
+    import goodgradings.classify as classify
+    calls = []
+    real = classify.is_good
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    fam = good_gradings_so(Partition((5, 5, 3, 3, 1, 1)))
+    monkeypatch.setattr(classify, "is_good", counted)
+    assert len(sweep_oracle(fam)) == 12
+    assert 49 <= len(calls) <= 61
 
 
 def test_entries_report_verified_data():

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from goodgradings.cli import canonical_json, main
+from goodgradings.cli import (MAX_ALGEBRA_DIM, MAX_PYRAMIDS, _family_spec,
+                              canonical_json, main)
+from goodgradings.partitions import Partition
 
 
 def run_cli(capsys, *argv):
@@ -71,19 +73,43 @@ def test_verify_subcommand(capsys):
     assert report["results"]["enumerated"] == 3
 
 
-def test_verify_rejects_an_oversized_grid_fast(capsys):
-    # (4*25 + 1)^2 = 101^2 candidates: refused before the enumeration or
-    # any algebra is built
-    started = time.monotonic()
-    code, out, err = run_cli(capsys, "verify", "--family", "A",
-                             "--partition", "25,2,1")
-    assert time.monotonic() - started < 1
-    assert code == 2 and out == ""
-    assert "candidates" in err
+GUARDED = ("classify", "verify", "pyramids", "render")
+
+
+def assert_refused_fast(capsys, letter, parts, reason):
+    for command in GUARDED:
+        started = time.monotonic()
+        code, out, err = run_cli(capsys, command, "--family", letter,
+                                 "--partition", parts)
+        assert time.monotonic() - started < 1, (command, parts)
+        assert code == 2 and out == "", (command, parts)
+        assert reason in err, (command, parts, err)
+
+
+def test_oversized_input_is_refused_fast(capsys):
+    # gl_55 with 3^9 pyramids and gl_1000 with 10^6 basis elements:
+    # refused before anything is built
+    assert_refused_fast(capsys, "A", "10,9,8,7,6,5,4,3,2,1", "dimension")
+    assert_refused_fast(capsys, "A", "1000", "dimension")
+
+
+def test_input_limits_at_their_boundary(capsys):
+    # the smallest algebra of each family above the dimension limit, and
+    # a gl orbit with one pyramid more than the limit, are refused; their
+    # neighbors below pass the check, which builds nothing, and are not
+    # run
+    assert (MAX_ALGEBRA_DIM, MAX_PYRAMIDS) == (1300, 242)
+    for letter, parts in (("A", "37"), ("C", "52"), ("D", "51,1")):
+        assert_refused_fast(capsys, letter, parts, "dimension")
+    assert_refused_fast(capsys, "A", "6,5,4,3,2,1", "243 pyramids")
+    for letter, parts, dim in (("A", "36", 1296), ("C", "50", 1275),
+                               ("B", "51", 1275), ("A", "28,5,3", 1296)):
+        assert _family_spec(letter, Partition.of(
+            map(int, parts.split(",")))).dim == dim
 
 
 def test_verify_has_no_grid_options(capsys):
-    # the grid is fixed by the partition
+    # the sweep's bounds come from the orbit itself
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--family", "A", "--partition", "2,1",
               "--step", "1/2"])
@@ -175,7 +201,7 @@ def _readme_commands() -> list[list[str]]:
 
 def test_readme_command_line_examples_run(capsys):
     commands = _readme_commands()
-    assert len(commands) == 9
+    assert len(commands) == 10
     for argv in commands:
         assert main(argv) == 0, argv
         capsys.readouterr()
