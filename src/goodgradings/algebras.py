@@ -271,13 +271,6 @@ class GradingElement:
         return all((d - first).denominator == 1 for d in self.diagonal)
 
 
-def label_degree(g: AlgebraBasis, label: tuple, H: GradingElement) -> Fraction:
-    """ad H eigenvalue of a basis element."""
-    _, i, j = label
-    pos = g.position
-    return H.diagonal[pos[i]] - H.diagonal[pos[j]]
-
-
 @dataclass(frozen=True)
 class GradedDecomposition:
     """Eigenspace decomposition of g under ad H for diagonal H."""
@@ -285,6 +278,7 @@ class GradedDecomposition:
     g: AlgebraBasis
     degrees: tuple[Fraction, ...]
     buckets: dict  # degree -> tuple of basis indices
+    of: tuple[Fraction, ...]  # the degree of each basis element
 
     def piece_dim(self, degree: Scalar) -> int:
         return len(self.buckets.get(as_fraction(degree), ()))
@@ -301,12 +295,13 @@ def graded_decomposition(g: AlgebraBasis, H: GradingElement) -> GradedDecomposit
     """
     if H.spec != g.spec:
         raise ValueError("grading element spec does not match the algebra")
+    pos, diag = g.position, H.diagonal
+    of = tuple(diag[pos[i]] - diag[pos[j]] for _, i, j in g.labels)
     buckets: dict[Fraction, list[int]] = {}
-    for k, lab in enumerate(g.labels):
-        d = label_degree(g, lab, H)
+    for k, d in enumerate(of):
         buckets.setdefault(d, []).append(k)
     frozen = {d: tuple(ks) for d, ks in buckets.items()}
-    return GradedDecomposition(g, tuple(sorted(frozen)), frozen)
+    return GradedDecomposition(g, tuple(sorted(frozen)), frozen, of)
 
 
 def ad_coordinate_matrix(g: AlgebraBasis, e: Matrix) -> Matrix:

@@ -45,8 +45,8 @@ from .algebras import (AlgebraBasis, AlgebraSpec, Family, GradingElement,
                        _signed_indices, build_algebra)
 from .gradings import (AdBlocks, Characteristic, VerificationError,
                        ad_blocks, characteristic_from_pyramid,
-                       characteristic_of, fill_boxes, is_good,
-                       nilpotent_of_pyramid, normalize_traceless)
+                       characteristic_of, fill_boxes, graded_ad_ranks,
+                       is_good, nilpotent_of_pyramid, normalize_traceless)
 from .partitions import (Partition, gl_centralizer_dim, so_centralizer_dim,
                          sp_centralizer_dim)
 from .pyramids import (Pyramid, enumerate_pyramids, orthogonal_center_parts,
@@ -274,44 +274,49 @@ def _lattice_points(rows: list[tuple[tuple[int, ...], int]], parity: set,
     return [s for s in points if all(value(a, b, s) % 2 == 0 for a, b in parity)]
 
 
-def sweep_oracle(fam: GoodGradingFamily) -> list[GradingElement]:
-    """Every good grading H(t) = h(p) + z(t), read off a polytope in t.
-
-    Runs on the orbit the enumeration built (`fam.g`, `fam.blocks`), not
-    on `fam.entries`.  t holds one shift per center part (for gl relative
-    to the largest part).  In s = 2t every degree of ad H(t) is affine
-    with integer coefficients, read off H at t = 0 and at the unit
-    vectors.  H(t) is good iff every degree is an integer (the parity
-    rows) and every weight of g^e has degree >= 0.  A block of ad e
-    holds |cols| - rank centralizer vectors of its first column's weight,
-    a zero column one; their count must match dim g^e.  So the bounds on
-    t come from the orbit, not from the classification.  `is_good`
-    confirms every point; sp/so points are deduplicated by sign flips to
-    nonnegative coordinates.  Sorted by coordinate vector.
-    """
-    spec, p, g, blocks = fam.spec, fam.partition, fam.g, fam.blocks
+def _centralizer_weights(fam: GoodGradingFamily):
+    """(d0, steps, forms, weights): H(t) = d0 + sum t_i steps[i]; twice
+    the degree of basis element k is a.s + b for forms[k] = (a, b), read
+    off H at t = 0 and the unit vectors; weights counts the forms of a
+    basis of g^e, checked against the closed form for dim g^e."""
+    spec, p, g = fam.spec, fam.partition, fam.g
     torus = center_torus(spec)
-    base, cparts = torus.base(p), torus.center_parts(p)
+    base = torus.base(p)
     d0 = _shifted_grading(spec, base, {}).diagonal
     steps = [tuple(x - y for x, y in zip(
         _shifted_grading(spec, base, {v: Fraction(1)}).diagonal, d0))
-        for v in cparts]
-    forms = []  # twice the degree of each basis element: (a, b) for a.s + b
+        for v in torus.center_parts(p)]
+    forms = []
     for _, i, j in g.labels:
         i, j = g.position[i], g.position[j]
         form = [st[i] - st[j] for st in steps] + [2 * (d0[i] - d0[j])]
         if any(x.denominator != 1 for x in form):
             raise VerificationError("a doubled degree is not an integer")
         forms.append((tuple(map(int, form[:-1])), int(form[-1])))
-    reached = {k for cols, _, _ in blocks.blocks for k in cols}
-    weights = Counter(w for k, w in enumerate(forms) if k not in reached)
-    for cols, _, rk in blocks.blocks:
-        weights[forms[cols[0]]] += len(cols) - rk
+    weights = Counter(forms) - graded_ad_ranks(fam.blocks, forms)
     closed_form = {Family.GL: gl_centralizer_dim, Family.SP: sp_centralizer_dim,
                    Family.SO: so_centralizer_dim}[spec.family]
     if sum(weights.values()) != closed_form(p):
         raise VerificationError("centralizer weights disagree with dim g^e")
-    rows = [w for w, m in weights.items() if m]
+    return d0, steps, forms, weights
+
+
+def sweep_oracle(fam: GoodGradingFamily) -> list[GradingElement]:
+    """Every good grading H(t) = h(p) + z(t), read off a polytope in t.
+
+    Runs on the orbit the enumeration built (`fam.g`, `fam.blocks`), not
+    on `fam.entries`.  t holds one shift per center part (for gl relative
+    to the largest part).  In s = 2t every degree of ad H(t) is affine
+    with integer coefficients, and `graded_ad_ranks` on those forms
+    gives the weights of g^e for every t at once.  H(t) is good iff
+    every degree is an integer (the parity rows) and every weight of g^e
+    has degree >= 0.  So the bounds on t come from the orbit, not from
+    the classification.  `is_good` confirms every point; sp/so points
+    are deduplicated by sign flips to nonnegative coordinates.  Sorted
+    by coordinate vector.
+    """
+    spec, g, blocks = fam.spec, fam.g, fam.blocks
+    d0, steps, forms, weights = _centralizer_weights(fam)
     parity = {(tuple(x % 2 for x in a), b % 2) for a, b in forms}
 
     def grading(t):
@@ -320,7 +325,7 @@ def sweep_oracle(fam: GoodGradingFamily) -> list[GradingElement]:
             for a, d in enumerate(d0)))
 
     found: dict[tuple, GradingElement] = {}
-    for s in _lattice_points(rows, parity, len(cparts)):
+    for s in _lattice_points(list(weights), parity, len(steps)):
         t = tuple(Fraction(x, 2) for x in s)
         H = grading(t)
         if not is_good(g, H, blocks.e, blocks).verified:

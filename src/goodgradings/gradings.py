@@ -14,11 +14,12 @@ The ranks come from a block engine built once per nilpotent: ad e is
 assembled column by column as sparse coordinates, split into connected
 blocks (columns that reach a common row), and each block is ranked
 once by rational row reduction.  Every diagonal H with [H, e] = 2e maps
-each block from one degree d into degree d + 2, so the per-degree ranks
-for any such H are sums of block ranks, and the blocks serve every
-candidate grading of e (`is_good`, the sweep oracle, the generic
-oracle).  The dense ad e of `algebras.ad_coordinate_matrix` is the
-reference the tests compare against; no runtime path builds it.
+each block from one degree d into degree d + 2, so g^e has dim g_d
+minus a sum of block ranks vectors of degree d.  `graded_ad_ranks`
+sums them for any degree per basis element (one H's, or the sweep's
+affine forms) and serves `is_good`, the sweep and the generic oracle.
+The dense ad e of `algebras.ad_coordinate_matrix` is the reference the
+tests compare against; no runtime path builds it.
 
 Signs in the nilpotent: the prose picture "send each box to its right
 neighbor" needs coefficients +-1 to land inside sp/so.  Arrows come in
@@ -29,8 +30,10 @@ gamma(a') = -gamma(a) for so.  One representative per pair gets +1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Hashable, Sequence
 
 from .algebras import (AlgebraBasis, AlgebraSpec, Family, GradedDecomposition,
                        GradingElement, Sparse, graded_decomposition,
@@ -203,8 +206,6 @@ class GoodPair:
     the grading's pieces (evenness, g_{-1}) without rebuilding it.
     """
 
-    H: GradingElement
-    e: Matrix
     verified: bool
     centralizer_degrees: tuple[Fraction, ...]
     decomposition: GradedDecomposition
@@ -275,38 +276,25 @@ def ad_blocks(g: AlgebraBasis, e: Matrix) -> AdBlocks:
     return AdBlocks(e, es, tuple(blocks))
 
 
-def _blocks_of(g: AlgebraBasis, e: Matrix, blocks: AdBlocks | None) -> AdBlocks:
-    if blocks is None:
-        return ad_blocks(g, e)
-    if blocks.e is not e and blocks.e != e:
-        raise ValueError("ad e blocks were built from a different element")
-    return blocks
+def graded_ad_ranks(blocks: AdBlocks, degree: Sequence[Hashable]) -> Counter:
+    """The rank of ad e leaving each degree, from one degree per basis
+    element: `GradedDecomposition.of` for one grading, or the sweep
+    oracle's affine forms for all of them at once.
 
-
-def graded_ad_ranks(g: AlgebraBasis, H: GradingElement, e: Matrix,
-                    blocks: AdBlocks | None = None, dec=None):
-    """Per-degree ranks of ad e: g_j -> g_{j+2}; returns (decomposition, ranks).
-
-    Sums the block ranks by degree.  Raises ValueError unless every block
-    maps one degree d of H into degree d + 2, that is unless ad e is
-    homogeneous of degree 2 under H.
+    Sums the block ranks under their columns' degree; degree d of g^e
+    then has dim g_d minus the rank at d.  Raises ValueError unless the
+    columns of each block share one degree and its rows share one.
     """
-    if dec is None:
-        dec = graded_decomposition(g, H)
-    blocks = _blocks_of(g, e, blocks)
-    degree = [Fraction(0)] * g.dim
-    for d, idxs in dec.buckets.items():
-        for k in idxs:
-            degree[k] = d
-    ranks = dict.fromkeys(dec.buckets, 0)
+    ranks = Counter()
     for columns, rows, rk in blocks.blocks:
         d = degree[columns[0]]
-        target = d + 2
-        if any(degree[c] != d for c in columns) \
-                or any(degree[r] != target for r in rows):
-            raise ValueError("ad e does not raise degrees by 2 under H")
+        if any(degree[c] != d for c in columns):
+            raise ValueError("a block of ad e has columns of different degrees")
+        r = degree[rows[0]]
+        if any(degree[x] != r for x in rows):
+            raise ValueError("a block of ad e has rows of different degrees")
         ranks[d] += rk
-    return dec, ranks
+    return ranks
 
 
 def is_good(g: AlgebraBasis, H: GradingElement, e: Matrix,
@@ -314,40 +302,37 @@ def is_good(g: AlgebraBasis, H: GradingElement, e: Matrix,
     """Decide whether e is a good element of the grading defined by H.
 
     Requires e in g, e != 0, [H, e] = 2e, and an integral grading.  The
-    verdict is the centralizer dimension identity, cross-checked against
-    per-degree injectivity of ad e on negative degrees; the two must
-    agree or a VerificationError is raised.  `blocks` must come from
-    `ad_blocks(g, e)` for this e, which checks that e lies in g; they
-    are built when omitted.
+    degrees of g^e come from `graded_ad_ranks`.  The verdict is the
+    centralizer dimension identity dim g^e = dim g_0 + dim g_{-1},
+    cross-checked against injectivity of ad e on negative degrees (no
+    degree of g^e below 0); the two must agree or a VerificationError
+    is raised.  `blocks` must come from `ad_blocks(g, e)` for this e,
+    which checks that e lies in g; they are built when omitted.
     """
     if H.spec != g.spec:
         raise ValueError("grading element spec does not match the algebra")
     if e.is_zero():
         raise ValueError("a good element is a nonzero nilpotent")
-    blocks = _blocks_of(g, e, blocks)
+    if blocks is None:
+        blocks = ad_blocks(g, e)
+    elif blocks.e is not e and blocks.e != e:
+        raise ValueError("ad e blocks were built from a different element")
     diag = H.diagonal
     # [H, e] = 2e entrywise: (H_i - H_j) e_ij = 2 e_ij
     if any(diag[i] - diag[j] != 2 for i, j in blocks.entries):
         raise ValueError("element is not homogeneous of degree 2 under H")
     if not H.is_integral():
         raise ValueError("not an integral grading")
-    dec, ranks = graded_ad_ranks(g, H, e, blocks)
-    centralizer_degs: list[Fraction] = []
-    for d, idxs in dec.buckets.items():
-        null = len(idxs) - ranks[d]
-        centralizer_degs.extend([d] * null)
-    centralizer_degs.sort()
-    dim_centralizer = len(centralizer_degs)
-    dim_identity = dim_centralizer == dec.piece_dim(0) + dec.piece_dim(-1)
-    injective_negative = all(
-        ranks[d] == len(dec.buckets[d]) for d in dec.degrees if d <= -1)
+    dec = graded_decomposition(g, H)
+    ranks = graded_ad_ranks(blocks, dec.of)
+    centralizer_degs = tuple(d for d in dec.degrees
+                             for _ in range(len(dec.buckets[d]) - ranks[d]))
+    dim_identity = len(centralizer_degs) == dec.piece_dim(0) + dec.piece_dim(-1)
+    injective_negative = not centralizer_degs or centralizer_degs[0] >= 0
     if dim_identity != injective_negative:
         raise VerificationError(
             "dimension identity and negative-degree injectivity disagree")
-    if dim_identity and centralizer_degs and centralizer_degs[0] < 0:
-        raise VerificationError("good pair with negative centralizer degree")
-    return GoodPair(H=H, e=e, verified=dim_identity,
-                    centralizer_degrees=tuple(centralizer_degs),
+    return GoodPair(verified=dim_identity, centralizer_degrees=centralizer_degs,
                     decomposition=dec)
 
 

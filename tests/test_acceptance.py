@@ -14,10 +14,10 @@ from goodgradings.algebras import (AlgebraSpec, Family, GradingElement,
 from goodgradings.classify import (good_gradings_gl, good_gradings_so,
                                    good_gradings_sp, sweep_oracle)
 from goodgradings.exceptional import exceptional_lookup, orbit_labels
-from goodgradings.gradings import (check_duality_form, check_torus_weights,
-                                   graded_ad_ranks, grading_of_pyramid,
-                                   is_good, nilpotent_of_pyramid,
-                                   normalize_traceless)
+from goodgradings.gradings import (ad_blocks, check_duality_form,
+                                   check_torus_weights, graded_ad_ranks,
+                                   grading_of_pyramid, is_good,
+                                   nilpotent_of_pyramid, normalize_traceless)
 from goodgradings.parabolic import (ParabolicSpec, generic_richardson_oracle,
                                     grading_is_good_generic,
                                     richardson_is_good)
@@ -277,7 +277,7 @@ def _injective_iff_surjective_sample(g, rng):
     e = g.from_coordinates(coords)
     if e.is_zero():
         return None
-    _, ranks = graded_ad_ranks(g, H, e, dec=dec)
+    ranks = graded_ad_ranks(ad_blocks(g, e), dec.of)
     injective = all(ranks[d] == len(dec.buckets[d])
                     for d in dec.degrees if d <= -1)
     surjective = all(ranks.get(d - 2, 0) == dec.piece_dim(d)

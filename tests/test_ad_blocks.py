@@ -5,6 +5,8 @@ reduction of its degree slices, and `centralizer` (the kernel of the
 whole dense ad e).  The block engine never builds either.
 """
 
+import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,7 @@ import pytest
 from goodgradings import parabolic
 from goodgradings.algebras import (AlgebraSpec, Family, GradingElement,
                                    ad_coordinate_matrix, build_algebra,
-                                   centralizer)
+                                   centralizer, graded_decomposition)
 from goodgradings.classify import good_gradings
 from goodgradings.gradings import (ad_blocks, graded_ad_ranks, is_good,
                                    nilpotent_of_pyramid)
@@ -52,8 +54,9 @@ def _dense_ranks(ad: Matrix, dec) -> dict:
 
 
 def _check_against_dense(g, e, ranks, dec, ad=None):
+    # a Counter treats a missing degree as rank 0
     ad = ad_coordinate_matrix(g, e) if ad is None else ad
-    assert ranks == _dense_ranks(ad, dec)
+    assert ranks == Counter(_dense_ranks(ad, dec))
 
 
 def test_block_ranks_equal_dense_slices_on_every_orbit():
@@ -67,7 +70,8 @@ def test_block_ranks_equal_dense_slices_on_every_orbit():
         blocks = ad_blocks(g, e)
         centralizer_dim = centralizer(g, e).dim
         for ent in good_gradings(spec, p).entries:
-            dec, ranks = graded_ad_ranks(g, ent.H, e, blocks)
+            dec = graded_decomposition(g, ent.H)
+            ranks = graded_ad_ranks(blocks, dec.of)
             _check_against_dense(g, e, ranks, dec, ad)
             assert g.dim - sum(ranks.values()) == centralizer_dim, (spec, p)
             gradings += 1
@@ -77,24 +81,28 @@ def test_block_ranks_equal_dense_slices_on_every_orbit():
 
 def test_block_ranks_equal_dense_slices_on_generic_samples(monkeypatch):
     seen = []
+    current = {}
 
-    def checked(g, H, e, blocks=None, dec=None):
-        dec, ranks = graded_ad_ranks(g, H, e, blocks, dec)
-        _check_against_dense(g, e, ranks, dec)
-        seen.append(e)
-        return dec, ranks
+    def checked(blocks, degree):
+        g, dec = current["g"], current["dec"]
+        assert degree == dec.of
+        ranks = graded_ad_ranks(blocks, degree)
+        _check_against_dense(g, blocks.e, ranks, dec)
+        seen.append(blocks.e)
+        return ranks
 
     monkeypatch.setattr(parabolic, "graded_ad_ranks", checked)
-    for spec, blocks, q, good in [
+    for spec, composition, q, good in [
         (AlgebraSpec(GL, 4), (1, 2, 1), 0, True),
         (AlgebraSpec(GL, 5), (2, 1, 2), 0, False),
         (AlgebraSpec(SP, 6), (2, 1), 0, False),
         (AlgebraSpec(SO, 7), (1, 1), 3, True),
         (AlgebraSpec(SO, 8), (2, 1, 1), 0, False),
     ]:
-        par = ParabolicSpec(spec, blocks, q)
+        par = ParabolicSpec(spec, composition, q)
         g = build_algebra(spec)
         H = parabolic.parabolic_grading(par)
+        current.update(g=g, dec=graded_decomposition(g, H))
         assert grading_is_good_generic(g, H) is good
     assert len(seen) >= 3 * 16
 
@@ -123,19 +131,35 @@ def test_inhomogeneous_element_is_rejected_not_ranked():
     e12 = Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])  # degree 2
     e23 = Matrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]])  # degree 0
     e13 = Matrix([[0, 0, 1], [0, 0, 0], [0, 0, 0]])  # degree 2
-    dec, ranks = graded_ad_ranks(g, H, e12 + e13)  # degree 2: accepted
+    dec = graded_decomposition(g, H)
+    ranks = graded_ad_ranks(ad_blocks(g, e12 + e13), dec.of)  # accepted
     _check_against_dense(g, e12 + e13, ranks, dec)
+    mixed = ad_blocks(g, e12 + e23)
+    with pytest.raises(ValueError):
+        graded_ad_ranks(mixed, dec.of)
     for e in (e12 + e23, e23):
         with pytest.raises(ValueError):
             is_good(g, H, e)
-        with pytest.raises(ValueError):
-            graded_ad_ranks(g, H, e)
-    # homogeneous, but of degree 4
+    # one block at a time, the engine names what is mixed: some block of
+    # e12 + e23 mixes only its columns' degrees, another only its rows'
+    kinds = set()
+    for block in mixed.blocks:
+        one = dataclasses.replace(mixed, blocks=(block,))
+        columns, rows, _ = block
+        mixes = tuple(kind for kind, idxs in (("columns", columns), ("rows", rows))
+                      if len({dec.of[k] for k in idxs}) > 1)
+        kinds.add(mixes)
+        if not mixes:
+            graded_ad_ranks(one, dec.of)
+            continue
+        with pytest.raises(ValueError, match=mixes[0]):
+            graded_ad_ranks(one, dec.of)
+    assert {("columns",), ("rows",)} <= kinds
+    # homogeneous, but of degree 4: the blocks are homogeneous too, so
+    # only is_good's entrywise [H, e] = 2e check refuses it
     H4 = GradingElement(spec, (Fraction(4), Fraction(0), Fraction(0)))
     with pytest.raises(ValueError):
         is_good(g, H4, e12)
-    with pytest.raises(ValueError):
-        graded_ad_ranks(g, H4, e12)
 
 
 def test_blocks_of_another_element_are_rejected():
@@ -147,8 +171,6 @@ def test_blocks_of_another_element_are_rejected():
     other = ad_blocks(g, e23)
     with pytest.raises(ValueError):
         is_good(g, H, e12, other)
-    with pytest.raises(ValueError):
-        graded_ad_ranks(g, H, e12, other)
     copy = Matrix(e12.data)
     assert is_good(g, H, e12, ad_blocks(g, copy)) == is_good(g, H, e12)
 

@@ -6,11 +6,11 @@ import pytest
 
 from goodgradings.algebras import AlgebraSpec, Family, build_algebra, \
     graded_decomposition
-from goodgradings.classify import (_lattice_points, _shifted_grading,
-                                   center_torus, even_good_grading_gl,
-                                   good_gradings, good_gradings_gl,
-                                   good_gradings_so, good_gradings_sp,
-                                   sweep_oracle)
+from goodgradings.classify import (_centralizer_weights, _lattice_points,
+                                   _shifted_grading, center_torus,
+                                   even_good_grading_gl, good_gradings,
+                                   good_gradings_gl, good_gradings_so,
+                                   good_gradings_sp, sweep_oracle)
 from goodgradings.gradings import (AdBlocks, VerificationError, is_good,
                                    nilpotent_of_pyramid, normalize_traceless)
 from goodgradings.partitions import (Partition, orthogonal_partitions,
@@ -357,6 +357,29 @@ def test_sweep_counts_the_centralizer_weights():
                     blocks.blocks[:k] + blocks.blocks[k + 1:])
     with pytest.raises(VerificationError, match="dim g\\^e"):
         sweep_oracle(dataclasses.replace(fam, blocks=torn))
+
+
+def test_sweep_weights_are_the_centralizer_degrees():
+    # the sweep's weights of g^e, evaluated at the t of each enumerated
+    # grading, are the degrees of g^e that is_good reported for it
+    orbits = gradings = 0
+    for spec, p in small_orbits(7, 10):
+        fam = good_gradings(spec, p)
+        d0, steps, _, weights = _centralizer_weights(fam)
+        cparts = center_torus(spec).center_parts(p)
+        keys = p.parts if spec.family is Family.GL else cparts
+        for ent in fam.entries:
+            shifts = dict(zip(keys, ent.source[1]))
+            t = [shifts[v] for v in cparts]
+            assert ent.H.diagonal == tuple(
+                d + sum(x * st[a] for x, st in zip(t, steps))
+                for a, d in enumerate(d0)), (spec, p, ent.source)
+            degrees = sorted((b + sum(2 * x * y for x, y in zip(t, a))) / 2
+                             for (a, b), m in weights.items() for _ in range(m))
+            assert tuple(degrees) == ent.centralizer_degrees, (spec, p, ent.source)
+            gradings += 1
+        orbits += 1
+    assert (orbits, gradings) == (136, 311)
 
 
 def test_sweep_checks_few_points(monkeypatch):

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from goodgradings.cli import (MAX_ALGEBRA_DIM, MAX_PYRAMIDS, _family_spec,
-                              canonical_json, main)
+from goodgradings.cli import (MAX_ALGEBRA_DIM, MAX_PYRAMIDS, MAX_SERIES_ORDER,
+                              _family_spec, canonical_json, main)
 from goodgradings.partitions import Partition
 
 
@@ -106,6 +106,16 @@ def test_input_limits_at_their_boundary(capsys):
                                ("B", "51", 1275), ("A", "28,5,3", 1296)):
         assert _family_spec(letter, Partition.of(
             map(int, parts.split(",")))).dim == dim
+
+
+def test_series_order_limit_at_its_boundary(capsys):
+    # one order above the cap is refused before any series is built; the
+    # cap admits the largest order the benchmark runs, 26
+    assert MAX_SERIES_ORDER == 30
+    started = time.monotonic()
+    code, out, err = run_cli(capsys, "series", "--order", "31")
+    assert time.monotonic() - started < 1.0
+    assert code == 2 and out == "" and "between 1 and 30" in err
 
 
 def test_verify_has_no_grid_options(capsys):

@@ -107,17 +107,9 @@ def test_oracle_empty_degree_two_piece():
         generic_richardson_oracle(par(A, 3, (3,)))
 
 
-def test_oracle_monotone_in_samples():
-    cases = [par(A, 4, (1, 2, 1)), par(C, 6, (1, 2)), par(SO, 8, (3, 1))]
-    for p in cases:
-        if generic_richardson_oracle(p, samples=4):
-            assert generic_richardson_oracle(p, samples=16)
-
-
 def test_oracle_seed_reproducible():
     p = par(SO, 8, (1, 3))
-    assert generic_richardson_oracle(p, seed=123) == \
-        generic_richardson_oracle(p, seed=123)
+    assert generic_richardson_oracle(p) == generic_richardson_oracle(p)
 
 
 def test_grading_is_good_generic_rejects_empty():
