@@ -16,7 +16,8 @@ Type A is realized as gl_n only: a grading of sl_n is a grading of gl_n
 modulo scalars, so type A grading elements are normalized traceless.
 
 Basis elements are kept sparse ({(row, col): value}); they have at most
-two nonzero entries.
+two nonzero entries, each the int 1 or -1, so brackets of integer
+matrices stay integers.  Matrices (`linalg.Matrix`) hold Fractions.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Sequence
 
 from .linalg import Matrix, Scalar, Subspace, as_fraction, kernel
 
-Sparse = dict[tuple[int, int], Fraction]
+Sparse = dict[tuple[int, int], Scalar]
 
 
 class Family(str, Enum):
@@ -119,9 +120,9 @@ class AlgebraBasis:
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     if i != j:
-                        self._add(("E", i, j), {(i - 1, j - 1): Fraction(1)})
+                        self._add(("E", i, j), {(i - 1, j - 1): 1})
             for i in range(1, n + 1):
-                self._add(("E", i, i), {(i - 1, i - 1): Fraction(1)})
+                self._add(("E", i, i), {(i - 1, i - 1): 1})
             return
         skew = fam is Family.SP
         for a, i in enumerate(self.indices):
@@ -130,12 +131,12 @@ class AlgebraBasis:
                 if (a, b) == (am, bm):
                     # entry position paired with itself (j == -i)
                     if skew:
-                        self._add(("E", i, j), {(a, b): Fraction(1)})
+                        self._add(("E", i, j), {(a, b): 1})
                     continue
                 if (a, b) > (am, bm):
                     continue
-                coeff = -Fraction(_eps(i) * _eps(j)) if skew else Fraction(-1)
-                self._add(("E", i, j), {(a, b): Fraction(1), (am, bm): coeff})
+                coeff = -_eps(i) * _eps(j) if skew else -1
+                self._add(("E", i, j), {(a, b): 1, (am, bm): coeff})
 
     def _add(self, label: tuple, elem: Sparse):
         self.labels.append(label)
@@ -171,12 +172,12 @@ class AlgebraBasis:
         """Coordinates of a member matrix in this basis."""
         return self.coordinates_sparse(matrix_to_sparse(m))
 
-    def coordinates_sparse(self, x: Sparse) -> tuple[Fraction, ...]:
+    def coordinates_sparse(self, x: Sparse) -> tuple[Scalar, ...]:
         """Dense coordinate tuple of a member given by its entries."""
         coords = self.sparse_coordinates(x)
         return tuple(coords.get(k, Fraction(0)) for k in range(self.dim))
 
-    def sparse_coordinates(self, x: Sparse) -> dict[int, Fraction]:
+    def sparse_coordinates(self, x: Sparse) -> dict[int, Scalar]:
         """Nonzero coordinates {basis index: value} of a member.
 
         Each basis element's coordinate is the entry at the position it
@@ -215,7 +216,7 @@ def matrix_to_sparse(m: Matrix) -> Sparse:
 def sparse_to_matrix(x: Sparse, n: int) -> Matrix:
     m = Matrix.zeros(n, n)
     for (i, j), v in x.items():
-        m.data[i][j] = v
+        m.data[i][j] = as_fraction(v)
     return m
 
 
@@ -225,10 +226,10 @@ def sparse_bracket(a: Sparse, b: Sparse) -> Sparse:
         for (r2, c2), v2 in b.items():
             if c1 == r2:
                 key = (r1, c2)
-                out[key] = out.get(key, Fraction(0)) + v1 * v2
+                out[key] = out.get(key, 0) + v1 * v2
             if c2 == r1:
                 key = (r2, c1)
-                out[key] = out.get(key, Fraction(0)) - v2 * v1
+                out[key] = out.get(key, 0) - v2 * v1
     return {k: v for k, v in out.items() if v != 0}
 
 

@@ -54,9 +54,20 @@ _FAMILY_LETTERS = {"A": Family.GL, "GL": Family.GL, "B": Family.SO,
                   "C": Family.SP, "D": Family.SO}
 
 
+# Input limits of classify, verify, pyramids and render, checked before
+# anything is built; richardson has the dimension limit.  They admit
+# so_50 (dim 1225), the largest orbit the tests verify; verify of
+# (28,5,3) in gl_36 takes 6.3 s on a 2-CPU Xeon.
+MAX_ALGEBRA_DIM = 1300
+MAX_PYRAMIDS = 242
+# `series` walks every partition up to its order; the whole command takes
+# 1.5 s at order 30 and 2.7 s at 32 on a 2-CPU Xeon.
+MAX_SERIES_ORDER = 30
+
+
 def _letter_spec(letter: str, size: int) -> AlgebraSpec:
     """The algebra of a family letter and matrix size: A/GL, C, B with
-    odd size, D with even size."""
+    odd size, D with even size, and dimension at most MAX_ALGEBRA_DIM."""
     letter = letter.upper()
     if letter not in _FAMILY_LETTERS:
         raise InputError(f"unknown family {letter!r} (expected A/B/C/D or GL)")
@@ -65,19 +76,12 @@ def _letter_spec(letter: str, size: int) -> AlgebraSpec:
     if letter == "D" and size % 2 == 1:
         raise InputError("family D needs an even matrix size")
     try:
-        return AlgebraSpec(_FAMILY_LETTERS[letter], size)
+        spec = AlgebraSpec(_FAMILY_LETTERS[letter], size)
     except ValueError as exc:
         raise InputError(str(exc))
-
-
-# Input limits of classify, verify, pyramids and render, checked before
-# anything is built.  They admit so_50 (dim 1225), the largest orbit the
-# tests verify; verify of (28,5,3) in gl_36 takes 6.3 s on a 2-CPU Xeon.
-MAX_ALGEBRA_DIM = 1300
-MAX_PYRAMIDS = 242
-# `series` walks every partition up to its order; the whole command takes
-# 1.5 s at order 30 and 2.7 s at 32 on a 2-CPU Xeon.
-MAX_SERIES_ORDER = 30
+    if spec.dim > MAX_ALGEBRA_DIM:
+        raise InputError(f"algebra dimension {spec.dim} exceeds {MAX_ALGEBRA_DIM}")
+    return spec
 
 
 def _family_spec(letter: str, p: Partition) -> AlgebraSpec:
@@ -89,8 +93,6 @@ def _family_spec(letter: str, p: Partition) -> AlgebraSpec:
     if family is Family.SO and not p.is_orthogonal():
         raise InputError(f"{p} is not an orthogonal partition")
     spec = _letter_spec(letter, p.n)
-    if spec.dim > MAX_ALGEBRA_DIM:
-        raise InputError(f"algebra dimension {spec.dim} exceeds {MAX_ALGEBRA_DIM}")
     # sp/so list their shift vectors: at most 67 within the dimension limit
     count = pyramid_count_formula(p) if spec.family is Family.GL \
         else len(center_torus(spec).shift_vectors(p))

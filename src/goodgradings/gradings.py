@@ -11,13 +11,15 @@ Both characterizations are computed here and must agree; a mismatch is
 an internal error, never a property of the input.
 
 The ranks come from a block engine built once per nilpotent: ad e is
-assembled column by column as sparse coordinates, split into connected
-blocks (columns that reach a common row), and each block is ranked
-once by rational row reduction.  Every diagonal H with [H, e] = 2e maps
-each block from one degree d into degree d + 2, so g^e has dim g_d
-minus a sum of block ranks vectors of degree d.  `graded_ad_ranks`
-sums them for any degree per basis element (one H's, or the sweep's
-affine forms) and serves `is_good`, the sweep and the generic oracle.
+assembled column by column as sparse integer coordinates (bracketing
+with an integer multiple of e, which changes no rank), split into
+connected blocks (columns that reach a common row), and each block is
+ranked once by fraction-free integer elimination (`linalg.rref`).
+Every diagonal H with [H, e] = 2e maps each block from one degree d
+into degree d + 2, so g^e has dim g_d minus a sum of block ranks
+vectors of degree d.  `graded_ad_ranks` sums them for any degree per
+basis element (one H's, or the sweep's affine forms) and serves
+`is_good`, the sweep and the generic oracle.
 The dense ad e of `algebras.ad_coordinate_matrix` is the reference the
 tests compare against; no runtime path builds it.
 
@@ -39,7 +41,7 @@ from .algebras import (AlgebraBasis, AlgebraSpec, Family, GradedDecomposition,
                        GradingElement, Sparse, graded_decomposition,
                        matrix_to_sparse, sparse_bracket, sparse_to_matrix,
                        _signed_indices)
-from .linalg import Matrix, rank, rref
+from .linalg import Matrix, integer_row, rank, rref
 from .partitions import Partition
 from .pyramids import ORTHOGONAL, SYMPLECTIC, TYPE_A, Pyramid
 
@@ -240,9 +242,12 @@ def ad_blocks(g: AlgebraBasis, e: Matrix) -> AdBlocks:
     if not g.contains(e):
         raise ValueError("element does not lie in the algebra")
     es = matrix_to_sparse(e)
+    # bracket with a positive multiple of e that has integer entries:
+    # scaling changes no block and no rank, and keeps Fractions out of ad e
+    scaled = dict(zip(es, integer_row(es.values())))
     cols = {}
     for k, elem in enumerate(g.elements):
-        col = g.sparse_coordinates(sparse_bracket(es, elem))
+        col = g.sparse_coordinates(sparse_bracket(scaled, elem))
         if col:
             cols[k] = col
     parent = {k: k for k in cols}

@@ -111,9 +111,8 @@ def pyramid_count_series(order: int) -> PowerSeries:
     total = PowerSeries.zero(order)
     prefix = PowerSeries.one(order)
     for n in range(1, order + 1):
-        term = prefix * PowerSeries.monomial(n, order) * _one_minus_q_pow(n, order).inverse()
-        total = total + term
         inv = _one_minus_q_pow(n, order).inverse()
+        total = total + prefix * PowerSeries.monomial(n, order) * inv
         prefix = prefix * _one_plus_q_pow(n, order) * inv * inv
     return total
 

@@ -79,6 +79,19 @@ def test_block_ranks_equal_dense_slices_on_every_orbit():
     assert (orbits, gradings) == (136, 311)
 
 
+def test_rational_multiple_of_e_has_the_same_blocks():
+    # ad e is bracketed with a multiple of e that has integer entries, so
+    # e/3 must give the blocks of e: same columns, rows and ranks
+    for spec, p, base in _orbits():
+        if p.is_zero_orbit():
+            continue
+        g = build_algebra(spec)
+        e = nilpotent_of_pyramid(spec, base)
+        third = ad_blocks(g, e.scale(Fraction(1, 3)))
+        assert third.blocks == ad_blocks(g, e).blocks, (spec, p)
+        assert third.e == e.scale(Fraction(1, 3))
+
+
 def test_block_ranks_equal_dense_slices_on_generic_samples(monkeypatch):
     seen = []
     current = {}

@@ -108,6 +108,26 @@ def test_input_limits_at_their_boundary(capsys):
             map(int, parts.split(",")))).dim == dim
 
 
+def test_richardson_dimension_limit_at_its_boundary(capsys):
+    # the smallest gl, sp, odd so and even so above the dimension limit
+    # are refused before the parabolic is built: so_N with q = 0 alone
+    # lists about s^2/2 middle forms of length about N, s = N/2
+    for letter, composition, q in (("A", "37", 0), ("C", "26", 0),
+                                   ("B", "26", 1), ("D", "25,1", 0)):
+        started = time.monotonic()
+        code, out, err = run_cli(capsys, "richardson", "--family", letter,
+                                 "--composition", composition, "--q", str(q))
+        assert time.monotonic() - started < 1, letter
+        assert code == 2 and out == "", letter
+        assert "dimension" in err, letter
+    # one size below, each is answered
+    for letter, composition, q in (("A", "36", 0), ("C", "25", 0),
+                                   ("B", "25", 1), ("D", "24,1", 0)):
+        code, out, _ = run_cli(capsys, "richardson", "--family", letter,
+                               "--composition", composition, "--q", str(q))
+        assert code == 0 and "Richardson element" in out, letter
+
+
 def test_series_order_limit_at_its_boundary(capsys):
     # one order above the cap is refused before any series is built; the
     # cap admits the largest order the benchmark runs, 26

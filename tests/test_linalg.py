@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goodgradings.linalg import (Matrix, Subspace, as_fraction, bracket,
-                                 kernel, rank, rref)
+                                 integer_row, kernel, rank, rref)
+
+
+def reference_rref(rows):
+    """Gauss-Jordan over Fraction: the reference the fraction-free
+    `rref` must match row for row."""
+    work = [[as_fraction(x) for x in row] for row in rows]
+    if not work:
+        return [], []
+    ncols = len(work[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, len(work)):
+            if work[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = work[r][c]
+        if inv != 1:
+            work[r] = [x / inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return work[:r], pivots
 
 
 def test_kernel_identity_is_zero():
@@ -57,6 +90,10 @@ def test_floats_rejected():
         as_fraction(0.5)
     with pytest.raises(TypeError):
         Matrix([[0.5]])
+    with pytest.raises(TypeError):
+        rref([[0.5]])
+    with pytest.raises(TypeError):
+        rref([[1, Fraction(1, 2), 0.5]])
 
 
 def test_bracket_size_mismatch():
@@ -95,3 +132,47 @@ def test_kernel_vectors_annihilate(m):
         image = [sum(m.data[i][j] * v[j] for j in range(m.cols))
                  for i in range(m.rows)]
         assert all(x == 0 for x in image)
+
+
+entry = st.one_of(small_int, st.builds(Fraction, small_int,
+                                       st.integers(min_value=1, max_value=4)))
+
+
+@st.composite
+def exact_rows(draw):
+    """Integer and rational rows, tall or wide, with zero and duplicate
+    rows mixed in."""
+    rows = draw(st.integers(min_value=1, max_value=7))
+    cols = draw(st.integers(min_value=1, max_value=7))
+    out = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(("fresh", "fresh", "zero", "duplicate")))
+        if kind == "zero":
+            out.append([0] * cols)
+        elif kind == "duplicate" and out:
+            out.append(list(draw(st.sampled_from(out))))
+        else:
+            out.append([draw(entry) for _ in range(cols)])
+    return out
+
+
+@given(exact_rows())
+@settings(max_examples=300, deadline=None)
+def test_rref_equals_rational_elimination(rows):
+    reduced, pivots = rref(rows)
+    assert (reduced, pivots) == reference_rref(rows)
+    assert all(type(x) is Fraction for row in reduced for x in row)
+
+
+@given(exact_rows())
+@settings(max_examples=100, deadline=None)
+def test_integer_row_is_a_primitive_positive_multiple(rows):
+    row = rows[0]
+    ints = integer_row(row)
+    assert all(type(x) is int for x in ints)
+    nonzero = [(Fraction(x), y) for x, y in zip(row, ints) if x]
+    assert [x == 0 for x in row] == [y == 0 for y in ints]
+    if nonzero:
+        ratio = nonzero[0][1] / nonzero[0][0]
+        assert ratio > 0 and all(y == ratio * x for x, y in nonzero)
+        assert math.gcd(*ints) == 1
