@@ -15,9 +15,13 @@ then a matter of bucketing basis elements by eigenvalue.
 Type A is realized as gl_n only: a grading of sl_n is a grading of gl_n
 modulo scalars, so type A grading elements are normalized traceless.
 
-Basis elements are kept sparse ({(row, col): value}); they have at most
-two nonzero entries, each the int 1 or -1, so brackets of integer
-matrices stay integers.  Matrices (`linalg.Matrix`) hold Fractions.
+Every element of the algebra is kept sparse, as `Sparse`
+({(row, col): value} with int or Fraction values and no zero entries).
+Basis elements have at most two nonzero entries, each the int 1 or -1,
+so brackets of integer matrices stay integers.  The dense ad e of
+`ad_coordinate_matrix` and the kernel of `centralizer` are the test
+reference for the block engine in `gradings`; no runtime path builds a
+dense `linalg.Matrix`.
 """
 
 from __future__ import annotations
@@ -142,37 +146,29 @@ class AlgebraBasis:
         self.labels.append(label)
         self.elements.append(elem)
 
-    # -- views ---------------------------------------------------------
-
-    def basis_matrix(self, k: int) -> Matrix:
-        return sparse_to_matrix(self.elements[k], self.n)
-
     # -- membership and coordinates -------------------------------------
 
-    def contains(self, m: Matrix) -> bool:
-        """Form-compatibility of a matrix (every square matrix lies in gl)."""
-        if m.rows != self.n or m.cols != self.n:
+    def contains(self, x: Sparse) -> bool:
+        """Form-compatibility of an element: its keys are positions of an
+        n x n matrix, and for sp/so each entry has its mirror entry."""
+        n = self.n
+        if any(not (0 <= a < n and 0 <= b < n) for a, b in x):
             return False
         fam = self.spec.family
         if fam is Family.GL:
             return True
-        pos = self.position
+        pos, idx = self.position, self.indices
         skew = fam is Family.SP
-        for a, i in enumerate(self.indices):
-            for b, j in enumerate(self.indices):
-                x = m.data[a][b]
-                if not x:
-                    continue  # a nonzero mirror entry fails its own check
-                sign = _eps(i) * _eps(j) if skew else 1
-                if m.data[pos[-j]][pos[-i]] != -sign * x:
-                    return False
+        for (a, b), v in x.items():
+            if not v:
+                continue  # a nonzero mirror entry fails its own check
+            i, j = idx[a], idx[b]
+            sign = _eps(i) * _eps(j) if skew else 1
+            if x.get((pos[-j], pos[-i]), 0) != -sign * v:
+                return False
         return True
 
-    def coordinates(self, m: Matrix) -> tuple[Fraction, ...]:
-        """Coordinates of a member matrix in this basis."""
-        return self.coordinates_sparse(matrix_to_sparse(m))
-
-    def coordinates_sparse(self, x: Sparse) -> tuple[Scalar, ...]:
+    def coordinates(self, x: Sparse) -> tuple[Scalar, ...]:
         """Dense coordinate tuple of a member given by its entries."""
         coords = self.sparse_coordinates(x)
         return tuple(coords.get(k, Fraction(0)) for k in range(self.dim))
@@ -188,17 +184,21 @@ class AlgebraBasis:
         return {index[key]: v for key, v in x.items()
                 if v != 0 and key in index}
 
-    def from_coordinates(self, coords: Sequence[Scalar]) -> Matrix:
+    def from_coordinates(self, coords: Sequence[Scalar]) -> Sparse:
+        """The element with these coordinates.  Int coordinates give int
+        entries; any other value goes through `as_fraction`, so a float
+        raises TypeError."""
         if len(coords) != self.dim:
             raise ValueError("coordinate vector has the wrong length")
         acc: Sparse = {}
         for c, elem in zip(coords, self.elements):
-            c = as_fraction(c)
+            if type(c) is not int:
+                c = as_fraction(c)
             if c == 0:
                 continue
             for key, v in elem.items():
-                acc[key] = acc.get(key, Fraction(0)) + c * v
-        return sparse_to_matrix(acc, self.n)
+                acc[key] = acc.get(key, 0) + c * v
+        return {key: v for key, v in acc.items() if v}
 
 
 def build_algebra(spec: AlgebraSpec) -> AlgebraBasis:
@@ -207,18 +207,6 @@ def build_algebra(spec: AlgebraSpec) -> AlgebraBasis:
 
 
 # -- sparse helpers -----------------------------------------------------
-
-def matrix_to_sparse(m: Matrix) -> Sparse:
-    return {(i, j): m.data[i][j]
-            for i in range(m.rows) for j in range(m.cols) if m.data[i][j] != 0}
-
-
-def sparse_to_matrix(x: Sparse, n: int) -> Matrix:
-    m = Matrix.zeros(n, n)
-    for (i, j), v in x.items():
-        m.data[i][j] = as_fraction(v)
-    return m
-
 
 def sparse_bracket(a: Sparse, b: Sparse) -> Sparse:
     out: Sparse = {}
@@ -276,7 +264,6 @@ class GradingElement:
 class GradedDecomposition:
     """Eigenspace decomposition of g under ad H for diagonal H."""
 
-    g: AlgebraBasis
     degrees: tuple[Fraction, ...]
     buckets: dict  # degree -> tuple of basis indices
     of: tuple[Fraction, ...]  # the degree of each basis element
@@ -302,21 +289,20 @@ def graded_decomposition(g: AlgebraBasis, H: GradingElement) -> GradedDecomposit
     for k, d in enumerate(of):
         buckets.setdefault(d, []).append(k)
     frozen = {d: tuple(ks) for d, ks in buckets.items()}
-    return GradedDecomposition(g, tuple(sorted(frozen)), frozen, of)
+    return GradedDecomposition(tuple(sorted(frozen)), frozen, of)
 
 
-def ad_coordinate_matrix(g: AlgebraBasis, e: Matrix) -> Matrix:
+def ad_coordinate_matrix(g: AlgebraBasis, e: Sparse) -> Matrix:
     """Dense matrix of ad e on g in basis coordinates (columns = [e, b_k]).
 
     The dense reference for the block engine in `gradings`, which never
     builds it; `centralizer` and the tests use it.
     """
-    es = matrix_to_sparse(e)
-    cols = [g.coordinates_sparse(sparse_bracket(es, elem)) for elem in g.elements]
+    cols = [g.coordinates(sparse_bracket(e, elem)) for elem in g.elements]
     return Matrix([[cols[k][r] for k in range(g.dim)] for r in range(g.dim)])
 
 
-def centralizer(g: AlgebraBasis, e: Matrix) -> Subspace:
+def centralizer(g: AlgebraBasis, e: Sparse) -> Subspace:
     """{x in g : [e, x] = 0} as a subspace in basis coordinates."""
     if not g.contains(e):
         raise ValueError("element does not lie in the algebra")

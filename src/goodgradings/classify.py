@@ -25,8 +25,8 @@ All families share one parametrization: a grading is
 shift vectors, pyramids) in one place for the enumeration, the sweep
 and the CLI.
 
-The sweep oracle ignores the casework: on the algebra and ad e blocks
-the enumeration built, it finds the good gradings h(p) + z(t) as the
+The sweep oracle ignores the casework: on the ad e blocks the
+enumeration built, it finds the good gradings h(p) + z(t) as the
 integral points of a polytope.  Its bounds come from the weights of the
 centralizer of e by Fourier-Motzkin elimination, not from the
 classification, so equality with the enumeration is a genuine
@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .algebras import (AlgebraBasis, AlgebraSpec, Family, GradingElement,
-                       _signed_indices, build_algebra)
+from .algebras import (AlgebraSpec, Family, GradingElement, _signed_indices,
+                       build_algebra)
 from .gradings import (AdBlocks, Characteristic, VerificationError,
                        ad_blocks, characteristic_from_pyramid,
                        characteristic_of, fill_boxes, graded_ad_ranks,
@@ -71,13 +71,13 @@ class GradingEntry:
 
 @dataclass(frozen=True)
 class GoodGradingFamily:
-    """The good gradings of e(p) = blocks.e, plus the algebra and ad e
-    blocks they were verified on; eq, hash and repr ignore those two."""
+    """The good gradings of e(p) = blocks.e, plus the ad e blocks (on
+    the algebra blocks.g) they were verified on; eq, hash and repr
+    ignore the blocks."""
 
     spec: AlgebraSpec
     partition: Partition
     entries: tuple[GradingEntry, ...]
-    g: AlgebraBasis = field(compare=False, repr=False)
     blocks: AdBlocks = field(compare=False, repr=False)
 
     def __post_init__(self):
@@ -159,14 +159,14 @@ def _shifted_grading(spec: AlgebraSpec, base: Pyramid,
     return normalize_traceless(GradingElement(spec, tuple(diag)))
 
 
-def _entry(g: AlgebraBasis, H: GradingElement, blocks: AdBlocks,
-           pyr: Pyramid, source: tuple, is_dynkin: bool) -> GradingEntry:
-    pair = is_good(g, H, blocks.e, blocks)
+def _entry(H: GradingElement, blocks: AdBlocks, pyr: Pyramid, source: tuple,
+           is_dynkin: bool) -> GradingEntry:
+    pair = is_good(H, blocks)
     if not pair.verified:
         raise VerificationError(f"enumerated grading failed the goodness check "
-                                f"({g.spec.family.value}, source {source})")
+                                f"({H.spec.family.value}, source {source})")
     char = characteristic_of(H)
-    pyramid_char = characteristic_from_pyramid(g.spec, pyr)
+    pyramid_char = characteristic_from_pyramid(H.spec, pyr)
     if pyramid_char.normalized() != char.normalized():
         raise VerificationError("column characteristic disagrees with the "
                                 "dominant-chamber characteristic")
@@ -188,18 +188,16 @@ def good_gradings(spec: AlgebraSpec, p: Partition) -> GoodGradingFamily:
         raise ValueError("partition total != matrix size")
     torus = center_torus(spec)
     base = torus.base(p)
-    g = build_algebra(spec)
-    e = nilpotent_of_pyramid(spec, base)
-    blocks = ad_blocks(g, e)
+    blocks = ad_blocks(build_algebra(spec), nilpotent_of_pyramid(spec, base))
     kind, keys = ("shifts", p.parts) if spec.family is Family.GL \
         else ("t", torus.center_parts(p))
     entries = []
     for shifts, pyr in zip(torus.shift_vectors(p), torus.pyramids(p)):
         H = _shifted_grading(spec, base, shifts)
         values = tuple(shifts.get(v, Fraction(0)) for v in keys)
-        entries.append(_entry(g, H, blocks, pyr, (kind, values),
+        entries.append(_entry(H, blocks, pyr, (kind, values),
                               all(x == 0 for x in values)))
-    return GoodGradingFamily(spec, p, tuple(entries), g, blocks)
+    return GoodGradingFamily(spec, p, tuple(entries), blocks)
 
 
 def good_gradings_gl(p: Partition) -> GoodGradingFamily:
@@ -228,13 +226,13 @@ def even_good_grading_gl(p: Partition) -> GradingElement:
     """
     _reject_zero(p)
     spec = AlgebraSpec(Family.GL, p.n)
-    g = build_algebra(spec)
     base = symmetric_pyramid(p)
     values = [v for v, _ in p.distinct()]
     breaks = ((v - w) % 2 for v, w in zip(values, values[1:]))
     shifts = dict(zip(values[1:], map(Fraction, itertools.accumulate(breaks))))
     H = _shifted_grading(spec, base, shifts)
-    pair = is_good(g, H, nilpotent_of_pyramid(spec, base))
+    pair = is_good(H, ad_blocks(build_algebra(spec),
+                                nilpotent_of_pyramid(spec, base)))
     if not pair.verified or not pair.decomposition.is_even():
         raise VerificationError("parity-break shifts failed to give an even good grading")
     return H
@@ -279,7 +277,7 @@ def _centralizer_weights(fam: GoodGradingFamily):
     the degree of basis element k is a.s + b for forms[k] = (a, b), read
     off H at t = 0 and the unit vectors; weights counts the forms of a
     basis of g^e, checked against the closed form for dim g^e."""
-    spec, p, g = fam.spec, fam.partition, fam.g
+    spec, p, g = fam.spec, fam.partition, fam.blocks.g
     torus = center_torus(spec)
     base = torus.base(p)
     d0 = _shifted_grading(spec, base, {}).diagonal
@@ -304,8 +302,8 @@ def _centralizer_weights(fam: GoodGradingFamily):
 def sweep_oracle(fam: GoodGradingFamily) -> list[GradingElement]:
     """Every good grading H(t) = h(p) + z(t), read off a polytope in t.
 
-    Runs on the orbit the enumeration built (`fam.g`, `fam.blocks`), not
-    on `fam.entries`.  t holds one shift per center part (for gl relative
+    Runs on the orbit the enumeration built (`fam.blocks`), not on
+    `fam.entries`.  t holds one shift per center part (for gl relative
     to the largest part).  In s = 2t every degree of ad H(t) is affine
     with integer coefficients, and `graded_ad_ranks` on those forms
     gives the weights of g^e for every t at once.  H(t) is good iff
@@ -315,7 +313,7 @@ def sweep_oracle(fam: GoodGradingFamily) -> list[GradingElement]:
     are deduplicated by sign flips to nonnegative coordinates.  Sorted
     by coordinate vector.
     """
-    spec, g, blocks = fam.spec, fam.g, fam.blocks
+    spec, blocks = fam.spec, fam.blocks
     d0, steps, forms, weights = _centralizer_weights(fam)
     parity = {(tuple(x % 2 for x in a), b % 2) for a, b in forms}
 
@@ -328,11 +326,11 @@ def sweep_oracle(fam: GoodGradingFamily) -> list[GradingElement]:
     for s in _lattice_points(list(weights), parity, len(steps)):
         t = tuple(Fraction(x, 2) for x in s)
         H = grading(t)
-        if not is_good(g, H, blocks.e, blocks).verified:
+        if not is_good(H, blocks).verified:
             raise VerificationError("a point of the polytope is not good")
         ct = t if spec.family is Family.GL else tuple(abs(x) for x in t)
         if ct not in found:
             found[ct] = H if ct == t else grading(ct)
-            if ct != t and not is_good(g, found[ct], blocks.e, blocks).verified:
+            if ct != t and not is_good(found[ct], blocks).verified:
                 raise VerificationError("sign flip changed the goodness verdict")
     return [found[ct] for ct in sorted(found)]

@@ -1,7 +1,8 @@
 """Nilpotents and grading elements from pyramids, plus the goodness verdict.
 
 A pyramid yields a nilpotent e (arrows along rows, with the flavor's
-exceptional arrows) and a diagonal grading element h (box first
+exceptional arrows), kept sparse with int entries like every element
+of the algebra, and a diagonal grading element h (box first
 coordinates).  A pair (H, e) with homogeneous e of degree 2 is good iff
 ad e is injective on every negative-degree piece; equivalently iff
 
@@ -10,11 +11,13 @@ ad e is injective on every negative-degree piece; equivalently iff
 Both characterizations are computed here and must agree; a mismatch is
 an internal error, never a property of the input.
 
-The ranks come from a block engine built once per nilpotent: ad e is
-assembled column by column as sparse integer coordinates (bracketing
-with an integer multiple of e, which changes no rank), split into
-connected blocks (columns that reach a common row), and each block is
-ranked once by fraction-free integer elimination (`linalg.rref`).
+The ranks come from a block engine built once per nilpotent, the one
+per-orbit object every verdict takes (`AdBlocks`: the algebra, e and
+the blocks).  ad e is assembled column by column as sparse integer
+coordinates (bracketing with an integer multiple of e, which changes
+no rank), split into connected blocks (columns that reach a common
+row), and each block is ranked once by fraction-free integer
+elimination (`linalg.rref`).
 Every diagonal H with [H, e] = 2e maps each block from one degree d
 into degree d + 2, so g^e has dim g_d minus a sum of block ranks
 vectors of degree d.  `graded_ad_ranks` sums them for any degree per
@@ -39,9 +42,8 @@ from typing import Hashable, Sequence
 
 from .algebras import (AlgebraBasis, AlgebraSpec, Family, GradedDecomposition,
                        GradingElement, Sparse, graded_decomposition,
-                       matrix_to_sparse, sparse_bracket, sparse_to_matrix,
-                       _signed_indices)
-from .linalg import Matrix, integer_row, rank, rref
+                       sparse_bracket, _signed_indices)
+from .linalg import Scalar, integer_row, rref
 from .partitions import Partition
 from .pyramids import ORTHOGONAL, SYMPLECTIC, TYPE_A, Pyramid
 
@@ -114,16 +116,32 @@ def _expected_jordan_type(pyr: Pyramid) -> Partition:
                         for v in r.parts)
 
 
-def jordan_type(e: Matrix) -> Partition:
-    """Jordan block sizes of a nilpotent matrix."""
-    n = e.rows
+def jordan_type(e: Sparse, n: int) -> Partition:
+    """Jordan block sizes of a nilpotent n x n matrix.
+
+    rank(e^k) is the rank of the images e^k v_j of the unit vectors,
+    each kept sparse and pushed through e once per power.
+    """
+    by_col: dict[int, list[tuple[int, Scalar]]] = {}
+    for (i, j), v in e.items():
+        by_col.setdefault(j, []).append((i, v))
+    images = [{j: 1} for j in range(n)]
     ranks = [n]
-    power = Matrix.identity(n)
     for _ in range(n):
         if ranks[-1] == 0:
             break
-        power = power @ e
-        ranks.append(rank(power))
+        nxt = []
+        for vec in images:
+            out: dict[int, Scalar] = {}
+            for j, x in vec.items():
+                for i, v in by_col.get(j, ()):
+                    out[i] = out.get(i, 0) + v * x
+            out = {i: x for i, x in out.items() if x}
+            if out:
+                nxt.append(out)
+        images = nxt
+        ranks.append(len(rref([[vec.get(i, 0) for i in range(n)]
+                               for vec in images])[1]))
     if ranks[-1] != 0:
         raise ValueError("matrix is not nilpotent")
     # counts[k-1] = rank(e^{k-1}) - rank(e^k) = number of blocks of size >= k
@@ -135,8 +153,8 @@ def jordan_type(e: Matrix) -> Partition:
     return Partition.of(s for s in sizes if s > 0)
 
 
-def nilpotent_of_pyramid(spec: AlgebraSpec, pyr: Pyramid) -> Matrix:
-    """The nilpotent acting along the rows of the pyramid.
+def nilpotent_of_pyramid(spec: AlgebraSpec, pyr: Pyramid) -> Sparse:
+    """The nilpotent acting along the rows of the pyramid, with int entries.
 
     Verified on construction: lies in the algebra, and its Jordan type
     matches the partition the pyramid encodes.
@@ -151,7 +169,7 @@ def nilpotent_of_pyramid(spec: AlgebraSpec, pyr: Pyramid) -> Matrix:
 
     def put(src: Box, dst: Box, coeff: int):
         key = (pos[labels[dst]], pos[labels[src]])
-        entries[key] = entries.get(key, Fraction(0)) + coeff
+        entries[key] = entries.get(key, 0) + coeff
 
     if fam is Family.GL:
         for src, dst in arrows:
@@ -168,11 +186,11 @@ def nilpotent_of_pyramid(spec: AlgebraSpec, pyr: Pyramid) -> Matrix:
             if mirror not in arrow_set:
                 raise VerificationError("arrow set is not mirror-closed")
             put(src, dst, 1 if (src, dst) > mirror else -1)
-    e = sparse_to_matrix(entries, spec.size)
+    e = {key: v for key, v in entries.items() if v}
     g = AlgebraBasis(spec)
     if not g.contains(e):
         raise VerificationError("constructed nilpotent fails form compatibility")
-    if jordan_type(e) != _expected_jordan_type(pyr):
+    if jordan_type(e, spec.size) != _expected_jordan_type(pyr):
         raise VerificationError("constructed nilpotent has the wrong Jordan type")
     return e
 
@@ -215,7 +233,7 @@ class GoodPair:
 
 @dataclass(frozen=True)
 class AdBlocks:
-    """ad e split into connected blocks, each ranked once.
+    """ad e on the algebra g split into connected blocks, each ranked once.
 
     A block is (columns, rows, rank): the basis indices k whose images
     [e, b_k] it holds, the basis indices those images reach, and the
@@ -227,12 +245,12 @@ class AdBlocks:
     ad e : g_d -> g_{d+2} is the sum of the ranks of the blocks at d.
     """
 
-    e: Matrix
-    entries: Sparse
+    g: AlgebraBasis
+    e: Sparse
     blocks: tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]
 
 
-def ad_blocks(g: AlgebraBasis, e: Matrix) -> AdBlocks:
+def ad_blocks(g: AlgebraBasis, e: Sparse) -> AdBlocks:
     """Assemble ad e sparsely, split it into connected blocks, rank each.
 
     Raises ValueError unless e lies in g: sparse coordinates drop the
@@ -241,10 +259,9 @@ def ad_blocks(g: AlgebraBasis, e: Matrix) -> AdBlocks:
     """
     if not g.contains(e):
         raise ValueError("element does not lie in the algebra")
-    es = matrix_to_sparse(e)
     # bracket with a positive multiple of e that has integer entries:
     # scaling changes no block and no rank, and keeps Fractions out of ad e
-    scaled = dict(zip(es, integer_row(es.values())))
+    scaled = dict(zip(e, integer_row(e.values())))
     cols = {}
     for k, elem in enumerate(g.elements):
         col = g.sparse_coordinates(sparse_bracket(scaled, elem))
@@ -278,7 +295,7 @@ def ad_blocks(g: AlgebraBasis, e: Matrix) -> AdBlocks:
             rk = len(rref([[cols[c].get(r, 0) for c in columns]
                            for r in rows])[1])
         blocks.append((tuple(columns), tuple(rows), rk))
-    return AdBlocks(e, es, tuple(blocks))
+    return AdBlocks(g, e, tuple(blocks))
 
 
 def graded_ad_ranks(blocks: AdBlocks, degree: Sequence[Hashable]) -> Counter:
@@ -302,29 +319,25 @@ def graded_ad_ranks(blocks: AdBlocks, degree: Sequence[Hashable]) -> Counter:
     return ranks
 
 
-def is_good(g: AlgebraBasis, H: GradingElement, e: Matrix,
-            blocks: AdBlocks | None = None) -> GoodPair:
-    """Decide whether e is a good element of the grading defined by H.
+def is_good(H: GradingElement, blocks: AdBlocks) -> GoodPair:
+    """Decide whether e = blocks.e is a good element of the grading
+    defined by H on the algebra blocks.g.
 
-    Requires e in g, e != 0, [H, e] = 2e, and an integral grading.  The
-    degrees of g^e come from `graded_ad_ranks`.  The verdict is the
-    centralizer dimension identity dim g^e = dim g_0 + dim g_{-1},
-    cross-checked against injectivity of ad e on negative degrees (no
-    degree of g^e below 0); the two must agree or a VerificationError
-    is raised.  `blocks` must come from `ad_blocks(g, e)` for this e,
-    which checks that e lies in g; they are built when omitted.
+    Requires e != 0, [H, e] = 2e, and an integral grading; `ad_blocks`
+    has checked that e lies in g.  The degrees of g^e come from
+    `graded_ad_ranks`.  The verdict is the centralizer dimension
+    identity dim g^e = dim g_0 + dim g_{-1}, cross-checked against
+    injectivity of ad e on negative degrees (no degree of g^e below 0);
+    the two must agree or a VerificationError is raised.
     """
+    g = blocks.g
     if H.spec != g.spec:
         raise ValueError("grading element spec does not match the algebra")
-    if e.is_zero():
+    if not blocks.e:
         raise ValueError("a good element is a nonzero nilpotent")
-    if blocks is None:
-        blocks = ad_blocks(g, e)
-    elif blocks.e is not e and blocks.e != e:
-        raise ValueError("ad e blocks were built from a different element")
     diag = H.diagonal
     # [H, e] = 2e entrywise: (H_i - H_j) e_ij = 2 e_ij
-    if any(diag[i] - diag[j] != 2 for i, j in blocks.entries):
+    if any(diag[i] - diag[j] != 2 for i, j in blocks.e):
         raise ValueError("element is not homogeneous of degree 2 under H")
     if not H.is_integral():
         raise ValueError("not an integral grading")
@@ -481,33 +494,32 @@ def characteristic_from_pyramid(spec: AlgebraSpec, pyr: Pyramid) -> Characterist
 # -- additional certificates --------------------------------------------------
 
 
-def check_duality_form(g: AlgebraBasis, H: GradingElement, e: Matrix) -> bool:
+def check_duality_form(H: GradingElement, blocks: AdBlocks) -> bool:
     """Nondegeneracy of <a, b> = trace(e [a, b]) on the degree -1 piece.
 
     Must hold for every good pair; raises if the pair is not good.
     """
-    pair = is_good(g, H, e)
+    pair = is_good(H, blocks)
     if not pair.verified:
         raise ValueError("pair is not good")
     idxs = pair.decomposition.buckets.get(Fraction(-1), ())
     if not idxs:
         return True
-    es = matrix_to_sparse(e)
-    elems = [g.elements[k] for k in idxs]
+    elems = [blocks.g.elements[k] for k in idxs]
     gram = []
     for a in elems:
         row = []
         for b in elems:
             br = sparse_bracket(a, b)
             val = Fraction(0)
-            for (r, c), v in es.items():
+            for (r, c), v in blocks.e.items():
                 val += v * br.get((c, r), Fraction(0))
             row.append(val)
         gram.append(row)
     return len(rref(gram)[1]) == len(idxs)
 
 
-def check_torus_weights(g: AlgebraBasis, H: GradingElement, e: Matrix) -> bool:
+def check_torus_weights(H: GradingElement, blocks: AdBlocks) -> bool:
     """No nonzero vector of g_1 is killed by the whole diagonal torus of g^e_0.
 
     Supported for gl (type A).  The torus is the space of diagonal matrices
@@ -515,9 +527,10 @@ def check_torus_weights(g: AlgebraBasis, H: GradingElement, e: Matrix) -> bool:
     basis vectors.  Since it acts diagonally on the matrix-unit basis,
     the joint kernel on g_1 is spanned by the matrix units it fixes.
     """
+    g = blocks.g
     if g.spec.family is not Family.GL:
         raise ValueError("torus-weight check is supported for gl only")
-    pair = is_good(g, H, e)
+    pair = is_good(H, blocks)
     if not pair.verified:
         raise ValueError("pair is not good")
     n = g.spec.size
@@ -529,12 +542,10 @@ def check_torus_weights(g: AlgebraBasis, H: GradingElement, e: Matrix) -> bool:
             a = parent[a]
         return a
 
-    for i in range(n):
-        for j in range(n):
-            if e.data[i][j] != 0:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+    for i, j in blocks.e:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
     for k in pair.decomposition.buckets.get(Fraction(1), ()):
         _, i, j = g.labels[k]
         if find(i - 1) == find(j - 1):

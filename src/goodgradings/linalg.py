@@ -1,11 +1,12 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Everything downstream (graded decompositions, centralizers, goodness
-verdicts) reduces to ranks and kernels of small matrices, and those
-verdicts are rank conditions where any rounding would corrupt the
-answer.  So this module keeps to a minimal exact toolkit built on
-``fractions.Fraction``: dense matrices, reduced row echelon form,
-kernels, and subspaces stored by a canonical echelon basis.
+Every verdict downstream (Jordan types, goodness) is a rank condition,
+where any rounding would corrupt the answer.  So this module keeps to
+a minimal exact toolkit on ints and ``fractions.Fraction``: reduced row
+echelon form of rows of exact scalars, which is the one elimination
+the runtime uses, and the dense reference the tests check it against
+(`Matrix`, `rank`, `kernel`, and subspaces stored by a canonical
+echelon basis).
 
 Elimination is fraction-free: `rref` scales each row to integers and
 row-reduces with integer operations, creating Fractions only for the

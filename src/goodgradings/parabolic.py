@@ -214,11 +214,11 @@ def grading_is_good_generic(g: AlgebraBasis, H: GradingElement) -> bool:
     target = dec.piece_dim(0) + dec.piece_dim(-1)
     rng = random.Random(SEED)
     for _ in range(SAMPLES):
-        coords = [Fraction(0)] * g.dim
+        coords = [0] * g.dim
         for k in idxs:
-            coords[k] = Fraction(rng.randint(-3, 3))
+            coords[k] = rng.randint(-3, 3)
         e = g.from_coordinates(coords)
-        if e.is_zero():
+        if not e:
             continue
         ranks = graded_ad_ranks(ad_blocks(g, e), dec.of)
         if g.dim - sum(ranks.values()) == target:

@@ -94,10 +94,11 @@ def test_criterion_04_type_a_soundness_completeness():
         g = build_algebra(spec)
         for p in nonzero(partitions(n)):
             if n <= 6:
-                e = nilpotent_of_pyramid(spec, symmetric_pyramid(p))
+                blocks = ad_blocks(g, nilpotent_of_pyramid(
+                    spec, symmetric_pyramid(p)))
                 for pyr in enumerate_pyramids(p):
                     H = normalize_traceless(grading_of_pyramid(spec, pyr))
-                    assert is_good(g, H, e).verified, (p, pyr)
+                    assert is_good(H, blocks).verified, (p, pyr)
                     checked += 1
             sweep_matches(good_gradings_gl(p))
             orbits += 1
@@ -275,7 +276,7 @@ def _injective_iff_surjective_sample(g, rng):
     for k in idxs:
         coords[k] = Fraction(rng.randint(-2, 2))
     e = g.from_coordinates(coords)
-    if e.is_zero():
+    if not e:
         return None
     ranks = graded_ad_ranks(ad_blocks(g, e), dec.of)
     injective = all(ranks[d] == len(dec.buckets[d])
@@ -305,36 +306,31 @@ def test_criterion_09_property_suites():
     for n in range(2, 6):
         spec = AlgebraSpec(Family.GL, n)
         for p in nonzero(partitions(n)):
-            emitted.append((spec, p, good_gradings_gl(p), symmetric_pyramid(p)))
+            emitted.append((spec, p, good_gradings_gl(p)))
     for N in range(2, 9, 2):
         spec = AlgebraSpec(Family.SP, N)
         for p in nonzero(symplectic_partitions(N)):
-            from goodgradings.pyramids import symplectic_pyramid
-            emitted.append((spec, p, good_gradings_sp(p), symplectic_pyramid(p)))
+            emitted.append((spec, p, good_gradings_sp(p)))
     for N in range(3, 9):
         spec = AlgebraSpec(Family.SO, N)
         for p in nonzero(orthogonal_partitions(N)):
-            from goodgradings.pyramids import orthogonal_pyramid
-            emitted.append((spec, p, good_gradings_so(p), orthogonal_pyramid(p)))
+            emitted.append((spec, p, good_gradings_so(p)))
     gram_checked = 0
-    for spec, p, fam, base in emitted:
-        g = build_algebra(spec)
-        e = nilpotent_of_pyramid(spec, base)
+    for spec, p, fam in emitted:
         for ent in fam.entries:
             assert all(x in (0, 1, 2) for x in ent.characteristic.labels), \
                 (spec, p, ent.characteristic)
-            if graded_decomposition(g, ent.H).piece_dim(-1) > 0:
-                assert check_duality_form(g, ent.H, e), (spec, p, ent.source)
+            if graded_decomposition(fam.blocks.g, ent.H).piece_dim(-1) > 0:
+                assert check_duality_form(ent.H, fam.blocks), \
+                    (spec, p, ent.source)
                 gram_checked += 1
     # torus weights on all good pairs in gl_n, n <= 5
     torus_checked = 0
     for n in range(2, 6):
-        spec = AlgebraSpec(Family.GL, n)
-        g = build_algebra(spec)
         for p in nonzero(partitions(n)):
-            e = nilpotent_of_pyramid(spec, symmetric_pyramid(p))
-            for ent in good_gradings_gl(p).entries:
-                assert check_torus_weights(g, ent.H, e), (p, ent.source)
+            fam = good_gradings_gl(p)
+            for ent in fam.entries:
+                assert check_torus_weights(ent.H, fam.blocks), (p, ent.source)
                 torus_checked += 1
     report(9, 300, started,
            f"300 equivalence samples, label ranges on all emitted gradings, "

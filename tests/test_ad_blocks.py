@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from goodgradings import parabolic
+from goodgradings import cli, parabolic
 from goodgradings.algebras import (AlgebraSpec, Family, GradingElement,
                                    ad_coordinate_matrix, build_algebra,
                                    centralizer, graded_decomposition)
@@ -19,7 +19,8 @@ from goodgradings.classify import good_gradings
 from goodgradings.gradings import (ad_blocks, graded_ad_ranks, is_good,
                                    nilpotent_of_pyramid)
 from goodgradings.linalg import Matrix, rref
-from goodgradings.parabolic import ParabolicSpec, grading_is_good_generic
+from goodgradings.parabolic import (ParabolicSpec, generic_richardson_oracle,
+                                    grading_is_good_generic)
 from goodgradings.partitions import (orthogonal_partitions, partitions,
                                      symplectic_partitions)
 from goodgradings.pyramids import (orthogonal_pyramid, symmetric_pyramid,
@@ -87,9 +88,10 @@ def test_rational_multiple_of_e_has_the_same_blocks():
             continue
         g = build_algebra(spec)
         e = nilpotent_of_pyramid(spec, base)
-        third = ad_blocks(g, e.scale(Fraction(1, 3)))
+        e3 = {key: Fraction(v, 3) for key, v in e.items()}
+        third = ad_blocks(g, e3)
         assert third.blocks == ad_blocks(g, e).blocks, (spec, p)
-        assert third.e == e.scale(Fraction(1, 3))
+        assert third.e is e3 and third.g is g
 
 
 def test_block_ranks_equal_dense_slices_on_generic_samples(monkeypatch):
@@ -141,18 +143,18 @@ def test_inhomogeneous_element_is_rejected_not_ranked():
     spec = AlgebraSpec(GL, 3)
     g = build_algebra(spec)
     H = GradingElement(spec, (Fraction(2), Fraction(0), Fraction(0)))
-    e12 = Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])  # degree 2
-    e23 = Matrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]])  # degree 0
-    e13 = Matrix([[0, 0, 1], [0, 0, 0], [0, 0, 0]])  # degree 2
+    e12 = {(0, 1): 1}  # degree 2
+    e23 = {(1, 2): 1}  # degree 0
+    e13 = {(0, 2): 1}  # degree 2
     dec = graded_decomposition(g, H)
-    ranks = graded_ad_ranks(ad_blocks(g, e12 + e13), dec.of)  # accepted
-    _check_against_dense(g, e12 + e13, ranks, dec)
-    mixed = ad_blocks(g, e12 + e23)
+    ranks = graded_ad_ranks(ad_blocks(g, e12 | e13), dec.of)  # accepted
+    _check_against_dense(g, e12 | e13, ranks, dec)
+    mixed = ad_blocks(g, e12 | e23)
     with pytest.raises(ValueError):
         graded_ad_ranks(mixed, dec.of)
-    for e in (e12 + e23, e23):
+    for blocks in (mixed, ad_blocks(g, e23)):
         with pytest.raises(ValueError):
-            is_good(g, H, e)
+            is_good(H, blocks)
     # one block at a time, the engine names what is mixed: some block of
     # e12 + e23 mixes only its columns' degrees, another only its rows'
     kinds = set()
@@ -172,33 +174,51 @@ def test_inhomogeneous_element_is_rejected_not_ranked():
     # only is_good's entrywise [H, e] = 2e check refuses it
     H4 = GradingElement(spec, (Fraction(4), Fraction(0), Fraction(0)))
     with pytest.raises(ValueError):
-        is_good(g, H4, e12)
+        is_good(H4, ad_blocks(g, e12))
 
 
-def test_blocks_of_another_element_are_rejected():
-    spec = AlgebraSpec(GL, 3)
-    g = build_algebra(spec)
-    H = GradingElement(spec, (Fraction(2), Fraction(0), Fraction(-2)))
-    e12 = Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    e23 = Matrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
-    other = ad_blocks(g, e23)
-    with pytest.raises(ValueError):
-        is_good(g, H, e12, other)
-    copy = Matrix(e12.data)
-    assert is_good(g, H, e12, ad_blocks(g, copy)) == is_good(g, H, e12)
+def test_grading_of_another_algebra_is_rejected():
+    g3 = build_algebra(AlgebraSpec(GL, 3))
+    H = GradingElement(AlgebraSpec(GL, 4), (2, 0, -2, 0))
+    with pytest.raises(ValueError, match="does not match the algebra"):
+        is_good(H, ad_blocks(g3, {(0, 1): 1}))
 
 
 def test_element_outside_the_algebra_is_rejected():
     # a lone matrix unit without its mirror entry lies in neither so_5 nor
     # sp_4; sparse coordinates would drop the unowned entry, so the
-    # blocks must refuse it, and is_good with them
-    for spec, diag in [(AlgebraSpec(SO, 5), (2, 0, 0, -2, 0)),
-                       (AlgebraSpec(SP, 4), (2, 0, -2, 0))]:
+    # blocks must refuse it, and is_good can only take blocks; so must a
+    # key outside the matrix, which no basis element owns either
+    for spec in [AlgebraSpec(SO, 5), AlgebraSpec(SP, 4)]:
         g = build_algebra(spec)
-        H = GradingElement(spec, tuple(map(Fraction, diag)))
-        e = Matrix.zeros(spec.size, spec.size)
-        e.data[0][1] = Fraction(1)  # degree 2 under H
-        with pytest.raises(ValueError, match="does not lie in the algebra"):
-            ad_blocks(g, e)
-        with pytest.raises(ValueError, match="does not lie in the algebra"):
-            is_good(g, H, e)
+        n = spec.size
+        for e in [{(0, 1): 1}, {(0, n): 1}, {(n, 0): 1}]:
+            with pytest.raises(ValueError, match="does not lie in the algebra"):
+                ad_blocks(g, e)
+
+
+def test_no_runtime_path_builds_a_dense_matrix(monkeypatch, capsys):
+    # elements are sparse on every runtime path: classify, verify and the
+    # generic oracle construct no linalg.Matrix
+    built = []
+    real = Matrix.__init__
+
+    def counted(self, data):
+        built.append(len(data))
+        real(self, data)
+
+    monkeypatch.setattr(Matrix, "__init__", counted)
+    for argv in (["classify", "--family", "D", "--partition", "5,5,3,3,1,1"],
+                 ["verify", "--family", "C", "--partition", "4,4,2,2"],
+                 ["verify", "--family", "A", "--partition", "3,2,1"]):
+        assert cli.main(argv + ["--format", "json"]) == 0
+    capsys.readouterr()
+    verdicts = [generic_richardson_oracle(ParabolicSpec(AlgebraSpec(fam, n),
+                                                        comp, q))
+                for fam, n, comp, q in [(SO, 12, (2, 1, 1, 2), 0),
+                                        (SP, 12, (3, 1, 2), 0),
+                                        (GL, 8, (2, 1, 3, 2), 0)]]
+    assert verdicts == [False, False, False]
+    assert built == []
+    Matrix([[1]])  # the counter sees a Matrix when one is built
+    assert built == [1]

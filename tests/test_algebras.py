@@ -6,12 +6,16 @@ import pytest
 
 from goodgradings.algebras import (AlgebraSpec, Family, GradingElement,
                                    build_algebra, centralizer,
-                                   graded_decomposition, matrix_to_sparse,
-                                   sparse_bracket, sparse_to_matrix)
+                                   graded_decomposition, sparse_bracket)
 from goodgradings.gradings import nilpotent_of_pyramid
 from goodgradings.linalg import Matrix, bracket
 from goodgradings.partitions import Partition, gl_centralizer_dim
 from goodgradings.pyramids import symmetric_pyramid
+
+
+def dense(x, n):
+    """The n x n Matrix of a sparse element."""
+    return Matrix([[x.get((i, j), 0) for j in range(n)] for i in range(n)])
 
 
 def test_dimensions():
@@ -34,7 +38,7 @@ def test_basis_lies_in_algebra():
                  AlgebraSpec(Family.SO, 5), AlgebraSpec(Family.SO, 6)]:
         g = build_algebra(spec)
         for k in range(g.dim):
-            assert g.contains(g.basis_matrix(k))
+            assert g.contains(g.elements[k])
 
 
 def test_bracket_closure_and_coordinates():
@@ -45,7 +49,10 @@ def test_bracket_closure_and_coordinates():
         for _ in range(25):
             a = rng.randrange(g.dim)
             b = rng.randrange(g.dim)
-            m = bracket(g.basis_matrix(a), g.basis_matrix(b))
+            m = sparse_bracket(g.elements[a], g.elements[b])
+            n = spec.size
+            assert dense(m, n) == bracket(dense(g.elements[a], n),
+                                          dense(g.elements[b], n))
             assert g.contains(m)
             coords = g.coordinates(m)
             assert g.from_coordinates(coords) == m
@@ -64,8 +71,10 @@ def test_contains_matches_coordinate_roundtrip():
             m = g.from_coordinates([rng.choice((0, 0, 1, -2))
                                     for _ in range(g.dim)])
             if rng.random() < 0.5:
-                i, j = rng.randrange(n), rng.randrange(n)
-                m.data[i][j] += rng.choice((1, -1))
+                key = rng.randrange(n), rng.randrange(n)
+                m[key] = m.get(key, 0) + rng.choice((1, -1))
+                if not m[key]:
+                    del m[key]
             member = g.from_coordinates(g.coordinates(m)) == m
             assert g.contains(m) == member
             seen.add(member)
@@ -75,7 +84,7 @@ def test_contains_matches_coordinate_roundtrip():
 def test_bracket_antisymmetry_and_jacobi():
     g = build_algebra(AlgebraSpec(Family.SP, 4))
     rng = random.Random(5)
-    mats = [g.basis_matrix(rng.randrange(g.dim)) for _ in range(6)]
+    mats = [dense(g.elements[rng.randrange(g.dim)], 4) for _ in range(6)]
     for x, y in itertools.combinations(mats, 2):
         assert bracket(x, y) == -bracket(y, x)
     for x, y, z in itertools.combinations(mats, 3):
@@ -96,8 +105,7 @@ def test_sl2_relations_in_gl2():
 def test_centralizer_dimensions():
     spec = AlgebraSpec(Family.GL, 3)
     g = build_algebra(spec)
-    zero = Matrix.zeros(3, 3)
-    assert centralizer(g, zero).dim == 9
+    assert centralizer(g, {}).dim == 9
     for n in range(2, 6):
         gn = build_algebra(AlgebraSpec(Family.GL, n))
         e = nilpotent_of_pyramid(AlgebraSpec(Family.GL, n),
@@ -122,8 +130,7 @@ def test_centralizer_matches_dual_square_sum():
 def test_centralizer_requires_membership():
     g = build_algebra(AlgebraSpec(Family.SP, 4))
     with pytest.raises(ValueError):
-        centralizer(g, Matrix([[1, 0, 0, 0], [0, 0, 0, 0],
-                               [0, 0, 0, 0], [0, 0, 0, 0]]))
+        centralizer(g, {(0, 0): 1})
 
 
 def test_graded_decomposition_gl2():
@@ -202,7 +209,7 @@ def test_bracket_degree_additivity():
         da = next(d for d, ks in dec.buckets.items() if a in ks)
         db = next(d for d, ks in dec.buckets.items() if b in ks)
         m = sparse_bracket(g.elements[a], g.elements[b])
-        coords = g.coordinates_sparse(m)
+        coords = g.coordinates(m)
         for k, c in enumerate(coords):
             if c != 0:
                 dk = next(d for d, ks in dec.buckets.items() if k in ks)
@@ -223,5 +230,31 @@ def test_piece_dims_symmetric_under_negation():
 
 
 def test_sparse_roundtrip():
-    m = Matrix([[0, 2, 0], [0, 0, -1], [3, 0, 0]])
-    assert sparse_to_matrix(matrix_to_sparse(m), 3) == m
+    # coordinates and from_coordinates invert each other on members; int
+    # coordinates give int entries, and zero entries are never stored
+    rng = random.Random(2)
+    for spec in [AlgebraSpec(Family.GL, 3), AlgebraSpec(Family.SP, 4),
+                 AlgebraSpec(Family.SO, 5), AlgebraSpec(Family.SO, 6)]:
+        g = build_algebra(spec)
+        for _ in range(50):
+            coords = tuple(rng.choice((0, 0, 0, 1, -1, 3)) for _ in range(g.dim))
+            x = g.from_coordinates(coords)
+            assert all(type(v) is int and v for v in x.values())
+            assert g.contains(x) and g.coordinates(x) == coords
+        half = g.from_coordinates([Fraction(1, 2)] * g.dim)
+        assert g.coordinates(half) == (Fraction(1, 2),) * g.dim
+        with pytest.raises(TypeError):
+            g.from_coordinates([0.5] * g.dim)
+        with pytest.raises(ValueError):
+            g.from_coordinates([1] * (g.dim + 1))
+
+
+def test_contains_rejects_keys_outside_the_matrix():
+    for spec in [AlgebraSpec(Family.GL, 3), AlgebraSpec(Family.SP, 4),
+                 AlgebraSpec(Family.SO, 5)]:
+        g = build_algebra(spec)
+        n = spec.size
+        assert g.contains({}) and g.contains(g.elements[0])
+        for key in [(n, 0), (0, n), (-1, 0), (0, -1), (n, n)]:
+            assert not g.contains({key: 1}), (spec, key)
+            assert not g.contains({**g.elements[0], key: 1}), (spec, key)

@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from goodgradings.algebras import AlgebraSpec, Family, build_algebra, \
-    graded_decomposition
+from goodgradings.algebras import AlgebraSpec, Family, GradingElement, \
+    build_algebra, graded_decomposition
 from goodgradings.classify import (_centralizer_weights, _lattice_points,
                                    _shifted_grading, center_torus,
                                    even_good_grading_gl, good_gradings,
                                    good_gradings_gl, good_gradings_so,
                                    good_gradings_sp, sweep_oracle)
-from goodgradings.gradings import (AdBlocks, VerificationError, is_good,
+from goodgradings.gradings import (AdBlocks, VerificationError, ad_blocks,
+                                   characteristic_of, is_good,
                                    nilpotent_of_pyramid, normalize_traceless)
 from goodgradings.partitions import (Partition, orthogonal_partitions,
                                      partitions, symplectic_partitions)
@@ -34,13 +35,13 @@ def grid_axis(p):
 def grid_sweep(fam):
     """The good gradings h(p) + z(t) for t on the grid, as `sweep_oracle`
     returns them: deduplicated by sign for sp/so, sorted by coordinates."""
-    spec, p, g, blocks = fam.spec, fam.partition, fam.g, fam.blocks
+    spec, p, blocks = fam.spec, fam.partition, fam.blocks
     torus = center_torus(spec)
     base, cparts = torus.base(p), torus.center_parts(p)
     found = {}
     for t in itertools.product(grid_axis(p), repeat=len(cparts)):
         H = _shifted_grading(spec, base, dict(zip(cparts, t)))
-        if not H.is_integral() or not is_good(g, H, blocks.e, blocks).verified:
+        if not H.is_integral() or not is_good(H, blocks).verified:
             continue
         ct = t if spec.family is Family.GL else tuple(abs(x) for x in t)
         found.setdefault(ct, _shifted_grading(spec, base, dict(zip(cparts, ct))))
@@ -124,7 +125,7 @@ def test_even_good_grading_gl():
         g = build_algebra(spec)
         e = nilpotent_of_pyramid(spec, symmetric_pyramid(p))
         assert graded_decomposition(g, H).is_even()
-        assert is_good(g, H, e).verified
+        assert is_good(H, ad_blocks(g, e)).verified
 
 
 def test_even_good_grading_gl_even_nilpotent_is_dynkin():
@@ -190,7 +191,7 @@ def test_sign_symmetry_of_goodness():
         g = build_algebra(spec)
         base = symplectic_pyramid(p) if fam is Family.SP \
             else orthogonal_pyramid(p)
-        e = nilpotent_of_pyramid(spec, base)
+        blocks = ad_blocks(g, nilpotent_of_pyramid(spec, base))
         family = good_gradings_sp(p) if fam is Family.SP \
             else good_gradings_so(p)
         from goodgradings.pyramids import (orthogonal_center_parts,
@@ -201,7 +202,7 @@ def test_sign_symmetry_of_goodness():
             t = ent.source[1]
             flipped = _shifted_grading(spec, base,
                                        {v: -x for v, x in zip(cparts, t)})
-            assert is_good(g, flipped, e).verified
+            assert is_good(flipped, blocks).verified
 
 
 def test_sweep_matches_enumeration_spot_checks():
@@ -240,7 +241,7 @@ def test_sweep_reads_the_orbit_not_the_entries():
 def test_family_equality_ignores_the_orbit_build():
     p = Partition((3, 3, 1, 1))
     one, two = good_gradings_so(p), good_gradings_so(p)
-    assert one.g is not two.g and one.blocks is not two.blocks
+    assert one.blocks.g is not two.blocks.g and one.blocks is not two.blocks
     assert one == two and hash(one) == hash(two)
     assert "blocks" not in repr(one) and "AlgebraBasis" not in repr(one)
 
@@ -284,7 +285,7 @@ def test_verify_builds_the_orbit_once(monkeypatch, capsys):
     for name in calls:
         monkeypatch.setattr(classify, name,
                             counted(name, getattr(classify, name)))
-    # is_good builds blocks itself when given none; it must not here
+    # and gradings builds none behind classify's back
     monkeypatch.setattr(gradings, "ad_blocks",
                         counted("ad_blocks", gradings.ad_blocks))
     code = cli.main(["verify", "--family", "D", "--partition", "3,3,1,1",
@@ -353,7 +354,7 @@ def test_sweep_counts_the_centralizer_weights():
     for k, (cols, _, rk) in enumerate(blocks.blocks):
         if len(cols) > rk:
             break
-    torn = AdBlocks(blocks.e, blocks.entries,
+    torn = AdBlocks(blocks.g, blocks.e,
                     blocks.blocks[:k] + blocks.blocks[k + 1:])
     with pytest.raises(VerificationError, match="dim g\\^e"):
         sweep_oracle(dataclasses.replace(fam, blocks=torn))
@@ -407,3 +408,27 @@ def test_entries_report_verified_data():
     halfs = [ent for ent in fam.entries
              if any(x.denominator == 2 for x in ent.H.diagonal)]
     assert len(halfs) == 1 and not halfs[0].is_even
+
+
+def test_very_even_orbits_report_the_pyramid_orbit():
+    # a very even partition (all parts even, each of even multiplicity)
+    # labels two orbits of so_2n, swapped by the outer automorphism that
+    # exchanges v_n and v_-n.  classify reports the orbit of the pyramid
+    # nilpotent: one grading, whose characteristic ends in the fork pair
+    # (0, 2); the other orbit's grading is the image, with (2, 0)
+    very_even = [p for N in range(4, 17, 2) for p in orthogonal_partitions(N)
+                 if all(v % 2 == 0 and m % 2 == 0 for v, m in p.distinct())]
+    assert len(very_even) == 11
+    for p in very_even:
+        fam = good_gradings_so(p)
+        N, half = p.n, p.n // 2
+        labels = fam.dynkin.characteristic.labels
+        assert len(fam) == 1 and labels[-2:] == (0, 2), p
+        swap = {half - 1: N - 1, N - 1: half - 1}
+        diag = list(fam.dynkin.H.diagonal)
+        diag[half - 1], diag[N - 1] = diag[N - 1], diag[half - 1]
+        H = GradingElement(fam.spec, tuple(diag))
+        e = {(swap.get(a, a), swap.get(b, b)): v
+             for (a, b), v in fam.blocks.e.items()}
+        assert is_good(H, ad_blocks(fam.blocks.g, e)).verified, p
+        assert characteristic_of(H).labels == labels[:-2] + (2, 0), p

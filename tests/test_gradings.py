@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,13 +6,13 @@ import pytest
 from goodgradings.algebras import (AlgebraSpec, Family, GradingElement,
                                    build_algebra, graded_decomposition)
 from goodgradings.classify import _shifted_grading, good_gradings_gl
-from goodgradings.gradings import (_expected_jordan_type,
+from goodgradings.gradings import (_expected_jordan_type, ad_blocks,
                                    characteristic_from_pyramid,
                                    characteristic_of, check_duality_form,
                                    check_torus_weights, fill_boxes,
                                    grading_of_pyramid, is_good, jordan_type,
                                    nilpotent_of_pyramid, normalize_traceless)
-from goodgradings.linalg import Matrix, bracket
+from goodgradings.linalg import Matrix, bracket, rank
 from goodgradings.partitions import (Partition, orthogonal_partitions,
                                      partitions, symplectic_partitions)
 from goodgradings.pyramids import (enumerate_pyramids, orthogonal_pyramid,
@@ -21,6 +22,33 @@ from goodgradings.pyramids import (enumerate_pyramids, orthogonal_pyramid,
 GL = Family.GL
 SP = Family.SP
 SO = Family.SO
+
+
+def dense(x, n):
+    """The n x n Matrix of a sparse element."""
+    return Matrix([[x.get((i, j), 0) for j in range(n)] for i in range(n)])
+
+
+def reference_jordan_type(e: Matrix) -> Partition:
+    """Jordan block sizes of a nilpotent matrix, from the ranks of its
+    dense powers: the reference for the sparse `jordan_type`."""
+    n = e.rows
+    ranks = [n]
+    power = Matrix.identity(n)
+    for _ in range(n):
+        if ranks[-1] == 0:
+            break
+        power = power @ e
+        ranks.append(rank(power))
+    if ranks[-1] != 0:
+        raise ValueError("matrix is not nilpotent")
+    # counts[k-1] = rank(e^{k-1}) - rank(e^k) = number of blocks of size >= k
+    counts = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
+    sizes: list[int] = []
+    for size in range(len(counts), 0, -1):
+        mult = counts[size - 1] - (counts[size] if size < len(counts) else 0)
+        sizes.extend([size] * mult)
+    return Partition.of(s for s in sizes if s > 0)
 
 
 def base_pyramid(spec, p):
@@ -49,32 +77,78 @@ def test_nilpotent_construction(fam, n, parts):
     pyr = base_pyramid(spec, p)
     e = nilpotent_of_pyramid(spec, pyr)
     assert g.contains(e)
-    assert jordan_type(e) == p
+    assert all(type(v) is int and v for v in e.values())
+    assert jordan_type(e, n) == reference_jordan_type(dense(e, n)) == p
     H = grading_of_pyramid(spec, pyr)
-    assert bracket(H.matrix(), e) == e.scale(2)
+    assert bracket(H.matrix(), dense(e, n)) == dense(e, n).scale(2)
+
+
+def _pyramid_cases(top=14):
+    """Every pyramid of A n <= 9 and B/C/D N <= top, with its partition
+    and algebra."""
+    cases = [(AlgebraSpec(GL, n), p, enumerate_pyramids(p))
+             for n in range(1, 10) for p in partitions(n)]
+    cases += [(AlgebraSpec(SP, N), p, symplectic_pyramids(p))
+              for N in range(2, top + 1, 2) for p in symplectic_partitions(N)]
+    cases += [(AlgebraSpec(SO, N), p, orthogonal_pyramids(p))
+              for N in range(3, top + 1) for p in orthogonal_partitions(N)]
+    return [(spec, p, pyr) for spec, p, pyrs in cases for pyr in pyrs]
 
 
 def test_expected_jordan_type_is_the_partition():
     # the parts recorded on the rows give back p for every pyramid
     # (A n <= 9, B/C/D N <= 14), so nilpotent_of_pyramid checks e
     # against the partition itself
-    cases = [(p, enumerate_pyramids(p))
-             for n in range(1, 10) for p in partitions(n)]
-    cases += [(p, symplectic_pyramids(p))
-              for N in range(2, 15, 2) for p in symplectic_partitions(N)]
-    cases += [(p, orthogonal_pyramids(p))
-              for N in range(3, 15) for p in orthogonal_partitions(N)]
-    assert sum(len(pyrs) for _, pyrs in cases) == 1104
-    for p, pyrs in cases:
-        for pyr in pyrs:
-            assert _expected_jordan_type(pyr) == p, (p, pyr)
+    cases = _pyramid_cases()
+    assert len(cases) == 1104
+    for _, p, pyr in cases:
+        assert _expected_jordan_type(pyr) == p, (p, pyr)
+
+
+def test_jordan_type_equals_the_dense_reference_on_pyramids():
+    # the 1104 pyramids above and those of B/C/D N = 15, 16; they include
+    # 157 B/D pyramids with joint rows, whose exceptional arrows give a box
+    # a second incoming or outgoing arrow, so that their Jordan type is
+    # not the multiset of arrow chain lengths (85 of them have N <= 14)
+    cases = _pyramid_cases(16)
+    assert len(cases) == 1450
+    double = 0
+    for spec, p, pyr in cases:
+        e = nilpotent_of_pyramid(spec, pyr)
+        n = spec.size
+        assert jordan_type(e, n) == reference_jordan_type(dense(e, n)) == p
+        rows = [i for i, _ in e]
+        cols = [j for _, j in e]
+        if len(set(rows)) < len(rows) or len(set(cols)) < len(cols):
+            assert spec.family is SO and any(r.role == "joint" for r in pyr.rows)
+            double += 1
+    assert double == 157
+
+
+def test_jordan_type_equals_the_dense_reference_on_random_nilpotents():
+    # a strictly upper triangular matrix conjugated by a permutation
+    rng = random.Random(13)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        e = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.4:
+                    v = rng.choice((-2, -1, 1, 2, 3, Fraction(1, 2)))
+                    e[(sigma[i], sigma[j])] = v
+        jt = jordan_type(e, n)
+        assert jt == reference_jordan_type(dense(e, n)), (n, e)
+        seen.add(jt.parts)
+    assert len(seen) > 30
 
 
 def test_single_block_nilpotent():
     spec = AlgebraSpec(GL, 2)
-    e = nilpotent_of_pyramid(spec, symmetric_pyramid(Partition((2,))))
+    e = dense(nilpotent_of_pyramid(spec, symmetric_pyramid(Partition((2,)))), 2)
     assert (e @ e).is_zero()
-    from goodgradings.linalg import rank
     assert rank(e) == 1
 
 
@@ -109,7 +183,7 @@ def test_every_type_a_pyramid_pair_is_good():
             e = nilpotent_of_pyramid(spec, symmetric_pyramid(p))
             for pyr in enumerate_pyramids(p):
                 H = normalize_traceless(grading_of_pyramid(spec, pyr))
-                assert is_good(g, H, e).verified
+                assert is_good(H, ad_blocks(g, e)).verified
 
 
 def test_every_symplectic_pyramid_pair_is_good():
@@ -122,7 +196,7 @@ def test_every_symplectic_pyramid_pair_is_good():
             for pyr in symplectic_pyramids(p):
                 e = nilpotent_of_pyramid(spec, pyr)
                 H = grading_of_pyramid(spec, pyr)
-                assert is_good(g, H, e).verified
+                assert is_good(H, ad_blocks(g, e)).verified
 
 
 def test_every_orthogonal_pyramid_pair_is_good():
@@ -135,7 +209,7 @@ def test_every_orthogonal_pyramid_pair_is_good():
             for pyr in orthogonal_pyramids(p):
                 e = nilpotent_of_pyramid(spec, pyr)
                 H = grading_of_pyramid(spec, pyr)
-                assert is_good(g, H, e).verified
+                assert is_good(H, ad_blocks(g, e)).verified
 
 
 def test_out_of_bound_shift_is_not_good():
@@ -145,7 +219,7 @@ def test_out_of_bound_shift_is_not_good():
     g = build_algebra(spec)
     e = nilpotent_of_pyramid(spec, symmetric_pyramid(p))
     H = GradingElement(spec, (Fraction(-1, 3), Fraction(5, 3), Fraction(-4, 3)))
-    pair = is_good(g, H, e)
+    pair = is_good(H, ad_blocks(g, e))
     assert not pair.verified
     assert min(pair.centralizer_degrees) < 0
 
@@ -155,17 +229,17 @@ def test_is_good_errors():
     g = build_algebra(spec)
     e = nilpotent_of_pyramid(spec, symmetric_pyramid(Partition((2,))))
     with pytest.raises(ValueError):
-        is_good(g, GradingElement(spec, (0, 0)), e)  # not degree 2
+        is_good(GradingElement(spec, (0, 0)), ad_blocks(g, e))  # not degree 2
     with pytest.raises(ValueError):
-        is_good(g, GradingElement(spec, (1, -1)), Matrix.zeros(2, 2))
+        is_good(GradingElement(spec, (1, -1)), ad_blocks(g, {}))
     spec3 = AlgebraSpec(GL, 3)
     g3 = build_algebra(spec3)
-    e12 = Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    e12 = {(0, 1): 1}
     frac_H = GradingElement(spec3, (Fraction(5, 4), Fraction(-3, 4),
                                     Fraction(-1, 2)))
     with pytest.raises(ValueError):
         # e is homogeneous of degree 2 but the grading is not integral
-        is_good(g3, frac_H, e12)
+        is_good(frac_H, ad_blocks(g3, e12))
 
 
 def test_good_pair_centralizer_degrees():
@@ -174,7 +248,7 @@ def test_good_pair_centralizer_degrees():
     p = Partition((2, 1))
     e = nilpotent_of_pyramid(spec, symmetric_pyramid(p))
     H = grading_of_pyramid(spec, symmetric_pyramid(p))
-    pair = is_good(g, H, e)
+    pair = is_good(H, ad_blocks(g, e))
     assert pair.verified
     assert len(pair.centralizer_degrees) == 5
     assert min(pair.centralizer_degrees) >= 0
@@ -234,7 +308,7 @@ def test_duality_form():
     g = build_algebra(spec)
     e = nilpotent_of_pyramid(spec, symmetric_pyramid(Partition((2,))))
     H = grading_of_pyramid(spec, symmetric_pyramid(Partition((2,))))
-    assert check_duality_form(g, H, e)
+    assert check_duality_form(H, ad_blocks(g, e))
     # sl_3 subregular Dynkin grading has a 2-dim degree -1 piece
     spec3 = AlgebraSpec(GL, 3)
     g3 = build_algebra(spec3)
@@ -242,14 +316,14 @@ def test_duality_form():
     e3 = nilpotent_of_pyramid(spec3, symmetric_pyramid(p))
     H3 = grading_of_pyramid(spec3, symmetric_pyramid(p))
     assert graded_decomposition(g3, H3).piece_dim(-1) == 2
-    assert check_duality_form(g3, H3, e3)
+    assert check_duality_form(H3, ad_blocks(g3, e3))
     # sp_4, (2,1,1) Dynkin
     spec_sp = AlgebraSpec(SP, 4)
     gsp = build_algebra(spec_sp)
     psp = Partition((2, 1, 1))
     esp = nilpotent_of_pyramid(spec_sp, symplectic_pyramid(psp))
     Hsp = grading_of_pyramid(spec_sp, symplectic_pyramid(psp))
-    assert check_duality_form(gsp, Hsp, esp)
+    assert check_duality_form(Hsp, ad_blocks(gsp, esp))
 
 
 def test_duality_form_requires_good_pair():
@@ -259,7 +333,7 @@ def test_duality_form_requires_good_pair():
     e = nilpotent_of_pyramid(spec, symmetric_pyramid(p))
     H = GradingElement(spec, (Fraction(-1, 3), Fraction(5, 3), Fraction(-4, 3)))
     with pytest.raises(ValueError):
-        check_duality_form(g, H, e)
+        check_duality_form(H, ad_blocks(g, e))
 
 
 def test_torus_weights():
@@ -269,18 +343,22 @@ def test_torus_weights():
     e = nilpotent_of_pyramid(spec, symmetric_pyramid(p))
     for pyr in enumerate_pyramids(p):
         H = normalize_traceless(grading_of_pyramid(spec, pyr))
-        assert check_torus_weights(g, H, e)
+        assert check_torus_weights(H, ad_blocks(g, e))
     with pytest.raises(ValueError):
         gsp = build_algebra(AlgebraSpec(SP, 4))
         psp = Partition((2, 2))
         esp = nilpotent_of_pyramid(AlgebraSpec(SP, 4), symplectic_pyramid(psp))
         Hsp = grading_of_pyramid(AlgebraSpec(SP, 4), symplectic_pyramid(psp))
-        check_torus_weights(gsp, Hsp, esp)
+        check_torus_weights(Hsp, ad_blocks(gsp, esp))
 
 
 def test_jordan_type_requires_nilpotent():
     with pytest.raises(ValueError):
-        jordan_type(Matrix.identity(2))
+        jordan_type({(0, 0): 1, (1, 1): 1}, 2)
+    with pytest.raises(ValueError):
+        jordan_type({(0, 1): 1, (1, 0): 1}, 2)  # squares to the identity
+    with pytest.raises(ValueError):
+        reference_jordan_type(Matrix.identity(2))
 
 
 def test_good_pair_graded_kernel_dimensions():
@@ -294,7 +372,7 @@ def test_good_pair_graded_kernel_dimensions():
         pyr = base_pyramid(spec, p)
         e = nilpotent_of_pyramid(spec, pyr)
         H = grading_of_pyramid(spec, pyr)
-        pair = is_good(g, H, e)
+        pair = is_good(H, ad_blocks(g, e))
         assert pair.verified
         dec = graded_decomposition(g, H)
         kernel_dims = {}
