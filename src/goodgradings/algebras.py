@@ -10,7 +10,8 @@ i.e. antidiagonal Gram matrices.  With this choice every diagonal
 matrix diag(d_1..d_n, (0), -d_1..-d_n) lies in the algebra, so grading
 elements are literally diagonal, and each basis element of the algebra
 is an eigenvector of ad H for diagonal H.  Graded decompositions are
-then a matter of bucketing basis elements by eigenvalue.
+then a matter of bucketing basis elements by eigenvalue, an int: these
+are Z-gradings, and `graded_decomposition` refuses any other H.
 
 Type A is realized as gl_n only: a grading of sl_n is a grading of gl_n
 modulo scalars, so type A grading elements are normalized traceless.
@@ -264,28 +265,33 @@ class GradingElement:
 class GradedDecomposition:
     """Eigenspace decomposition of g under ad H for diagonal H."""
 
-    degrees: tuple[Fraction, ...]
+    degrees: tuple[int, ...]
     buckets: dict  # degree -> tuple of basis indices
-    of: tuple[Fraction, ...]  # the degree of each basis element
+    of: tuple[int, ...]  # the degree of each basis element
 
     def piece_dim(self, degree: Scalar) -> int:
-        return len(self.buckets.get(as_fraction(degree), ()))
+        d = as_fraction(degree)  # a float raises TypeError
+        return len(self.buckets.get(d.numerator, ())) if d.denominator == 1 else 0
 
     def is_even(self) -> bool:
-        return all(d.denominator == 1 and d % 2 == 0 for d in self.degrees)
+        return all(d % 2 == 0 for d in self.degrees)
 
 
 def graded_decomposition(g: AlgebraBasis, H: GradingElement) -> GradedDecomposition:
-    """Bucket the fixed basis of g by ad H eigenvalue.
+    """Bucket the fixed basis of g by ad H eigenvalue, an int.
 
     Every basis element is an ad H eigenvector because H is diagonal,
     so the decomposition is exact bookkeeping, not linear algebra.
+    Raises ValueError unless H is integral.
     """
     if H.spec != g.spec:
         raise ValueError("grading element spec does not match the algebra")
-    pos, diag = g.position, H.diagonal
+    if not H.is_integral():
+        raise ValueError("not an integral grading")
+    first, pos = H.diagonal[0], g.position
+    diag = [int(d - first) for d in H.diagonal]
     of = tuple(diag[pos[i]] - diag[pos[j]] for _, i, j in g.labels)
-    buckets: dict[Fraction, list[int]] = {}
+    buckets: dict[int, list[int]] = {}
     for k, d in enumerate(of):
         buckets.setdefault(d, []).append(k)
     frozen = {d: tuple(ks) for d, ks in buckets.items()}

@@ -30,7 +30,7 @@ enumeration built, it finds the good gradings h(p) + z(t) as the
 integral points of a polytope.  Its bounds come from the weights of the
 centralizer of e by Fourier-Motzkin elimination, not from the
 classification, so equality with the enumeration is a genuine
-completeness check.
+completeness check.  It builds its gradings with `_shifted_grading` too.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .algebras import (AlgebraSpec, Family, GradingElement, _signed_indices,
-                       build_algebra)
+                       build_algebra, graded_decomposition)
 from .gradings import (AdBlocks, Characteristic, VerificationError,
                        ad_blocks, characteristic_from_pyramid,
                        characteristic_of, fill_boxes, graded_ad_ranks,
@@ -66,7 +66,7 @@ class GradingEntry:
     characteristic: Characteristic
     is_dynkin: bool
     is_even: bool
-    centralizer_degrees: tuple[Fraction, ...]
+    centralizer_degrees: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,8 @@ def good_gradings(spec: AlgebraSpec, p: Partition) -> GoodGradingFamily:
         raise ValueError("partition total != matrix size")
     torus = center_torus(spec)
     base = torus.base(p)
-    blocks = ad_blocks(build_algebra(spec), nilpotent_of_pyramid(spec, base))
+    g = build_algebra(spec)
+    blocks = ad_blocks(g, nilpotent_of_pyramid(g, base))
     kind, keys = ("shifts", p.parts) if spec.family is Family.GL \
         else ("t", torus.center_parts(p))
     entries = []
@@ -231,8 +232,8 @@ def even_good_grading_gl(p: Partition) -> GradingElement:
     breaks = ((v - w) % 2 for v, w in zip(values, values[1:]))
     shifts = dict(zip(values[1:], map(Fraction, itertools.accumulate(breaks))))
     H = _shifted_grading(spec, base, shifts)
-    pair = is_good(H, ad_blocks(build_algebra(spec),
-                                nilpotent_of_pyramid(spec, base)))
+    g = build_algebra(spec)
+    pair = is_good(H, ad_blocks(g, nilpotent_of_pyramid(g, base)))
     if not pair.verified or not pair.decomposition.is_even():
         raise VerificationError("parity-break shifts failed to give an even good grading")
     return H
@@ -273,30 +274,24 @@ def _lattice_points(rows: list[tuple[tuple[int, ...], int]], parity: set,
 
 
 def _centralizer_weights(fam: GoodGradingFamily):
-    """(d0, steps, forms, weights): H(t) = d0 + sum t_i steps[i]; twice
-    the degree of basis element k is a.s + b for forms[k] = (a, b), read
-    off H at t = 0 and the unit vectors; weights counts the forms of a
+    """(forms, weights): twice the degree of basis element k under H(t)
+    is a.s + b, s = 2t, for forms[k] = (a, b), read off the degrees of
+    H(0) and of H at the unit vectors; weights counts the forms of a
     basis of g^e, checked against the closed form for dim g^e."""
     spec, p, g = fam.spec, fam.partition, fam.blocks.g
     torus = center_torus(spec)
     base = torus.base(p)
-    d0 = _shifted_grading(spec, base, {}).diagonal
-    steps = [tuple(x - y for x, y in zip(
-        _shifted_grading(spec, base, {v: Fraction(1)}).diagonal, d0))
-        for v in torus.center_parts(p)]
-    forms = []
-    for _, i, j in g.labels:
-        i, j = g.position[i], g.position[j]
-        form = [st[i] - st[j] for st in steps] + [2 * (d0[i] - d0[j])]
-        if any(x.denominator != 1 for x in form):
-            raise VerificationError("a doubled degree is not an integer")
-        forms.append((tuple(map(int, form[:-1])), int(form[-1])))
+    of_0, *of_steps = (
+        graded_decomposition(g, _shifted_grading(spec, base, shifts)).of
+        for shifts in [{}] + [{v: 1} for v in torus.center_parts(p)])
+    forms = [(tuple(of_i[k] - d for of_i in of_steps), 2 * d)
+             for k, d in enumerate(of_0)]
     weights = Counter(forms) - graded_ad_ranks(fam.blocks, forms)
     closed_form = {Family.GL: gl_centralizer_dim, Family.SP: sp_centralizer_dim,
                    Family.SO: so_centralizer_dim}[spec.family]
     if sum(weights.values()) != closed_form(p):
         raise VerificationError("centralizer weights disagree with dim g^e")
-    return d0, steps, forms, weights
+    return forms, weights
 
 
 def sweep_oracle(fam: GoodGradingFamily) -> list[GradingElement]:
@@ -313,17 +308,17 @@ def sweep_oracle(fam: GoodGradingFamily) -> list[GradingElement]:
     are deduplicated by sign flips to nonnegative coordinates.  Sorted
     by coordinate vector.
     """
-    spec, blocks = fam.spec, fam.blocks
-    d0, steps, forms, weights = _centralizer_weights(fam)
+    spec, p, blocks = fam.spec, fam.partition, fam.blocks
+    torus = center_torus(spec)
+    base, parts = torus.base(p), torus.center_parts(p)
+    forms, weights = _centralizer_weights(fam)
     parity = {(tuple(x % 2 for x in a), b % 2) for a, b in forms}
 
     def grading(t):
-        return GradingElement(spec, tuple(
-            d + sum((x * st[a] for x, st in zip(t, steps)), Fraction(0))
-            for a, d in enumerate(d0)))
+        return _shifted_grading(spec, base, dict(zip(parts, t)))
 
     found: dict[tuple, GradingElement] = {}
-    for s in _lattice_points(list(weights), parity, len(steps)):
+    for s in _lattice_points(list(weights), parity, len(parts)):
         t = tuple(Fraction(x, 2) for x in s)
         H = grading(t)
         if not is_good(H, blocks).verified:

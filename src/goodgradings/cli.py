@@ -57,7 +57,7 @@ _FAMILY_LETTERS = {"A": Family.GL, "GL": Family.GL, "B": Family.SO,
 # Input limits of classify, verify, pyramids and render, checked before
 # anything is built; richardson has the dimension limit.  They admit
 # so_50 (dim 1225), the largest orbit the tests verify; verify of
-# (28,5,3) in gl_36 takes 6.3 s on a 2-CPU Xeon.
+# (28,5,3) in gl_36 takes 1.8 s on a 2-CPU Xeon.
 MAX_ALGEBRA_DIM = 1300
 MAX_PYRAMIDS = 242
 # `series` walks every partition up to its order; the whole command takes

@@ -22,7 +22,7 @@ Every diagonal H with [H, e] = 2e maps each block from one degree d
 into degree d + 2, so g^e has dim g_d minus a sum of block ranks
 vectors of degree d.  `graded_ad_ranks` sums them for any degree per
 basis element (one H's, or the sweep's affine forms) and serves
-`is_good`, the sweep and the generic oracle.
+`is_good`, the sweep and the generic oracle.  The degrees are ints.
 The dense ad e of `algebras.ad_coordinate_matrix` is the reference the
 tests compare against; no runtime path builds it.
 
@@ -153,19 +153,18 @@ def jordan_type(e: Sparse, n: int) -> Partition:
     return Partition.of(s for s in sizes if s > 0)
 
 
-def nilpotent_of_pyramid(spec: AlgebraSpec, pyr: Pyramid) -> Sparse:
-    """The nilpotent acting along the rows of the pyramid, with int entries.
+def nilpotent_of_pyramid(g: AlgebraBasis, pyr: Pyramid) -> Sparse:
+    """The nilpotent of g along the rows of the pyramid, with int entries.
 
-    Verified on construction: lies in the algebra, and its Jordan type
-    matches the partition the pyramid encodes.
+    Verified on construction: lies in g, and its Jordan type matches the
+    partition the pyramid encodes.
     """
-    _check_flavor(spec, pyr)
-    labels = fill_boxes(spec, pyr)
-    pos = {i: a for a, i in enumerate(_signed_indices(spec))}
+    labels = fill_boxes(g.spec, pyr)
+    pos = g.position
     arrows = _arrows(pyr)
     arrow_set = set(arrows)
     entries: Sparse = {}
-    fam = spec.family
+    fam = g.spec.family
 
     def put(src: Box, dst: Box, coeff: int):
         key = (pos[labels[dst]], pos[labels[src]])
@@ -187,10 +186,9 @@ def nilpotent_of_pyramid(spec: AlgebraSpec, pyr: Pyramid) -> Sparse:
                 raise VerificationError("arrow set is not mirror-closed")
             put(src, dst, 1 if (src, dst) > mirror else -1)
     e = {key: v for key, v in entries.items() if v}
-    g = AlgebraBasis(spec)
     if not g.contains(e):
         raise VerificationError("constructed nilpotent fails form compatibility")
-    if jordan_type(e, spec.size) != _expected_jordan_type(pyr):
+    if jordan_type(e, g.n) != _expected_jordan_type(pyr):
         raise VerificationError("constructed nilpotent has the wrong Jordan type")
     return e
 
@@ -227,7 +225,7 @@ class GoodPair:
     """
 
     verified: bool
-    centralizer_degrees: tuple[Fraction, ...]
+    centralizer_degrees: tuple[int, ...]
     decomposition: GradedDecomposition
 
 
@@ -323,12 +321,13 @@ def is_good(H: GradingElement, blocks: AdBlocks) -> GoodPair:
     """Decide whether e = blocks.e is a good element of the grading
     defined by H on the algebra blocks.g.
 
-    Requires e != 0, [H, e] = 2e, and an integral grading; `ad_blocks`
-    has checked that e lies in g.  The degrees of g^e come from
-    `graded_ad_ranks`.  The verdict is the centralizer dimension
-    identity dim g^e = dim g_0 + dim g_{-1}, cross-checked against
-    injectivity of ad e on negative degrees (no degree of g^e below 0);
-    the two must agree or a VerificationError is raised.
+    Requires e != 0, [H, e] = 2e, and an integral grading, which
+    `graded_decomposition` checks; `ad_blocks` has checked that e lies
+    in g.  The degrees of g^e come from `graded_ad_ranks`.  The verdict
+    is the centralizer dimension identity dim g^e = dim g_0 + dim g_{-1},
+    cross-checked against injectivity of ad e on negative degrees (no
+    degree of g^e below 0); the two must agree or a VerificationError is
+    raised.
     """
     g = blocks.g
     if H.spec != g.spec:
@@ -339,8 +338,6 @@ def is_good(H: GradingElement, blocks: AdBlocks) -> GoodPair:
     # [H, e] = 2e entrywise: (H_i - H_j) e_ij = 2 e_ij
     if any(diag[i] - diag[j] != 2 for i, j in blocks.e):
         raise ValueError("element is not homogeneous of degree 2 under H")
-    if not H.is_integral():
-        raise ValueError("not an integral grading")
     dec = graded_decomposition(g, H)
     ranks = graded_ad_ranks(blocks, dec.of)
     centralizer_degs = tuple(d for d in dec.degrees
@@ -502,7 +499,7 @@ def check_duality_form(H: GradingElement, blocks: AdBlocks) -> bool:
     pair = is_good(H, blocks)
     if not pair.verified:
         raise ValueError("pair is not good")
-    idxs = pair.decomposition.buckets.get(Fraction(-1), ())
+    idxs = pair.decomposition.buckets.get(-1, ())
     if not idxs:
         return True
     elems = [blocks.g.elements[k] for k in idxs]
@@ -511,10 +508,8 @@ def check_duality_form(H: GradingElement, blocks: AdBlocks) -> bool:
         row = []
         for b in elems:
             br = sparse_bracket(a, b)
-            val = Fraction(0)
-            for (r, c), v in blocks.e.items():
-                val += v * br.get((c, r), Fraction(0))
-            row.append(val)
+            row.append(sum(v * br.get((c, r), 0)
+                           for (r, c), v in blocks.e.items()))
         gram.append(row)
     return len(rref(gram)[1]) == len(idxs)
 
@@ -546,7 +541,7 @@ def check_torus_weights(H: GradingElement, blocks: AdBlocks) -> bool:
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[ri] = rj
-    for k in pair.decomposition.buckets.get(Fraction(1), ()):
+    for k in pair.decomposition.buckets.get(1, ()):
         _, i, j = g.labels[k]
         if find(i - 1) == find(j - 1):
             return False

@@ -208,7 +208,7 @@ def grading_is_good_generic(g: AlgebraBasis, H: GradingElement) -> bool:
     homogeneous.
     """
     dec = graded_decomposition(g, H)
-    idxs = dec.buckets.get(Fraction(2), ())
+    idxs = dec.buckets.get(2, ())
     if not idxs:
         raise ValueError("the degree-2 piece is zero")
     target = dec.piece_dim(0) + dec.piece_dim(-1)

@@ -95,7 +95,7 @@ def test_criterion_04_type_a_soundness_completeness():
         for p in nonzero(partitions(n)):
             if n <= 6:
                 blocks = ad_blocks(g, nilpotent_of_pyramid(
-                    spec, symmetric_pyramid(p)))
+                    g, symmetric_pyramid(p)))
                 for pyr in enumerate_pyramids(p):
                     H = normalize_traceless(grading_of_pyramid(spec, pyr))
                     assert is_good(H, blocks).verified, (p, pyr)

@@ -66,7 +66,7 @@ def test_block_ranks_equal_dense_slices_on_every_orbit():
         if p.is_zero_orbit():
             continue
         g = build_algebra(spec)
-        e = nilpotent_of_pyramid(spec, base)
+        e = nilpotent_of_pyramid(g, base)
         ad = ad_coordinate_matrix(g, e)
         blocks = ad_blocks(g, e)
         centralizer_dim = centralizer(g, e).dim
@@ -87,7 +87,7 @@ def test_rational_multiple_of_e_has_the_same_blocks():
         if p.is_zero_orbit():
             continue
         g = build_algebra(spec)
-        e = nilpotent_of_pyramid(spec, base)
+        e = nilpotent_of_pyramid(g, base)
         e3 = {key: Fraction(v, 3) for key, v in e.items()}
         third = ad_blocks(g, e3)
         assert third.blocks == ad_blocks(g, e).blocks, (spec, p)
@@ -125,7 +125,7 @@ def test_block_ranks_equal_dense_slices_on_generic_samples(monkeypatch):
 def test_blocks_are_disjoint_and_cover_the_nonzero_columns():
     spec = AlgebraSpec(SO, 9)
     g = build_algebra(spec)
-    e = nilpotent_of_pyramid(spec, orthogonal_pyramid(
+    e = nilpotent_of_pyramid(g, orthogonal_pyramid(
         next(p for p in orthogonal_partitions(9) if p.parts == (3, 3, 1, 1, 1))))
     ad = ad_coordinate_matrix(g, e)
     blocks = ad_blocks(g, e).blocks

@@ -108,10 +108,10 @@ def test_centralizer_dimensions():
     assert centralizer(g, {}).dim == 9
     for n in range(2, 6):
         gn = build_algebra(AlgebraSpec(Family.GL, n))
-        e = nilpotent_of_pyramid(AlgebraSpec(Family.GL, n),
+        e = nilpotent_of_pyramid(gn,
                                  symmetric_pyramid(Partition((n,))))
         assert centralizer(gn, e).dim == n
-    e = nilpotent_of_pyramid(spec, symmetric_pyramid(Partition((2, 1))))
+    e = nilpotent_of_pyramid(g, symmetric_pyramid(Partition((2, 1))))
     assert centralizer(g, e).dim == 5
 
 
@@ -123,7 +123,7 @@ def test_centralizer_matches_dual_square_sum():
         for p in partitions(n):
             if p.is_zero_orbit():
                 continue
-            e = nilpotent_of_pyramid(spec, symmetric_pyramid(p))
+            e = nilpotent_of_pyramid(g, symmetric_pyramid(p))
             assert centralizer(g, e).dim == gl_centralizer_dim(p)
 
 
@@ -160,11 +160,43 @@ def test_trivial_grading():
     assert dec.piece_dim(0) == 9
 
 
+def test_piece_dim_rejects_floats():
+    # the degrees are int keys, where 0.0 would find the piece of 0
+    spec = AlgebraSpec(Family.GL, 3)
+    g = build_algebra(spec)
+    dec = graded_decomposition(g, GradingElement(spec, (2, 0, -2)))
+    for x in (0.0, 0.5):
+        with pytest.raises(TypeError):
+            dec.piece_dim(x)
+    assert dec.piece_dim(0) == dec.piece_dim(Fraction(0)) == 3
+    assert dec.piece_dim(Fraction(1, 2)) == dec.piece_dim(1) == 0
+
+
 def test_grading_element_validation():
     with pytest.raises(ValueError):
         GradingElement(AlgebraSpec(Family.SP, 4), (1, 1, -1, 1))
     with pytest.raises(ValueError):
         GradingElement(AlgebraSpec(Family.SO, 5), (1, 1, 1, -1, -1))
+
+
+def check_integral_decomposition(g, H):
+    """The reference for `is_integral` and `graded_decomposition`: the
+    ad H degrees, computed here as differences of diagonal entries over
+    the basis.  H is integral iff they are all integers; the
+    decomposition refuses exactly the other H, and otherwise returns
+    them as ints.  Returns the verdict."""
+    pos, diag = g.position, H.diagonal
+    reference = [diag[pos[i]] - diag[pos[j]] for _, i, j in g.labels]
+    verdict = H.is_integral()
+    assert verdict == all(d.denominator == 1 for d in reference), H
+    if not verdict:
+        with pytest.raises(ValueError, match="not an integral grading"):
+            graded_decomposition(g, H)
+        return verdict
+    dec = graded_decomposition(g, H)
+    assert dec.of == tuple(reference), H
+    assert all(type(d) is int for d in dec.of + dec.degrees), H
+    return verdict
 
 
 def test_is_integral_matches_decomposition_on_seeded_diagonals():
@@ -188,12 +220,8 @@ def test_is_integral_matches_decomposition_on_seeded_diagonals():
                 diag = free
             else:
                 diag = free + [0] * (spec.size % 2) + [-x for x in free]
-            H = GradingElement(spec, tuple(diag))
-            degrees = graded_decomposition(g, H).degrees
-            verdict = H.is_integral()
-            assert verdict == all(d.denominator == 1 for d in degrees), \
-                (spec, diag)
-            verdicts.add(verdict)
+            verdicts.add(check_integral_decomposition(
+                g, GradingElement(spec, tuple(diag))))
         assert verdicts == {True, False} or spec == AlgebraSpec(Family.GL, 1)
 
 

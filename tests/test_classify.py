@@ -14,6 +14,7 @@ from goodgradings.classify import (_centralizer_weights, _lattice_points,
 from goodgradings.gradings import (AdBlocks, VerificationError, ad_blocks,
                                    characteristic_of, is_good,
                                    nilpotent_of_pyramid, normalize_traceless)
+from goodgradings.parabolic import ParabolicSpec, parabolic_grading
 from goodgradings.partitions import (Partition, orthogonal_partitions,
                                      partitions, symplectic_partitions)
 from goodgradings.pyramids import (orthogonal_pyramid, orthogonal_pyramids,
@@ -123,7 +124,7 @@ def test_even_good_grading_gl():
         H = even_good_grading_gl(p)
         spec = AlgebraSpec(Family.GL, p.n)
         g = build_algebra(spec)
-        e = nilpotent_of_pyramid(spec, symmetric_pyramid(p))
+        e = nilpotent_of_pyramid(g, symmetric_pyramid(p))
         assert graded_decomposition(g, H).is_even()
         assert is_good(H, ad_blocks(g, e)).verified
 
@@ -191,7 +192,7 @@ def test_sign_symmetry_of_goodness():
         g = build_algebra(spec)
         base = symplectic_pyramid(p) if fam is Family.SP \
             else orthogonal_pyramid(p)
-        blocks = ad_blocks(g, nilpotent_of_pyramid(spec, base))
+        blocks = ad_blocks(g, nilpotent_of_pyramid(g, base))
         family = good_gradings_sp(p) if fam is Family.SP \
             else good_gradings_so(p)
         from goodgradings.pyramids import (orthogonal_center_parts,
@@ -249,7 +250,9 @@ def test_family_equality_ignores_the_orbit_build():
 def test_is_integral_matches_decomposition_on_sweep_candidates():
     # every point of the reference grid, including the gl half-shifts;
     # in sp (2,2) every shift keeps all entries congruent mod 1, so only
-    # one verdict occurs there
+    # one verdict occurs there.  The reference degrees are differences of
+    # diagonal entries; the decomposition refuses exactly the H where one
+    # is not an integer, and otherwise returns them as ints
     for family, parts, expected in (
             (Family.GL, (3, 2, 1), {True, False}),
             (Family.SP, (2, 2), {True}),
@@ -262,12 +265,58 @@ def test_is_integral_matches_decomposition_on_sweep_candidates():
         verdicts = set()
         for t in itertools.product(grid_axis(p), repeat=len(cparts)):
             H = _shifted_grading(spec, base, dict(zip(cparts, t)))
-            degrees = graded_decomposition(g, H).degrees
+            reference = [H.diagonal[g.position[i]] - H.diagonal[g.position[j]]
+                         for _, i, j in g.labels]
             verdict = H.is_integral()
-            assert verdict == all(d.denominator == 1 for d in degrees), \
+            assert verdict == all(d.denominator == 1 for d in reference), \
                 (family, parts, t)
+            if verdict:
+                of = graded_decomposition(g, H).of
+                assert of == tuple(reference), (family, parts, t)
+                assert all(type(d) is int for d in of)
+            else:
+                with pytest.raises(ValueError, match="not an integral"):
+                    graded_decomposition(g, H)
             verdicts.add(verdict)
         assert verdicts == expected, (family, parts)
+
+
+# the orbits of the classify benchmark workload
+CLASSIFY_ORBITS = (
+    "A 3,2,1", "A 3,3,2", "B 5,5,1", "B 6,6,1", "A 12", "B 11,2,2,1,1",
+    "B 15,2,2", "C 6,6,2,1,1", "C 5,5,2,2,1,1", "C 6,4,4,2", "D 5,5,3,1,1,1",
+    "D 7,5,1,1", "D 13,5", "A 16", "A 5,4,1", "B 11,6,6", "C 11,11",
+    "C 12,10", "D 6,6,4,4,2,2", "A 7,4,2,2", "A 6,4,4,1", "C 8,8,4,4,2,2",
+    "D 9,9,7,7")
+LETTERS = {"A": Family.GL, "B": Family.SO, "C": Family.SP, "D": Family.SO}
+
+
+def test_every_degree_is_an_int():
+    # Z-gradings: the decompositions, the degrees of g^e and the sweep's
+    # forms hold ints, not Fractions that equal them
+    def ints(xs):
+        return all(type(x) is int for x in xs)
+
+    for orbit in CLASSIFY_ORBITS:
+        letter, parts = orbit.split()
+        p = Partition(tuple(map(int, parts.split(","))))
+        fam = good_gradings(AlgebraSpec(LETTERS[letter], p.n), p)
+        for ent in fam.entries:
+            dec = is_good(ent.H, fam.blocks).decomposition
+            assert ints(dec.of) and ints(dec.degrees), (orbit, ent.source)
+            assert ints(ent.centralizer_degrees), (orbit, ent.source)
+        forms, _ = _centralizer_weights(fam)
+        assert all(ints(a) and type(b) is int for a, b in forms), orbit
+    for family, size, blocks, q in ((Family.GL, 5, (2, 1, 2), 0),
+                                    (Family.GL, 6, (1, 3, 2), 0),
+                                    (Family.SP, 8, (1, 2), 2),
+                                    (Family.SP, 6, (2, 1), 0),
+                                    (Family.SO, 9, (1, 2), 3),
+                                    (Family.SO, 10, (2, 1, 2), 0)):
+        spec = AlgebraSpec(family, size)
+        H = parabolic_grading(ParabolicSpec(spec, blocks, q))
+        dec = graded_decomposition(build_algebra(spec), H)
+        assert ints(dec.of) and ints(dec.degrees), (spec, blocks, q)
 
 
 def test_verify_builds_the_orbit_once(monkeypatch, capsys):
@@ -366,15 +415,12 @@ def test_sweep_weights_are_the_centralizer_degrees():
     orbits = gradings = 0
     for spec, p in small_orbits(7, 10):
         fam = good_gradings(spec, p)
-        d0, steps, _, weights = _centralizer_weights(fam)
+        _, weights = _centralizer_weights(fam)
         cparts = center_torus(spec).center_parts(p)
         keys = p.parts if spec.family is Family.GL else cparts
         for ent in fam.entries:
             shifts = dict(zip(keys, ent.source[1]))
             t = [shifts[v] for v in cparts]
-            assert ent.H.diagonal == tuple(
-                d + sum(x * st[a] for x, st in zip(t, steps))
-                for a, d in enumerate(d0)), (spec, p, ent.source)
             degrees = sorted((b + sum(2 * x * y for x, y in zip(t, a))) / 2
                              for (a, b), m in weights.items() for _ in range(m))
             assert tuple(degrees) == ent.centralizer_degrees, (spec, p, ent.source)

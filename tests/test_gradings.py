@@ -75,7 +75,7 @@ def test_nilpotent_construction(fam, n, parts):
     spec = AlgebraSpec(fam, n)
     g = build_algebra(spec)
     pyr = base_pyramid(spec, p)
-    e = nilpotent_of_pyramid(spec, pyr)
+    e = nilpotent_of_pyramid(g, pyr)
     assert g.contains(e)
     assert all(type(v) is int and v for v in e.values())
     assert jordan_type(e, n) == reference_jordan_type(dense(e, n)) == p
@@ -114,7 +114,7 @@ def test_jordan_type_equals_the_dense_reference_on_pyramids():
     assert len(cases) == 1450
     double = 0
     for spec, p, pyr in cases:
-        e = nilpotent_of_pyramid(spec, pyr)
+        e = nilpotent_of_pyramid(build_algebra(spec), pyr)
         n = spec.size
         assert jordan_type(e, n) == reference_jordan_type(dense(e, n)) == p
         rows = [i for i, _ in e]
@@ -147,7 +147,8 @@ def test_jordan_type_equals_the_dense_reference_on_random_nilpotents():
 
 def test_single_block_nilpotent():
     spec = AlgebraSpec(GL, 2)
-    e = dense(nilpotent_of_pyramid(spec, symmetric_pyramid(Partition((2,)))), 2)
+    e = dense(nilpotent_of_pyramid(build_algebra(spec),
+                                   symmetric_pyramid(Partition((2,)))), 2)
     assert (e @ e).is_zero()
     assert rank(e) == 1
 
@@ -169,7 +170,7 @@ def test_fill_boxes_flavor_mismatch():
     with pytest.raises(ValueError):
         fill_boxes(AlgebraSpec(SP, 4), symmetric_pyramid(Partition((2, 2))))
     with pytest.raises(ValueError):
-        nilpotent_of_pyramid(AlgebraSpec(GL, 4),
+        nilpotent_of_pyramid(build_algebra(AlgebraSpec(GL, 4)),
                              symplectic_pyramid(Partition((2, 2))))
 
 
@@ -180,7 +181,7 @@ def test_every_type_a_pyramid_pair_is_good():
         for p in partitions(n):
             if p.is_zero_orbit():
                 continue
-            e = nilpotent_of_pyramid(spec, symmetric_pyramid(p))
+            e = nilpotent_of_pyramid(g, symmetric_pyramid(p))
             for pyr in enumerate_pyramids(p):
                 H = normalize_traceless(grading_of_pyramid(spec, pyr))
                 assert is_good(H, ad_blocks(g, e)).verified
@@ -194,7 +195,7 @@ def test_every_symplectic_pyramid_pair_is_good():
             if p.is_zero_orbit():
                 continue
             for pyr in symplectic_pyramids(p):
-                e = nilpotent_of_pyramid(spec, pyr)
+                e = nilpotent_of_pyramid(g, pyr)
                 H = grading_of_pyramid(spec, pyr)
                 assert is_good(H, ad_blocks(g, e)).verified
 
@@ -207,7 +208,7 @@ def test_every_orthogonal_pyramid_pair_is_good():
             if p.is_zero_orbit():
                 continue
             for pyr in orthogonal_pyramids(p):
-                e = nilpotent_of_pyramid(spec, pyr)
+                e = nilpotent_of_pyramid(g, pyr)
                 H = grading_of_pyramid(spec, pyr)
                 assert is_good(H, ad_blocks(g, e)).verified
 
@@ -217,7 +218,7 @@ def test_out_of_bound_shift_is_not_good():
     p = Partition((2, 1))
     spec = AlgebraSpec(GL, 3)
     g = build_algebra(spec)
-    e = nilpotent_of_pyramid(spec, symmetric_pyramid(p))
+    e = nilpotent_of_pyramid(g, symmetric_pyramid(p))
     H = GradingElement(spec, (Fraction(-1, 3), Fraction(5, 3), Fraction(-4, 3)))
     pair = is_good(H, ad_blocks(g, e))
     assert not pair.verified
@@ -227,7 +228,7 @@ def test_out_of_bound_shift_is_not_good():
 def test_is_good_errors():
     spec = AlgebraSpec(GL, 2)
     g = build_algebra(spec)
-    e = nilpotent_of_pyramid(spec, symmetric_pyramid(Partition((2,))))
+    e = nilpotent_of_pyramid(g, symmetric_pyramid(Partition((2,))))
     with pytest.raises(ValueError):
         is_good(GradingElement(spec, (0, 0)), ad_blocks(g, e))  # not degree 2
     with pytest.raises(ValueError):
@@ -246,7 +247,7 @@ def test_good_pair_centralizer_degrees():
     spec = AlgebraSpec(GL, 3)
     g = build_algebra(spec)
     p = Partition((2, 1))
-    e = nilpotent_of_pyramid(spec, symmetric_pyramid(p))
+    e = nilpotent_of_pyramid(g, symmetric_pyramid(p))
     H = grading_of_pyramid(spec, symmetric_pyramid(p))
     pair = is_good(H, ad_blocks(g, e))
     assert pair.verified
@@ -306,14 +307,14 @@ def test_duality_form():
     # even grading: degree -1 piece empty, holds vacuously
     spec = AlgebraSpec(GL, 2)
     g = build_algebra(spec)
-    e = nilpotent_of_pyramid(spec, symmetric_pyramid(Partition((2,))))
+    e = nilpotent_of_pyramid(g, symmetric_pyramid(Partition((2,))))
     H = grading_of_pyramid(spec, symmetric_pyramid(Partition((2,))))
     assert check_duality_form(H, ad_blocks(g, e))
     # sl_3 subregular Dynkin grading has a 2-dim degree -1 piece
     spec3 = AlgebraSpec(GL, 3)
     g3 = build_algebra(spec3)
     p = Partition((2, 1))
-    e3 = nilpotent_of_pyramid(spec3, symmetric_pyramid(p))
+    e3 = nilpotent_of_pyramid(g3, symmetric_pyramid(p))
     H3 = grading_of_pyramid(spec3, symmetric_pyramid(p))
     assert graded_decomposition(g3, H3).piece_dim(-1) == 2
     assert check_duality_form(H3, ad_blocks(g3, e3))
@@ -321,7 +322,7 @@ def test_duality_form():
     spec_sp = AlgebraSpec(SP, 4)
     gsp = build_algebra(spec_sp)
     psp = Partition((2, 1, 1))
-    esp = nilpotent_of_pyramid(spec_sp, symplectic_pyramid(psp))
+    esp = nilpotent_of_pyramid(gsp, symplectic_pyramid(psp))
     Hsp = grading_of_pyramid(spec_sp, symplectic_pyramid(psp))
     assert check_duality_form(Hsp, ad_blocks(gsp, esp))
 
@@ -330,7 +331,7 @@ def test_duality_form_requires_good_pair():
     spec = AlgebraSpec(GL, 3)
     g = build_algebra(spec)
     p = Partition((2, 1))
-    e = nilpotent_of_pyramid(spec, symmetric_pyramid(p))
+    e = nilpotent_of_pyramid(g, symmetric_pyramid(p))
     H = GradingElement(spec, (Fraction(-1, 3), Fraction(5, 3), Fraction(-4, 3)))
     with pytest.raises(ValueError):
         check_duality_form(H, ad_blocks(g, e))
@@ -340,14 +341,14 @@ def test_torus_weights():
     spec = AlgebraSpec(GL, 3)
     g = build_algebra(spec)
     p = Partition((2, 1))
-    e = nilpotent_of_pyramid(spec, symmetric_pyramid(p))
+    e = nilpotent_of_pyramid(g, symmetric_pyramid(p))
     for pyr in enumerate_pyramids(p):
         H = normalize_traceless(grading_of_pyramid(spec, pyr))
         assert check_torus_weights(H, ad_blocks(g, e))
     with pytest.raises(ValueError):
         gsp = build_algebra(AlgebraSpec(SP, 4))
         psp = Partition((2, 2))
-        esp = nilpotent_of_pyramid(AlgebraSpec(SP, 4), symplectic_pyramid(psp))
+        esp = nilpotent_of_pyramid(gsp, symplectic_pyramid(psp))
         Hsp = grading_of_pyramid(AlgebraSpec(SP, 4), symplectic_pyramid(psp))
         check_torus_weights(Hsp, ad_blocks(gsp, esp))
 
@@ -370,7 +371,7 @@ def test_good_pair_graded_kernel_dimensions():
         spec = AlgebraSpec(fam, p.n)
         g = build_algebra(spec)
         pyr = base_pyramid(spec, p)
-        e = nilpotent_of_pyramid(spec, pyr)
+        e = nilpotent_of_pyramid(g, pyr)
         H = grading_of_pyramid(spec, pyr)
         pair = is_good(H, ad_blocks(g, e))
         assert pair.verified

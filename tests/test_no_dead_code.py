@@ -6,6 +6,9 @@ method counts only when read as an attribute.  Definitions, assignment
 targets and imports do not count: a local variable that shares a
 method's name does not vouch for it, and a name that is only
 re-exported is still dead.
+
+Likewise every name a library module imports is read in that module;
+only `__init__.py` imports to re-export.
 """
 
 import ast
@@ -57,3 +60,25 @@ def test_every_public_function_has_a_caller():
     dead = [where for where, name, is_method in _public_definitions()
             if name not in attrs and (is_method or name not in loads)]
     assert not dead, f"public functions with no caller: {dead}"
+
+
+def _unread_imports(path):
+    """Names a module imports but never reads (`__future__` aside)."""
+    tree = _parse(path)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0]
+                            for a in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+def test_every_import_of_the_library_is_read():
+    unread = {path.name: names for path in sorted(LIBRARY.glob("*.py"))
+              if path.name != "__init__.py"
+              and (names := _unread_imports(path))}
+    assert not unread, f"imported names never read: {unread}"
