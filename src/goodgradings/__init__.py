@@ -30,7 +30,7 @@ from .pyramids import (Pyramid, Row, enumerate_pyramids, is_unimodal,
                        pyramid_to_unimodal, render_pyramid, symmetric_pyramid,
                        symplectic_pyramid, symplectic_pyramids,
                        unimodal_compositions, unimodal_to_pyramid)
-from .series import (PowerSeries, pyramid_count_formula, pyramid_count_series,
+from .series import (pyramid_count_formula, pyramid_count_series,
                      pyramid_counts_by_partition, pyramid_series_identity_check,
                      unimodal_count_series)
 

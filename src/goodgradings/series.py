@@ -1,87 +1,36 @@
-"""Truncated integer power series and the pyramid counting identities."""
+"""Pyramid and unimodal counting series and the product-form identity.
+
+A series truncated at q^order is a list of order + 1 ints, coefficient
+k at index k.  Each series here is a sparse numerator times factors
+(1 + q^k) and 1/(1 - q^k), applied one at a time in place.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .partitions import Partition, partitions
 
 
-@dataclass(frozen=True)
-class PowerSeries:
-    """A power series in q truncated at a fixed order.
-
-    coeffs[k] is the coefficient of q^k; len(coeffs) == order + 1.
-    Arithmetic truncates eagerly, so products stay cheap.
-    """
-
-    coeffs: tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def zero(cls, order: int) -> "PowerSeries":
-        return cls((0,) * (order + 1))
-
-    @classmethod
-    def one(cls, order: int) -> "PowerSeries":
-        return cls((1,) + (0,) * order)
-
-    @classmethod
-    def monomial(cls, k: int, order: int, coeff: int = 1) -> "PowerSeries":
-        c = [0] * (order + 1)
-        if 0 <= k <= order:
-            c[k] = coeff
-        return cls(tuple(c))
-
-    def _check(self, other: "PowerSeries"):
-        if self.order != other.order:
-            raise ValueError("mixed truncation orders")
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check(other)
-        return PowerSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check(other)
-        return PowerSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check(other)
-        n = self.order
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return PowerSeries(tuple(out))
-
-    def inverse(self) -> "PowerSeries":
-        """Multiplicative inverse; requires unit constant term."""
-        if self.coeffs[0] not in (1, -1):
-            raise ValueError("inverse needs constant term +-1")
-        n = self.order
-        c0 = self.coeffs[0]
-        inv = [c0] + [0] * n
-        for k in range(1, n + 1):
-            acc = 0
-            for i in range(1, k + 1):
-                acc += self.coeffs[i] * inv[k - i] if i <= n else 0
-            inv[k] = -c0 * acc
-        return PowerSeries(tuple(inv))
+def _times_one_plus(f: list[int], k: int) -> list[int]:
+    """f * (1 + q^k), truncated to len(f) coefficients, in place."""
+    for i in range(len(f) - 1, k - 1, -1):
+        f[i] += f[i - k]
+    return f
 
 
-def _one_minus_q_pow(k: int, order: int) -> PowerSeries:
-    return PowerSeries.one(order) - PowerSeries.monomial(k, order)
+def _over_one_minus(f: list[int], k: int) -> list[int]:
+    """f / (1 - q^k), truncated to len(f) coefficients, in place."""
+    for i in range(k, len(f)):
+        f[i] += f[i - k]
+    return f
 
 
-def _one_plus_q_pow(k: int, order: int) -> PowerSeries:
-    return PowerSeries.one(order) + PowerSeries.monomial(k, order)
+def _sparse(terms, order: int) -> list[int]:
+    """The series sum of c q^e over (e, c) in terms, truncated at q^order."""
+    f = [0] * (order + 1)
+    for e, c in terms:
+        if e <= order:
+            f[e] += c
+    return f
 
 
 def pyramid_count_formula(p: Partition) -> int:
@@ -101,47 +50,36 @@ def pyramid_counts_by_partition(order: int) -> list[int]:
     return counts
 
 
-def pyramid_count_series(order: int) -> PowerSeries:
+def pyramid_count_series(order: int) -> list[int]:
     """Closed-form generating function for pyramid counts.
 
     F(q) = sum_{n>=1} (prod_{k=1}^{n-1} (1+q^k)/(1-q^k)^2) * q^n/(1-q^n)
+
+    In Horner form F = G_1, where G_n = 0 for n > order and
+    G_n = (q^n + G_{n+1} (1+q^n)/(1-q^n)) / (1-q^n).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    total = PowerSeries.zero(order)
-    prefix = PowerSeries.one(order)
-    for n in range(1, order + 1):
-        inv = _one_minus_q_pow(n, order).inverse()
-        total = total + prefix * PowerSeries.monomial(n, order) * inv
-        prefix = prefix * _one_plus_q_pow(n, order) * inv * inv
-    return total
+    f = [0] * (order + 1)
+    for n in range(order, 0, -1):
+        _over_one_minus(_times_one_plus(f, n), n)
+        f[n] += 1
+        _over_one_minus(f, n)
+    return f
 
 
-def unimodal_count_series(order: int) -> PowerSeries:
+def unimodal_count_series(order: int) -> list[int]:
     """Generating function for unimodal compositions:
 
     U(q) = sum_{n>=1} (-1)^{n+1} q^{binom(n+1,2)} / prod_{k>=1} (1-q^k)^2
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    alt = PowerSeries.zero(order)
-    n = 1
-    while n * (n + 1) // 2 <= order:
-        sign = 1 if n % 2 == 1 else -1
-        alt = alt + PowerSeries.monomial(n * (n + 1) // 2, order, sign)
-        n += 1
-    prod = PowerSeries.one(order)
+    f = _sparse(((n * (n + 1) // 2, 1 if n % 2 else -1)
+                 for n in range(1, order + 1)), order)
     for k in range(1, order + 1):
-        inv = _one_minus_q_pow(k, order).inverse()
-        prod = prod * inv * inv
-    return alt * prod
-
-
-def _half_pentagonal_exponents(order: int):
-    n = 1
-    while (3 * n * n - n) // 2 <= order:
-        yield ((3 * n * n - n) // 2, (3 * n * n + n) // 2)
-        n += 1
+        _over_one_minus(_over_one_minus(f, k), k)
+    return f
 
 
 def pyramid_series_identity_check(order: int) -> bool:
@@ -153,12 +91,9 @@ def pyramid_series_identity_check(order: int) -> bool:
     coefficientwise through q^order.
     """
     lhs = pyramid_count_series(order)
-    alt = PowerSeries.zero(order)
-    for lo, hi in _half_pentagonal_exponents(order):
-        alt = alt + PowerSeries.monomial(lo, order) - PowerSeries.monomial(hi, order)
-    prod = PowerSeries.one(order)
+    rhs = _sparse([t for n in range(1, order + 1)
+                   for t in (((3 * n * n - n) // 2, 1),
+                             ((3 * n * n + n) // 2, -1))], order)
     for k in range(1, order + 1):
-        inv = _one_minus_q_pow(k, order).inverse()
-        prod = prod * _one_plus_q_pow(k, order) * inv * inv
-    rhs = alt * prod
+        _over_one_minus(_over_one_minus(_times_one_plus(rhs, k), k), k)
     return lhs == rhs

@@ -1,10 +1,12 @@
-"""Golden `classify --format json` reports on a fixed fixture set.
+"""Golden `classify` and `series` JSON reports on a fixed fixture set.
 
-Each file under tests/golden/ is the canonical report of one orbit with
-the `timing_ms` key removed.  The set covers A/B/C/D, the symplectic and
-orthogonal half-shift families (C 2,2; C 4,4,2,2; D 3,3,1,1; D 5,5,3,3)
-and gl orbits with several pyramids.  A change to the engine must leave
-every report byte-identical apart from the timing.
+Each `classify_*.json` file under tests/golden/ is the canonical report
+of one orbit with the `timing_ms` key removed.  The set covers A/B/C/D,
+the symplectic and orthogonal half-shift families (C 2,2; C 4,4,2,2;
+D 3,3,1,1; D 5,5,3,3) and gl orbits with several pyramids.
+`series_30.json` is the report of `series --order 30`, the largest
+order the command accepts, in the same form.  A change to the engine
+must leave every report byte-identical apart from the timing.
 """
 
 import json
@@ -31,3 +33,11 @@ def test_classify_report_is_byte_identical(path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert isinstance(report.pop("timing_ms"), int)
     assert canonical_json(report) == path.read_text()
+
+
+def test_series_report_is_byte_identical(capsys):
+    code = main(["series", "--order", "30", "--format", "json"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert isinstance(report.pop("timing_ms"), int)
+    assert canonical_json(report) == (GOLDEN / "series_30.json").read_text()

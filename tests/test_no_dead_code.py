@@ -1,11 +1,12 @@
-"""Every public function and method of the library has a caller.
+"""Every public function, method and class of the library has a caller.
 
 A function counts as used when its name is read, as a plain name or as
 an attribute, anywhere in the library, the tests or the benchmark; a
 method counts only when read as an attribute.  Definitions, assignment
 targets and imports do not count: a local variable that shares a
 method's name does not vouch for it, and a name that is only
-re-exported is still dead.
+re-exported is still dead.  A class counts as used when its name is
+read outside its own body, so a class that only builds itself is dead.
 
 Likewise every name a library module imports is read in that module;
 only `__init__.py` imports to re-export.
@@ -60,6 +61,47 @@ def test_every_public_function_has_a_caller():
     dead = [where for where, name, is_method in _public_definitions()
             if name not in attrs and (is_method or name not in loads)]
     assert not dead, f"public functions with no caller: {dead}"
+
+
+class _ReadsOutsideOwnClass(ast.NodeVisitor):
+    """Names read, as a plain name or an attribute, except inside the
+    body of a class of that name."""
+
+    def __init__(self):
+        self.read, self.inside = set(), []
+
+    def visit_ClassDef(self, node):
+        self.inside.append(node.name)
+        self.generic_visit(node)
+        self.inside.pop()
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load) and node.id not in self.inside:
+            self.read.add(node.id)
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load) and node.attr not in self.inside:
+            self.read.add(node.attr)
+        self.generic_visit(node)
+
+
+def _public_classes():
+    """(where, name) for every public class of the library."""
+    for path in sorted(LIBRARY.glob("*.py")):
+        for node in _parse(path).body:
+            if isinstance(node, ast.ClassDef) \
+                    and not node.name.startswith("_"):
+                yield f"{path.name}:{node.name}", node.name
+
+
+def test_every_public_class_is_read():
+    reads = _ReadsOutsideOwnClass()
+    for top in SEARCHED:
+        for path in top.rglob("*.py"):
+            reads.visit(_parse(path))
+    dead = [where for where, name in _public_classes()
+            if name not in reads.read]
+    assert not dead, f"public classes never read: {dead}"
 
 
 def _unread_imports(path):
