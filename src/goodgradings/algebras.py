@@ -242,13 +242,11 @@ class GradingElement:
         if len(diag) != self.spec.size:
             raise ValueError("diagonal length != matrix size")
         if self.spec.family in (Family.SP, Family.SO):
-            idx = _signed_indices(self.spec)
-            pos = {i: a for a, i in enumerate(idx)}
-            for i in idx:
-                if i > 0 and diag[pos[-i]] != -diag[pos[i]]:
-                    raise ValueError("diagonal not form-compatible (pairing)")
-                if i == 0 and diag[pos[0]] != 0:
-                    raise ValueError("middle diagonal entry must vanish")
+            half = len(diag) // 2
+            if diag[-half:] != tuple(-d for d in diag[:half]):
+                raise ValueError("diagonal not form-compatible (pairing)")
+            if len(diag) % 2 and diag[half] != 0:
+                raise ValueError("middle diagonal entry must vanish")
 
     def matrix(self) -> Matrix:
         return Matrix.diagonal(self.diagonal)

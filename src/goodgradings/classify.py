@@ -20,17 +20,17 @@ one; failures raise VerificationError because they would mean a bug,
 not bad input.
 
 All families share one parametrization: a grading is
-`_shifted_grading(spec, base, shifts)`, one shift per center part, and
-`center_torus` makes the family choice (base pyramid, center parts,
-shift vectors, pyramids) in one place for the enumeration, the sweep
-and the CLI.
+`gradings.grading_of_pyramid(spec, base, shifts)`, one shift per center
+part, and `center_torus` makes the family choice (base pyramid, center
+parts, shift vectors, pyramids) in one place for the enumeration, the
+sweep and the CLI.
 
 The sweep oracle ignores the casework: on the ad e blocks the
 enumeration built, it finds the good gradings h(p) + z(t) as the
 integral points of a polytope.  Its bounds come from the weights of the
 centralizer of e by Fourier-Motzkin elimination, not from the
 classification, so equality with the enumeration is a genuine
-completeness check.  It builds its gradings with `_shifted_grading` too.
+completeness check.  It builds its gradings with `grading_of_pyramid` too.
 """
 
 from __future__ import annotations
@@ -41,12 +41,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .algebras import (AlgebraSpec, Family, GradingElement, _signed_indices,
-                       build_algebra, graded_decomposition)
+from .algebras import (AlgebraSpec, Family, GradingElement, build_algebra,
+                       graded_decomposition)
 from .gradings import (AdBlocks, Characteristic, VerificationError,
                        ad_blocks, characteristic_from_pyramid,
-                       characteristic_of, fill_boxes, graded_ad_ranks,
-                       is_good, nilpotent_of_pyramid, normalize_traceless)
+                       characteristic_of, graded_ad_ranks,
+                       grading_of_pyramid, is_good, nilpotent_of_pyramid)
 from .partitions import (Partition, gl_centralizer_dim, so_centralizer_dim,
                          sp_centralizer_dim)
 from .pyramids import (Pyramid, enumerate_pyramids, orthogonal_center_parts,
@@ -135,30 +135,6 @@ def center_torus(spec: AlgebraSpec) -> CenterTorus:
     }[spec.family]
 
 
-def _shifted_grading(spec: AlgebraSpec, base: Pyramid,
-                     shifts: dict[int, Fraction]) -> GradingElement:
-    """h(base) plus the center vector shifting the given parts' rows.
-
-    Uses the base pyramid's box filling, so the result is literally
-    h(p) + z(t) on the same basis vectors.  The rows of a part move by
-    its shift in the upper half-plane and against it in the lower one.
-    The result is normalized traceless: for gl that removes the scalar,
-    which acts trivially under ad; sp/so diagonals already sum to zero.
-    """
-    labels = fill_boxes(spec, base)
-    pos = {i: a for a, i in enumerate(_signed_indices(spec))}
-    diag = [Fraction(0)] * spec.size
-    for r in base.rows:
-        s = Fraction(0)
-        if r.role == "full" and r.y != 0:
-            s = shifts.get(r.parts[0], Fraction(0))
-            if r.y < 0:
-                s = -s
-        for x in r.coords():
-            diag[pos[labels[(x, r.y)]]] = x + s
-    return normalize_traceless(GradingElement(spec, tuple(diag)))
-
-
 def _entry(H: GradingElement, blocks: AdBlocks, pyr: Pyramid, source: tuple,
            is_dynkin: bool) -> GradingEntry:
     pair = is_good(H, blocks)
@@ -194,7 +170,7 @@ def good_gradings(spec: AlgebraSpec, p: Partition) -> GoodGradingFamily:
         else ("t", torus.center_parts(p))
     entries = []
     for shifts, pyr in zip(torus.shift_vectors(p), torus.pyramids(p)):
-        H = _shifted_grading(spec, base, shifts)
+        H = grading_of_pyramid(spec, base, shifts)
         values = tuple(shifts.get(v, Fraction(0)) for v in keys)
         entries.append(_entry(H, blocks, pyr, (kind, values),
                               all(x == 0 for x in values)))
@@ -231,7 +207,7 @@ def even_good_grading_gl(p: Partition) -> GradingElement:
     values = [v for v, _ in p.distinct()]
     breaks = ((v - w) % 2 for v, w in zip(values, values[1:]))
     shifts = dict(zip(values[1:], map(Fraction, itertools.accumulate(breaks))))
-    H = _shifted_grading(spec, base, shifts)
+    H = grading_of_pyramid(spec, base, shifts)
     g = build_algebra(spec)
     pair = is_good(H, ad_blocks(g, nilpotent_of_pyramid(g, base)))
     if not pair.verified or not pair.decomposition.is_even():
@@ -282,7 +258,7 @@ def _centralizer_weights(fam: GoodGradingFamily):
     torus = center_torus(spec)
     base = torus.base(p)
     of_0, *of_steps = (
-        graded_decomposition(g, _shifted_grading(spec, base, shifts)).of
+        graded_decomposition(g, grading_of_pyramid(spec, base, shifts)).of
         for shifts in [{}] + [{v: 1} for v in torus.center_parts(p)])
     forms = [(tuple(of_i[k] - d for of_i in of_steps), 2 * d)
              for k, d in enumerate(of_0)]
@@ -315,7 +291,7 @@ def sweep_oracle(fam: GoodGradingFamily) -> list[GradingElement]:
     parity = {(tuple(x % 2 for x in a), b % 2) for a, b in forms}
 
     def grading(t):
-        return _shifted_grading(spec, base, dict(zip(parts, t)))
+        return grading_of_pyramid(spec, base, dict(zip(parts, t)))
 
     found: dict[tuple, GradingElement] = {}
     for s in _lattice_points(list(weights), parity, len(parts)):

@@ -117,7 +117,7 @@ def _entry_payload(ent) -> dict:
         "characteristic": {
             "diagram": ent.characteristic.diagram,
             "rank": ent.characteristic.rank,
-            "labels": [int(x) for x in ent.characteristic.labels],
+            "labels": list(ent.characteristic.labels),
             "node_order": NODE_ORDER_NOTE,
         },
         "is_dynkin": ent.is_dynkin,

@@ -45,7 +45,7 @@ from .algebras import (AlgebraBasis, AlgebraSpec, Family, GradedDecomposition,
                        sparse_bracket, _signed_indices)
 from .linalg import Scalar, integer_row, rref
 from .partitions import Partition
-from .pyramids import ORTHOGONAL, SYMPLECTIC, TYPE_A, Pyramid
+from .pyramids import ORTHOGONAL, SYMPLECTIC, TYPE_A, Pyramid, row_shift
 
 Box = tuple[Fraction, int]
 
@@ -193,14 +193,24 @@ def nilpotent_of_pyramid(g: AlgebraBasis, pyr: Pyramid) -> Sparse:
     return e
 
 
-def grading_of_pyramid(spec: AlgebraSpec, pyr: Pyramid) -> GradingElement:
-    """Diagonal grading element: entry of each basis vector = box first coordinate."""
+def grading_of_pyramid(spec: AlgebraSpec, pyr: Pyramid,
+                       shifts: dict[int, Scalar]) -> GradingElement:
+    """h(pyr) plus the center vector shifting the given parts' rows.
+
+    The entry of each basis vector is the first coordinate of its box,
+    moved with the box's row by `pyramids.row_shift`; the box filling is
+    pyr's, so a shift is literally h(pyr) + z on the same basis vectors.
+    The result is normalized traceless: for gl that removes the scalar,
+    which acts trivially under ad; sp/so diagonals already sum to zero.
+    """
     labels = fill_boxes(spec, pyr)
     pos = {i: a for a, i in enumerate(_signed_indices(spec))}
     diag = [Fraction(0)] * spec.size
-    for (x, _y), lab in labels.items():
-        diag[pos[lab]] = x
-    return GradingElement(spec, tuple(diag))
+    for r in pyr.rows:
+        s = row_shift(r, shifts)
+        for x in r.coords():
+            diag[pos[labels[(x, r.y)]]] = x + s
+    return normalize_traceless(GradingElement(spec, tuple(diag)))
 
 
 def normalize_traceless(H: GradingElement) -> GradingElement:
@@ -364,7 +374,7 @@ class Characteristic:
 
     diagram: str
     rank: int
-    labels: tuple[Fraction, ...]
+    labels: tuple[int, ...]
 
     def normalized(self) -> tuple:
         """Fork-insensitive form used for comparisons in type D."""
@@ -374,9 +384,6 @@ class Characteristic:
             return (self.diagram, self.rank, body + fork)
         return (self.diagram, self.rank, self.labels)
 
-    def as_ints(self) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.labels)
-
     def __str__(self):
         return f"{self.diagram}{self.rank}:" + ",".join(str(x) for x in self.labels)
 
@@ -385,35 +392,31 @@ def characteristic_of(H: GradingElement) -> Characteristic:
     """Characteristic read off the dominant-chamber representative.
 
     Sort the diagonal into the dominant chamber of the family's Weyl
-    group and take the degrees of the simple root vectors.  This is the
-    uniform definition; the pyramid column algorithm is checked against
-    it.
+    group and take the degrees of the simple root vectors: consecutive
+    differences, then for B/C/D the last simple root (d_n, 2 d_n or
+    d_{n-1} + d_n).  This is the uniform definition; the pyramid column
+    algorithm is checked against it.
     """
     if not H.is_integral():
         raise ValueError("characteristics are defined for integral gradings")
-    fam = H.spec.family
-    n = H.spec.size
-    if fam is Family.GL:
+    spec = H.spec
+    if spec.family is Family.GL:
         d = sorted(H.diagonal, reverse=True)
-        labels = tuple(d[i] - d[i + 1] for i in range(n - 1))
-        return Characteristic("A", n - 1, labels)
-    half = n // 2
-    entries = [H.diagonal[i] for i in range(half)]
-    if fam is Family.SP:
+    else:
+        entries = H.diagonal[:spec.size // 2]
         d = sorted((abs(x) for x in entries), reverse=True)
-        labels = tuple(d[i] - d[i + 1] for i in range(half - 1)) + (2 * d[-1],)
-        return Characteristic("C", half, labels)
-    if n % 2 == 1:
-        d = sorted((abs(x) for x in entries), reverse=True)
-        labels = tuple(d[i] - d[i + 1] for i in range(half - 1)) + (d[-1],)
-        return Characteristic("B", half, labels)
-    negatives = sum(1 for x in entries if x < 0)
-    d = sorted((abs(x) for x in entries), reverse=True)
-    if negatives % 2 == 1:
-        d[-1] = -d[-1]
-    labels = tuple(d[i] - d[i + 1] for i in range(half - 2)) \
-        + (d[-2] - d[-1], d[-2] + d[-1])
-    return Characteristic("D", half, labels)
+        # D's Weyl group flips signs in pairs: an odd count of negative
+        # entries leaves the smallest one negative
+        if spec.diagram == "D" and sum(x < 0 for x in entries) % 2:
+            d[-1] = -d[-1]
+    labels = [a - b for a, b in zip(d, d[1:])]
+    if spec.diagram == "B":
+        labels.append(d[-1])
+    elif spec.diagram == "C":
+        labels.append(2 * d[-1])
+    elif spec.diagram == "D":
+        labels.append(d[-2] + d[-1])
+    return Characteristic(spec.diagram, spec.rank, tuple(int(x) for x in labels))
 
 
 def characteristic_from_pyramid(spec: AlgebraSpec, pyr: Pyramid) -> Characteristic:
@@ -421,71 +424,39 @@ def characteristic_from_pyramid(spec: AlgebraSpec, pyr: Pyramid) -> Characterist
 
     Scan columns from the right edge inward; each nonempty column emits
     (height-1) zeros and then a separator: 2 if the next column inward
-    is empty, 1 if not.  The middle column contributes trailing zeros
-    (one per mirror pair); for half-integer pyramids the column at 1/2
-    ends the sequence with a single 1, or a 2 when it holds just one box
-    (the dominant-chamber computation forces the larger label there).
+    is empty, 1 if not.  The scan ends at gl's leftmost column, which
+    emits only its zeros, or at sp/so's middle column.  At 0 that
+    column contributes one zero per mirror pair, except that a single
+    pair in D makes the fork partner of the zero entry repeat the
+    smallest positive coordinate.  At 1/2 (half-integer pyramids) it
+    ends the sequence with its zeros and a single 1, or a 2 in D when
+    it holds just one box (the dominant-chamber computation forces the
+    larger label there).
     """
     _check_flavor(spec, pyr)
-    heights: dict[Fraction, int] = {}
-    for x, _ in pyr.boxes():
-        heights[x] = heights.get(x, 0) + 1
-    if spec.family is Family.GL:
-        xs = sorted(heights)
-        labels: list[Fraction] = []
-        bottom = xs[0]
-        x = xs[-1]
-        # scan right to left so the labels come out in the descending
-        # diagonal order (the left-to-right scan is its diagram flip)
-        while x >= bottom:
-            h = heights.get(x, 0)
-            if h > 0:
-                labels.extend([Fraction(0)] * (h - 1))
-                if x > bottom:
-                    labels.append(Fraction(2 if heights.get(x - 1, 0) == 0 else 1))
-            x -= 1
-        return Characteristic("A", spec.size - 1, tuple(labels))
-    half_shift = any(x.denominator == 2 for x in heights)
-    rank = spec.rank
-    diagram = spec.diagram
-    labels = []
-    if not half_shift:
-        top = max(heights)
-        x = top
-        smallest_positive = None
-        while x >= 1:
-            h = heights.get(x, 0)
-            if h > 0:
-                smallest_positive = x
-                labels.extend([Fraction(0)] * (h - 1))
-                labels.append(Fraction(2 if heights.get(x - 1, 0) == 0 else 1))
-            x -= 1
-        middle = heights.get(Fraction(0), 0)
-        if diagram == "D" and middle == 2:
-            # one mirror pair at coordinate 0: the fork partner of the
-            # zero entry repeats the smallest positive coordinate
-            labels.append(Fraction(smallest_positive))
-        else:
-            labels.extend([Fraction(0)] * (middle // 2))
+    heights = Counter(x for x, _ in pyr.boxes())
+    gl = spec.family is Family.GL
+    # sp/so stop at 0, or at 1/2 in a half-integer pyramid
+    low = min(heights) if gl else min(abs(x) for x in heights) % 1
+    labels: list[int] = []
+    x = max(heights)
+    while x > low:
+        if heights[x]:
+            labels += [0] * (heights[x] - 1) + [1 if heights[x - 1] else 2]
+        x -= 1
+    h = heights[low]
+    if gl:
+        labels += [0] * (h - 1)
+    elif low:
+        labels += [0] * (h - 1) + [1 if spec.diagram == "C" or h >= 2 else 2]
+    elif spec.diagram == "D" and h == 2:
+        labels.append(int(min(c for c in heights if c > 0)))
     else:
-        top = max(heights)
-        x = top
-        while x > Fraction(1, 2):
-            h = heights.get(x, 0)
-            if h > 0:
-                labels.extend([Fraction(0)] * (h - 1))
-                labels.append(Fraction(2 if heights.get(x - 1, 0) == 0 else 1))
-            x -= 1
-        h = heights.get(Fraction(1, 2), 0)
-        labels.extend([Fraction(0)] * (h - 1))
-        if diagram == "C":
-            labels.append(Fraction(1))
-        else:
-            labels.append(Fraction(1 if h >= 2 else 2))
-    if len(labels) != rank:
+        labels += [0] * (h // 2)
+    if len(labels) != spec.rank:
         raise VerificationError(
-            f"column algorithm produced {len(labels)} labels for rank {rank}")
-    return Characteristic(diagram, rank, tuple(labels))
+            f"column algorithm produced {len(labels)} labels for rank {spec.rank}")
+    return Characteristic(spec.diagram, spec.rank, tuple(labels))
 
 
 # -- additional certificates --------------------------------------------------

@@ -22,6 +22,7 @@ from fractions import Fraction
 from .algebras import (AlgebraBasis, AlgebraSpec, Family, GradingElement,
                        build_algebra, graded_decomposition)
 from .gradings import ad_blocks, graded_ad_ranks, normalize_traceless
+from .pyramids import is_unimodal
 
 SAMPLES, SEED = 16, 0  # elements of g_2 the generic oracle draws, and its seed
 
@@ -170,7 +171,6 @@ def richardson_is_good(par: ParabolicSpec) -> bool:
     q = par.q
     fam = par.spec.family
     if fam is Family.GL:
-        from .pyramids import is_unimodal
         return is_unimodal(c)
     if fam is Family.SP:
         if not _weakly_increasing(c):

@@ -187,20 +187,25 @@ def _mirror(r: Row) -> Row:
     return Row(y=-r.y, first=-r.last, count=r.count, parts=r.parts, role=r.role)
 
 
-def _shift_parts(pyr: Pyramid, shifts: dict[int, Fraction]) -> Pyramid:
-    """Shift the full rows of the given parts: +s in the upper half-plane,
-    -s in the lower one.  In sp/so only parts of multiplicity 2 are ever
+def row_shift(r: Row, shifts: dict[int, Scalar]) -> Scalar:
+    """How far a row moves under a shift per part: the full rows of a
+    part move by +s in the upper half-plane and -s in the lower one;
+    other rows stay.  In sp/so only parts of multiplicity 2 are ever
     shifted, so the row pair of a part is unambiguous; in type A (every
     row in the upper half-plane) all rows of a part move together."""
+    if r.role != "full" or r.y == 0:
+        return 0
+    s = shifts.get(r.parts[0], 0)
+    return s if r.y > 0 else -s
+
+
+def _shift_parts(pyr: Pyramid, shifts: dict[int, Scalar]) -> Pyramid:
+    """The pyramid with every row moved by `row_shift`."""
     rows = []
     for r in pyr.rows:
-        s = shifts.get(r.parts[0], Fraction(0)) if r.role == "full" and r.y != 0 else Fraction(0)
-        if s == 0:
-            rows.append(r)
-        else:
-            delta = s if r.y > 0 else -s
-            rows.append(Row(y=r.y, first=r.first + delta, count=r.count,
-                            parts=r.parts, role=r.role))
+        s = row_shift(r, shifts)
+        rows.append(r if s == 0 else Row(y=r.y, first=r.first + s, count=r.count,
+                                         parts=r.parts, role=r.role))
     return Pyramid(pyr.flavor, tuple(rows))
 
 

@@ -173,10 +173,20 @@ def test_piece_dim_rejects_floats():
 
 
 def test_grading_element_validation():
-    with pytest.raises(ValueError):
+    pairing, middle = "not form-compatible", "middle diagonal entry"
+    with pytest.raises(ValueError, match=pairing):
         GradingElement(AlgebraSpec(Family.SP, 4), (1, 1, -1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=pairing):
+        GradingElement(AlgebraSpec(Family.SO, 6), (2, 1, 0, -2, 1, 0))
+    with pytest.raises(ValueError, match=middle):
         GradingElement(AlgebraSpec(Family.SO, 5), (1, 1, 1, -1, -1))
+    # pairing is checked before the middle entry
+    with pytest.raises(ValueError, match=pairing):
+        GradingElement(AlgebraSpec(Family.SO, 5), (1, 1, 1, -1, 1))
+    # only the pairing fails: the middle entry vanishes
+    with pytest.raises(ValueError, match=pairing):
+        GradingElement(AlgebraSpec(Family.SO, 7), (3, 1, 2, 0, -3, -1, 2))
+    GradingElement(AlgebraSpec(Family.SO, 7), (3, 1, 2, 0, -3, -1, -2))
 
 
 def check_integral_decomposition(g, H):

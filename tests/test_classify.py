@@ -7,13 +7,14 @@ import pytest
 from goodgradings.algebras import AlgebraSpec, Family, GradingElement, \
     build_algebra, graded_decomposition
 from goodgradings.classify import (_centralizer_weights, _lattice_points,
-                                   _shifted_grading, center_torus,
-                                   even_good_grading_gl, good_gradings,
-                                   good_gradings_gl, good_gradings_so,
-                                   good_gradings_sp, sweep_oracle)
+                                   center_torus, even_good_grading_gl,
+                                   good_gradings, good_gradings_gl,
+                                   good_gradings_so, good_gradings_sp,
+                                   sweep_oracle)
 from goodgradings.gradings import (AdBlocks, VerificationError, ad_blocks,
-                                   characteristic_of, is_good,
-                                   nilpotent_of_pyramid, normalize_traceless)
+                                   characteristic_of, grading_of_pyramid,
+                                   is_good, nilpotent_of_pyramid,
+                                   normalize_traceless)
 from goodgradings.parabolic import ParabolicSpec, parabolic_grading
 from goodgradings.partitions import (Partition, orthogonal_partitions,
                                      partitions, symplectic_partitions)
@@ -41,11 +42,11 @@ def grid_sweep(fam):
     base, cparts = torus.base(p), torus.center_parts(p)
     found = {}
     for t in itertools.product(grid_axis(p), repeat=len(cparts)):
-        H = _shifted_grading(spec, base, dict(zip(cparts, t)))
+        H = grading_of_pyramid(spec, base, dict(zip(cparts, t)))
         if not H.is_integral() or not is_good(H, blocks).verified:
             continue
         ct = t if spec.family is Family.GL else tuple(abs(x) for x in t)
-        found.setdefault(ct, _shifted_grading(spec, base, dict(zip(cparts, ct))))
+        found.setdefault(ct, grading_of_pyramid(spec, base, dict(zip(cparts, ct))))
     return [found[ct] for ct in sorted(found)]
 
 
@@ -177,7 +178,7 @@ def test_gl_block_system_matches_pyramids():
         for a in itertools.product(*ranges):
             shifts = {blocks[i + 1][0]: Fraction(sum(a[:i + 1]))
                       for i in range(len(a))}
-            H = _shifted_grading(spec, base, shifts)
+            H = grading_of_pyramid(spec, base, shifts)
             assert normalize_traceless(H) == H
             system.add(H.diagonal)
         assert system == good_gradings_gl(p).diagonals()
@@ -201,8 +202,8 @@ def test_sign_symmetry_of_goodness():
             else orthogonal_center_parts(p)
         for ent in family.entries:
             t = ent.source[1]
-            flipped = _shifted_grading(spec, base,
-                                       {v: -x for v, x in zip(cparts, t)})
+            flipped = grading_of_pyramid(spec, base,
+                                         {v: -x for v, x in zip(cparts, t)})
             assert is_good(flipped, blocks).verified
 
 
@@ -264,7 +265,7 @@ def test_is_integral_matches_decomposition_on_sweep_candidates():
         base, cparts = torus.base(p), torus.center_parts(p)
         verdicts = set()
         for t in itertools.product(grid_axis(p), repeat=len(cparts)):
-            H = _shifted_grading(spec, base, dict(zip(cparts, t)))
+            H = grading_of_pyramid(spec, base, dict(zip(cparts, t)))
             reference = [H.diagonal[g.position[i]] - H.diagonal[g.position[j]]
                          for _, i, j in g.labels]
             verdict = H.is_integral()

@@ -5,19 +5,20 @@ import pytest
 
 from goodgradings.algebras import (AlgebraSpec, Family, GradingElement,
                                    build_algebra, graded_decomposition)
-from goodgradings.classify import _shifted_grading, good_gradings_gl
+from goodgradings.classify import center_torus, good_gradings_gl
 from goodgradings.gradings import (_expected_jordan_type, ad_blocks,
                                    characteristic_from_pyramid,
                                    characteristic_of, check_duality_form,
                                    check_torus_weights, fill_boxes,
                                    grading_of_pyramid, is_good, jordan_type,
-                                   nilpotent_of_pyramid, normalize_traceless)
+                                   nilpotent_of_pyramid)
 from goodgradings.linalg import Matrix, bracket, rank
 from goodgradings.partitions import (Partition, orthogonal_partitions,
                                      partitions, symplectic_partitions)
-from goodgradings.pyramids import (enumerate_pyramids, orthogonal_pyramid,
-                                   orthogonal_pyramids, symmetric_pyramid,
-                                   symplectic_pyramid, symplectic_pyramids)
+from goodgradings.pyramids import (_shift_parts, enumerate_pyramids,
+                                   orthogonal_pyramid, orthogonal_pyramids,
+                                   symmetric_pyramid, symplectic_pyramid,
+                                   symplectic_pyramids)
 
 GL = Family.GL
 SP = Family.SP
@@ -79,7 +80,7 @@ def test_nilpotent_construction(fam, n, parts):
     assert g.contains(e)
     assert all(type(v) is int and v for v in e.values())
     assert jordan_type(e, n) == reference_jordan_type(dense(e, n)) == p
-    H = grading_of_pyramid(spec, pyr)
+    H = grading_of_pyramid(spec, pyr, {})
     assert bracket(H.matrix(), dense(e, n)) == dense(e, n).scale(2)
 
 
@@ -156,13 +157,13 @@ def test_single_block_nilpotent():
 def test_grading_examples():
     # boxes are labeled row by row, left to right
     assert grading_of_pyramid(AlgebraSpec(GL, 2),
-                              symmetric_pyramid(Partition((2,)))).diagonal \
+                              symmetric_pyramid(Partition((2,))), {}).diagonal \
         == (Fraction(-1), Fraction(1))
     assert grading_of_pyramid(AlgebraSpec(GL, 3),
-                              symmetric_pyramid(Partition((2, 1)))).diagonal \
+                              symmetric_pyramid(Partition((2, 1))), {}).diagonal \
         == (Fraction(-1), Fraction(1), Fraction(0))
     assert grading_of_pyramid(AlgebraSpec(SP, 4),
-                              symplectic_pyramid(Partition((2, 2)))).diagonal \
+                              symplectic_pyramid(Partition((2, 2))), {}).diagonal \
         == (Fraction(1), Fraction(1), Fraction(-1), Fraction(-1))
 
 
@@ -183,7 +184,7 @@ def test_every_type_a_pyramid_pair_is_good():
                 continue
             e = nilpotent_of_pyramid(g, symmetric_pyramid(p))
             for pyr in enumerate_pyramids(p):
-                H = normalize_traceless(grading_of_pyramid(spec, pyr))
+                H = grading_of_pyramid(spec, pyr, {})
                 assert is_good(H, ad_blocks(g, e)).verified
 
 
@@ -196,7 +197,7 @@ def test_every_symplectic_pyramid_pair_is_good():
                 continue
             for pyr in symplectic_pyramids(p):
                 e = nilpotent_of_pyramid(g, pyr)
-                H = grading_of_pyramid(spec, pyr)
+                H = grading_of_pyramid(spec, pyr, {})
                 assert is_good(H, ad_blocks(g, e)).verified
 
 
@@ -209,7 +210,7 @@ def test_every_orthogonal_pyramid_pair_is_good():
                 continue
             for pyr in orthogonal_pyramids(p):
                 e = nilpotent_of_pyramid(g, pyr)
-                H = grading_of_pyramid(spec, pyr)
+                H = grading_of_pyramid(spec, pyr, {})
                 assert is_good(H, ad_blocks(g, e)).verified
 
 
@@ -248,7 +249,7 @@ def test_good_pair_centralizer_degrees():
     g = build_algebra(spec)
     p = Partition((2, 1))
     e = nilpotent_of_pyramid(g, symmetric_pyramid(p))
-    H = grading_of_pyramid(spec, symmetric_pyramid(p))
+    H = grading_of_pyramid(spec, symmetric_pyramid(p), {})
     pair = is_good(H, ad_blocks(g, e))
     assert pair.verified
     assert len(pair.centralizer_degrees) == 5
@@ -258,32 +259,57 @@ def test_good_pair_centralizer_degrees():
 def test_characteristic_regular_and_minimal():
     for n in (3, 4, 5):
         fam = good_gradings_gl(Partition((n,)))
-        assert fam.entries[0].characteristic.labels == (Fraction(2),) * (n - 1)
+        assert fam.entries[0].characteristic.labels == (2,) * (n - 1)
     fam = good_gradings_gl(Partition((2, 1, 1)))
     dyn = fam.dynkin.characteristic
-    assert dyn.labels == (Fraction(1), Fraction(0), Fraction(1))
+    assert dyn.labels == (1, 0, 1)
 
 
 def test_characteristic_subregular_sl3():
     spec = AlgebraSpec(GL, 3)
-    H = normalize_traceless(grading_of_pyramid(
-        spec, symmetric_pyramid(Partition((2, 1)))))
-    assert characteristic_of(H).labels == (Fraction(1), Fraction(1))
+    H = grading_of_pyramid(spec, symmetric_pyramid(Partition((2, 1))), {})
+    assert characteristic_of(H).labels == (1, 1)
+
+
+def torus_points():
+    """(spec, base, shifts, pyramid) for every good grading of every
+    nonzero orbit of gl_n, n <= 7, sp_N, N <= 10, and so_N, N <= 10."""
+    specs = [AlgebraSpec(GL, n) for n in range(2, 8)] \
+        + [AlgebraSpec(SP, N) for N in range(2, 11, 2)] \
+        + [AlgebraSpec(SO, N) for N in range(3, 11)]
+    orbits = {GL: partitions, SP: symplectic_partitions,
+              SO: orthogonal_partitions}
+    for spec in specs:
+        torus = center_torus(spec)
+        for p in orbits[spec.family](spec.size):
+            if p.is_zero_orbit():
+                continue
+            base = torus.base(p)
+            for shifts, pyr in zip(torus.shift_vectors(p), torus.pyramids(p)):
+                yield spec, base, shifts, pyr
 
 
 def test_characteristic_methods_agree_on_families():
-    for N in (4, 6, 8):
-        spec = AlgebraSpec(SP, N)
-        for p in symplectic_partitions(N):
-            if p.is_zero_orbit():
-                continue
-            base = symplectic_pyramid(p)
-            from goodgradings.pyramids import symplectic_shift_vectors
-            for shifts, pyr in zip(symplectic_shift_vectors(p),
-                                   symplectic_pyramids(p)):
-                H = _shifted_grading(spec, base, shifts)
-                assert characteristic_of(H).normalized() == \
-                    characteristic_from_pyramid(spec, pyr).normalized()
+    for spec, base, shifts, pyr in torus_points():
+        chamber = characteristic_of(grading_of_pyramid(spec, base, shifts))
+        columns = characteristic_from_pyramid(spec, pyr)
+        assert chamber.normalized() == columns.normalized(), (spec, shifts)
+        assert all(type(x) is int for x in chamber.labels + columns.labels)
+
+
+def test_writer_and_pyramid_shift_rows_alike():
+    # the writer moves each base box's entry with its row exactly as
+    # _shift_parts moves the box (up to gl's scalar), rows in y order
+    for spec, base, shifts, _ in torus_points():
+        pos = build_algebra(spec).position
+        labels = fill_boxes(spec, base)
+        diag = grading_of_pyramid(spec, base, shifts).diagonal
+        shifted = _shift_parts(base, shifts)
+        mean = sum(x for x, _ in shifted.boxes()) / spec.size
+        for r, moved in zip(base.rows, shifted.rows):
+            for x, x_moved in zip(r.coords(), moved.coords()):
+                assert diag[pos[labels[(x, r.y)]]] == x_moved - mean, \
+                    (spec, shifts)
 
 
 def test_characteristic_fork_pair_case():
@@ -291,10 +317,10 @@ def test_characteristic_fork_pair_case():
     p = Partition((3, 3, 1, 1))
     spec = AlgebraSpec(SO, 8)
     base = orthogonal_pyramid(p)
-    H = _shifted_grading(spec, base, {3: Fraction(1, 2), 1: Fraction(3, 2)})
+    H = grading_of_pyramid(spec, base, {3: Fraction(1, 2), 1: Fraction(3, 2)})
     ch = characteristic_of(H)
-    assert sorted(ch.labels[-2:]) == [Fraction(1), Fraction(2)]
-    assert ch.labels[:2] == (Fraction(1), Fraction(0))
+    assert sorted(ch.labels[-2:]) == [1, 2]
+    assert ch.labels[:2] == (1, 0)
 
 
 def test_characteristic_rejects_non_integral():
@@ -308,14 +334,14 @@ def test_duality_form():
     spec = AlgebraSpec(GL, 2)
     g = build_algebra(spec)
     e = nilpotent_of_pyramid(g, symmetric_pyramid(Partition((2,))))
-    H = grading_of_pyramid(spec, symmetric_pyramid(Partition((2,))))
+    H = grading_of_pyramid(spec, symmetric_pyramid(Partition((2,))), {})
     assert check_duality_form(H, ad_blocks(g, e))
     # sl_3 subregular Dynkin grading has a 2-dim degree -1 piece
     spec3 = AlgebraSpec(GL, 3)
     g3 = build_algebra(spec3)
     p = Partition((2, 1))
     e3 = nilpotent_of_pyramid(g3, symmetric_pyramid(p))
-    H3 = grading_of_pyramid(spec3, symmetric_pyramid(p))
+    H3 = grading_of_pyramid(spec3, symmetric_pyramid(p), {})
     assert graded_decomposition(g3, H3).piece_dim(-1) == 2
     assert check_duality_form(H3, ad_blocks(g3, e3))
     # sp_4, (2,1,1) Dynkin
@@ -323,7 +349,7 @@ def test_duality_form():
     gsp = build_algebra(spec_sp)
     psp = Partition((2, 1, 1))
     esp = nilpotent_of_pyramid(gsp, symplectic_pyramid(psp))
-    Hsp = grading_of_pyramid(spec_sp, symplectic_pyramid(psp))
+    Hsp = grading_of_pyramid(spec_sp, symplectic_pyramid(psp), {})
     assert check_duality_form(Hsp, ad_blocks(gsp, esp))
 
 
@@ -343,13 +369,13 @@ def test_torus_weights():
     p = Partition((2, 1))
     e = nilpotent_of_pyramid(g, symmetric_pyramid(p))
     for pyr in enumerate_pyramids(p):
-        H = normalize_traceless(grading_of_pyramid(spec, pyr))
+        H = grading_of_pyramid(spec, pyr, {})
         assert check_torus_weights(H, ad_blocks(g, e))
     with pytest.raises(ValueError):
         gsp = build_algebra(AlgebraSpec(SP, 4))
         psp = Partition((2, 2))
         esp = nilpotent_of_pyramid(gsp, symplectic_pyramid(psp))
-        Hsp = grading_of_pyramid(AlgebraSpec(SP, 4), symplectic_pyramid(psp))
+        Hsp = grading_of_pyramid(AlgebraSpec(SP, 4), symplectic_pyramid(psp), {})
         check_torus_weights(Hsp, ad_blocks(gsp, esp))
 
 
@@ -372,7 +398,7 @@ def test_good_pair_graded_kernel_dimensions():
         g = build_algebra(spec)
         pyr = base_pyramid(spec, p)
         e = nilpotent_of_pyramid(g, pyr)
-        H = grading_of_pyramid(spec, pyr)
+        H = grading_of_pyramid(spec, pyr, {})
         pair = is_good(H, ad_blocks(g, e))
         assert pair.verified
         dec = graded_decomposition(g, H)

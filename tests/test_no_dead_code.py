@@ -8,8 +8,9 @@ method's name does not vouch for it, and a name that is only
 re-exported is still dead.  A class counts as used when its name is
 read outside its own body, so a class that only builds itself is dead.
 
-Likewise every name a library module imports is read in that module;
-only `__init__.py` imports to re-export.
+Likewise every name a library module imports is read in that module,
+and imported at module level, where the import graph shows it; only
+`__init__.py` imports to re-export.
 """
 
 import ast
@@ -124,3 +125,17 @@ def test_every_import_of_the_library_is_read():
               if path.name != "__init__.py"
               and (names := _unread_imports(path))}
     assert not unread, f"imported names never read: {unread}"
+
+
+def test_library_modules_import_at_module_level():
+    nested = {}
+    for path in sorted(LIBRARY.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = _parse(path)
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and node not in tree.body]
+        if lines:
+            nested[path.name] = lines
+    assert not nested, f"imports below module level (file: lines): {nested}"
