@@ -47,6 +47,7 @@ from .gradings import (AdBlocks, Characteristic, VerificationError,
                        ad_blocks, characteristic_from_pyramid,
                        characteristic_of, graded_ad_ranks,
                        grading_of_pyramid, is_good, nilpotent_of_pyramid)
+from .linalg import Scalar
 from .partitions import (Partition, gl_centralizer_dim, so_centralizer_dim,
                          sp_centralizer_dim)
 from .pyramids import (Pyramid, enumerate_pyramids, orthogonal_center_parts,
@@ -115,7 +116,7 @@ class CenterTorus(NamedTuple):
 
     base: Callable[[Partition], Pyramid]
     center_parts: Callable[[Partition], tuple[int, ...]]
-    shift_vectors: Callable[[Partition], list[dict[int, Fraction]]]
+    shift_vectors: Callable[[Partition], list[dict[int, Scalar]]]
     pyramids: Callable[[Partition], list[Pyramid]]
 
 
@@ -171,7 +172,7 @@ def good_gradings(spec: AlgebraSpec, p: Partition) -> GoodGradingFamily:
     entries = []
     for shifts, pyr in zip(torus.shift_vectors(p), torus.pyramids(p)):
         H = grading_of_pyramid(spec, base, shifts)
-        values = tuple(shifts.get(v, Fraction(0)) for v in keys)
+        values = tuple(shifts.get(v, 0) for v in keys)
         entries.append(_entry(H, blocks, pyr, (kind, values),
                               all(x == 0 for x in values)))
     return GoodGradingFamily(spec, p, tuple(entries), blocks)
@@ -206,7 +207,7 @@ def even_good_grading_gl(p: Partition) -> GradingElement:
     base = symmetric_pyramid(p)
     values = [v for v, _ in p.distinct()]
     breaks = ((v - w) % 2 for v, w in zip(values, values[1:]))
-    shifts = dict(zip(values[1:], map(Fraction, itertools.accumulate(breaks))))
+    shifts = dict(zip(values[1:], itertools.accumulate(breaks)))
     H = grading_of_pyramid(spec, base, shifts)
     g = build_algebra(spec)
     pair = is_good(H, ad_blocks(g, nilpotent_of_pyramid(g, base)))

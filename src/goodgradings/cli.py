@@ -12,13 +12,13 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from .algebras import AlgebraSpec, Family
 from .classify import (GoodGradingFamily, center_torus, good_gradings,
                        sweep_oracle)
 from .exceptional import ExceptionalDataError, exceptional_lookup
 from .gradings import VerificationError
+from .linalg import Scalar
 from .parabolic import ParabolicSpec, richardson_is_good
 from .partitions import Partition
 from .pyramids import render_pyramid
@@ -102,7 +102,7 @@ def _family_spec(letter: str, p: Partition) -> AlgebraSpec:
     return spec
 
 
-def _frac(x: Fraction) -> str:
+def _frac(x: Scalar) -> str:
     return str(x)
 
 
@@ -122,7 +122,7 @@ def _entry_payload(ent) -> dict:
         },
         "is_dynkin": ent.is_dynkin,
         "is_even": ent.is_even,
-        "source": {"kind": kind, "values": [_frac(Fraction(v)) for v in values]},
+        "source": {"kind": kind, "values": [_frac(v) for v in values]},
         "verification": "verified",
     }
 

@@ -47,7 +47,7 @@ from .linalg import Scalar, integer_row, rref
 from .partitions import Partition
 from .pyramids import ORTHOGONAL, SYMPLECTIC, TYPE_A, Pyramid, row_shift
 
-Box = tuple[Fraction, int]
+Box = tuple[Scalar, int]
 
 
 class VerificationError(RuntimeError):
@@ -82,7 +82,7 @@ def fill_boxes(spec: AlgebraSpec, pyr: Pyramid) -> dict[Box, int]:
         labels[(x, y)] = k + 1
         labels[(-x, -y)] = -(k + 1)
     if spec.size % 2 == 1:
-        labels[(Fraction(0), 0)] = 0
+        labels[(0, 0)] = 0
     return labels
 
 
@@ -94,17 +94,17 @@ def _arrows(pyr: Pyramid) -> list[tuple[Box, Box]]:
     if pyr.flavor == SYMPLECTIC:
         for r in pyr.rows:
             if r.role == "half" and r.y > 0:
-                out.append(((Fraction(-1), -r.y), (Fraction(1), r.y)))
+                out.append(((-1, -r.y), (1, r.y)))
     if pyr.flavor == ORTHOGONAL:
         for r in pyr.rows:
             if r.y <= 0:
                 continue
             if r.role == "joint":
-                out.append(((Fraction(0), -r.y), (Fraction(2), r.y)))
-                out.append(((Fraction(-2), -r.y), (Fraction(0), r.y)))
+                out.append(((0, -r.y), (2, r.y)))
+                out.append(((-2, -r.y), (0, r.y)))
             if r.role == "v0half":
-                out.append(((Fraction(-2), -r.y), (Fraction(0), 0)))
-                out.append(((Fraction(0), 0), (Fraction(2), r.y)))
+                out.append(((-2, -r.y), (0, 0)))
+                out.append(((0, 0), (2, r.y)))
     return out
 
 
@@ -205,7 +205,7 @@ def grading_of_pyramid(spec: AlgebraSpec, pyr: Pyramid,
     """
     labels = fill_boxes(spec, pyr)
     pos = {i: a for a, i in enumerate(_signed_indices(spec))}
-    diag = [Fraction(0)] * spec.size
+    diag: list[Scalar] = [0] * spec.size
     for r in pyr.rows:
         s = row_shift(r, shifts)
         for x in r.coords():
@@ -450,7 +450,7 @@ def characteristic_from_pyramid(spec: AlgebraSpec, pyr: Pyramid) -> Characterist
     elif low:
         labels += [0] * (h - 1) + [1 if spec.diagram == "C" or h >= 2 else 2]
     elif spec.diagram == "D" and h == 2:
-        labels.append(int(min(c for c in heights if c > 0)))
+        labels.append(min(c for c in heights if c > 0))
     else:
         labels += [0] * (h // 2)
     if len(labels) != spec.rank:

@@ -15,6 +15,7 @@ degree-2 elements and comparing centralizer dimension with dim g_0.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,14 +30,19 @@ SAMPLES, SEED = 16, 0  # elements of g_2 the generic oracle draws, and its seed
 
 @dataclass(frozen=True)
 class ParabolicSpec:
-    """A conjugacy class of parabolics: composition plus middle jump q."""
+    """A conjugacy class of parabolics: composition plus middle jump q.
+
+    The blocks and q must be ints: a float or a `Fraction` raises
+    TypeError.
+    """
 
     spec: AlgebraSpec
     blocks: tuple[int, ...]
     q: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(int(a) for a in self.blocks))
+        object.__setattr__(self, "blocks", tuple(map(operator.index, self.blocks)))
+        object.__setattr__(self, "q", operator.index(self.q))
         if not self.blocks or any(a < 1 for a in self.blocks):
             raise ValueError("composition parts must be positive")
         fam = self.spec.family

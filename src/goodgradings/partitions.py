@@ -7,18 +7,22 @@ partitions (odd resp. even parts occur with even multiplicity).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True, order=True)
 class Partition:
-    """A weakly decreasing tuple of positive integers (trailing zeros implicit)."""
+    """A weakly decreasing tuple of positive integers (trailing zeros implicit).
+
+    Parts must be ints: a float or a `Fraction` raises TypeError.
+    """
 
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(map(operator.index, self.parts))
         object.__setattr__(self, "parts", parts)
         if any(p <= 0 for p in parts):
             raise ValueError("parts must be positive")
@@ -27,7 +31,7 @@ class Partition:
 
     @classmethod
     def of(cls, parts: Iterable[int]) -> "Partition":
-        return cls(tuple(sorted((int(p) for p in parts), reverse=True)))
+        return cls(tuple(sorted(map(operator.index, parts), reverse=True)))
 
     @property
     def n(self) -> int:

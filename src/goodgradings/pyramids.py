@@ -1,10 +1,13 @@
 """Pyramids: box arrangements encoding nilpotents and their gradings.
 
-A pyramid is a finite set of unit boxes with rational center
-coordinates organized in rows; within a row the first coordinates form
-an arithmetic progression with difference 2.  Row lengths encode the
-Jordan blocks of a nilpotent, first coordinates encode the diagonal of
-a grading element.
+A pyramid is a finite set of unit boxes with integer or half-integer
+center coordinates organized in rows; within a row the first
+coordinates form an arithmetic progression with difference 2.  An
+integral coordinate is an exact int and a half-integer a `Fraction`
+with denominator 2, so integer pyramids are built, validated and read
+without any `Fraction` arithmetic.  Row lengths encode the Jordan
+blocks of a nilpotent, first coordinates encode the diagonal of a
+grading element.
 
 Three flavors:
 
@@ -41,26 +44,33 @@ ORTHOGONAL = "OP"
 
 @dataclass(frozen=True)
 class Row:
-    """One pyramid row: y index, first coordinate, box count."""
+    """One pyramid row: y index, first coordinate, box count.
+
+    `first` is stored as an int when integral and as a `Fraction` with
+    denominator 2 otherwise; every coordinate of the row has its type.
+    A float is rejected.
+    """
 
     y: int
-    first: Fraction
+    first: Scalar
     count: int
     parts: tuple[int, ...] = ()
     role: str = "full"
 
     def __post_init__(self):
-        object.__setattr__(self, "first", as_fraction(self.first))
+        first = as_fraction(self.first)
         if self.count < 1:
             raise ValueError("empty row")
-        if self.first.denominator not in (1, 2):
+        if first.denominator not in (1, 2):
             raise ValueError("coordinates must be integers or half-integers")
+        object.__setattr__(self, "first",
+                           first.numerator if first.denominator == 1 else first)
 
     @property
-    def last(self) -> Fraction:
+    def last(self) -> Scalar:
         return self.first + 2 * (self.count - 1)
 
-    def coords(self) -> tuple[Fraction, ...]:
+    def coords(self) -> tuple[Scalar, ...]:
         return tuple(self.first + 2 * i for i in range(self.count))
 
 
@@ -98,7 +108,7 @@ class Pyramid:
     def size(self) -> int:
         return sum(r.count for r in self.rows)
 
-    def boxes(self) -> list[tuple[Fraction, int]]:
+    def boxes(self) -> list[tuple[Scalar, int]]:
         """All box centers as (x, y), row by row."""
         return [(x, r.y) for r in self.rows for x in r.coords()]
 
@@ -112,7 +122,7 @@ class Pyramid:
 
 def symmetric_pyramid(p: Partition) -> Pyramid:
     """The centered pyramid of a partition: row j holds p_j boxes."""
-    rows = [Row(y=j + 1, first=Fraction(-pj + 1), count=pj, parts=(pj,))
+    rows = [Row(y=j + 1, first=-pj + 1, count=pj, parts=(pj,))
             for j, pj in enumerate(p.parts)]
     return Pyramid(TYPE_A, tuple(rows))
 
@@ -127,7 +137,7 @@ def type_a_center_parts(p: Partition) -> tuple[int, ...]:
     return tuple(v for v, _ in p.distinct()[1:])
 
 
-def type_a_shift_vectors(p: Partition) -> list[dict[int, Fraction]]:
+def type_a_shift_vectors(p: Partition) -> list[dict[int, Scalar]]:
     """Shift amounts per center part for every type A pyramid of p.
 
     All rows of one part slide together.  The relative shift between
@@ -137,7 +147,7 @@ def type_a_shift_vectors(p: Partition) -> list[dict[int, Fraction]]:
     """
     values = [v for v, _ in p.distinct()]
     ranges = [range(w - v, v - w + 1) for v, w in zip(values, values[1:])]
-    return [dict(zip(values[1:], map(Fraction, itertools.accumulate(rel))))
+    return [dict(zip(values[1:], itertools.accumulate(rel)))
             for rel in itertools.product(*ranges)]
 
 
@@ -172,13 +182,13 @@ def symplectic_pyramid(p: Partition) -> Pyramid:
     for pos, (v, m) in enumerate(p.distinct()):
         if m % 2 == 1:
             if pos == 0:
-                zero.append(Row(y=0, first=Fraction(-v + 1), count=v, parts=(v,)))
+                zero.append(Row(y=0, first=-v + 1, count=v, parts=(v,)))
             else:
-                upper.append(Row(y=y, first=Fraction(1), count=v // 2,
+                upper.append(Row(y=y, first=1, count=v // 2,
                                  parts=(v,), role="half"))
                 y += 1
         for _ in range(m // 2):
-            upper.append(Row(y=y, first=Fraction(-v + 1), count=v, parts=(v,)))
+            upper.append(Row(y=y, first=-v + 1, count=v, parts=(v,)))
             y += 1
     return Pyramid(SYMPLECTIC, tuple(zero + upper + [_mirror(r) for r in upper]))
 
@@ -214,7 +224,7 @@ def symplectic_center_parts(p: Partition) -> tuple[int, ...]:
     return tuple(v for v, m in p.distinct() if v % 2 == 0 and m == 2)
 
 
-def symplectic_shift_vectors(p: Partition) -> list[dict[int, Fraction]]:
+def symplectic_shift_vectors(p: Partition) -> list[dict[int, Scalar]]:
     """Shift amounts per center part for every symplectic pyramid of p.
 
     One vector per subset of the even multiplicity-2 parts (unit shift
@@ -227,7 +237,7 @@ def symplectic_shift_vectors(p: Partition) -> list[dict[int, Fraction]]:
         return [{}]
     out = []
     for bits in itertools.product((0, 1), repeat=len(cparts)):
-        out.append({v: Fraction(b) for v, b in zip(cparts, bits)})
+        out.append(dict(zip(cparts, bits)))
     if all(v % 2 == 0 and m == 2 for v, m in p.distinct()):
         out.append({v: Fraction(1, 2) for v in cparts})
     return out
@@ -260,7 +270,7 @@ def orthogonal_pyramid(p: Partition) -> Pyramid:
     if n % 2 == 1:
         if items and items[0][1] % 2 == 1:
             v = items[0][0]
-            zero.append(Row(y=0, first=Fraction(-v + 1), count=v, parts=(v,)))
+            zero.append(Row(y=0, first=-v + 1, count=v, parts=(v,)))
             items[0][1] -= 1
     upper: list[Row] = []
     y = 1
@@ -268,7 +278,7 @@ def orthogonal_pyramid(p: Partition) -> Pyramid:
     for i in range(len(items)):
         v, m = items[i]
         for _ in range(m // 2):
-            upper.append(Row(y=y, first=Fraction(-v + 1), count=v, parts=(v,)))
+            upper.append(Row(y=y, first=-v + 1, count=v, parts=(v,)))
             y += 1
         if m % 2 == 1:
             j = i + 1
@@ -277,19 +287,19 @@ def orthogonal_pyramid(p: Partition) -> Pyramid:
             if j < len(items):
                 w = items[j][0]
                 items[j][1] -= 1
-                upper.append(Row(y=y, first=Fraction(-w + 1), count=(v + w) // 2,
+                upper.append(Row(y=y, first=-w + 1, count=(v + w) // 2,
                                  parts=(v, w), role="joint"))
                 y += 1
             else:
                 center_part = v
                 if v > 1:
-                    upper.append(Row(y=y, first=Fraction(2), count=(v - 1) // 2,
+                    upper.append(Row(y=y, first=2, count=(v - 1) // 2,
                                      parts=(v,), role="v0half"))
                     y += 1
     if n % 2 == 1 and not zero:
         if center_part is None:
             raise AssertionError("odd size needs an unpaired part for the middle box")
-        zero.append(Row(y=0, first=Fraction(0), count=1, parts=(center_part,),
+        zero.append(Row(y=0, first=0, count=1, parts=(center_part,),
                         role="center"))
     return Pyramid(ORTHOGONAL, tuple(zero + upper + [_mirror(r) for r in upper]))
 
@@ -299,7 +309,7 @@ def orthogonal_center_parts(p: Partition) -> tuple[int, ...]:
     return tuple(v for v, m in p.distinct() if v % 2 == 1 and m == 2)
 
 
-def orthogonal_shift_vectors(p: Partition) -> list[dict[int, Fraction]]:
+def orthogonal_shift_vectors(p: Partition) -> list[dict[int, Scalar]]:
     """Shift amounts per center part for every orthogonal pyramid of p.
 
     Subsets of the odd multiplicity-2 parts shift by one unit; when the
@@ -315,10 +325,10 @@ def orthogonal_shift_vectors(p: Partition) -> list[dict[int, Fraction]]:
     if c == 0:
         return [{}]
     all_in_c = all(v % 2 == 1 and m == 2 for v, m in p.distinct())
-    out: list[dict[int, Fraction]] = []
+    out: list[dict[int, Scalar]] = []
     if cparts[-1] != 1:
         for bits in itertools.product((0, 1), repeat=c):
-            out.append({v: Fraction(b) for v, b in zip(cparts, bits)})
+            out.append(dict(zip(cparts, bits)))
         if n % 2 == 0 and all_in_c:
             out.append({v: Fraction(1, 2) for v in cparts})
         return out
@@ -331,9 +341,9 @@ def orthogonal_shift_vectors(p: Partition) -> list[dict[int, Fraction]]:
         for bits in itertools.product((0, 1), repeat=len(rest)):
             for tq in (0, 1):
                 for t in range(0, q - tq):
-                    shifts = {v: Fraction(b) for v, b in zip(rest, bits)}
-                    shifts[q] = Fraction(tq)
-                    shifts[1] = Fraction(t)
+                    shifts = dict(zip(rest, bits))
+                    shifts[q] = tq
+                    shifts[1] = t
                     out.append(shifts)
         if n % 2 == 0 and all_in_c:
             t = Fraction(1, 2)
@@ -346,8 +356,8 @@ def orthogonal_shift_vectors(p: Partition) -> list[dict[int, Fraction]]:
         rest = cparts[:-1]
         for bits in itertools.product((0, 1), repeat=len(rest)):
             for t in range(0, q):
-                shifts = {v: Fraction(b) for v, b in zip(rest, bits)}
-                shifts[1] = Fraction(t)
+                shifts = dict(zip(rest, bits))
+                shifts[1] = t
                 out.append(shifts)
     return out
 
@@ -403,8 +413,7 @@ def unimodal_to_pyramid(u: Sequence[int]) -> Pyramid:
     rows = []
     for j in range(1, max(u) + 1):
         support = [i for i, h in enumerate(u) if h >= j]
-        first = Fraction(-k + 1 + 2 * support[0])
-        rows.append(Row(y=j, first=first, count=len(support),
+        rows.append(Row(y=j, first=-k + 1 + 2 * support[0], count=len(support),
                         parts=(len(support),)))
     return Pyramid(TYPE_A, tuple(rows))
 

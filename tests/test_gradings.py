@@ -305,7 +305,7 @@ def test_writer_and_pyramid_shift_rows_alike():
         labels = fill_boxes(spec, base)
         diag = grading_of_pyramid(spec, base, shifts).diagonal
         shifted = _shift_parts(base, shifts)
-        mean = sum(x for x, _ in shifted.boxes()) / spec.size
+        mean = Fraction(sum(x for x, _ in shifted.boxes()), spec.size)
         for r, moved in zip(base.rows, shifted.rows):
             for x, x_moved in zip(r.coords(), moved.coords()):
                 assert diag[pos[labels[(x, r.y)]]] == x_moved - mean, \

@@ -30,6 +30,13 @@ def test_validation():
         par(C, 6, (), q=6)         # empty composition
     with pytest.raises(ValueError):
         par(C, 6, (0, 3), q=0)
+    # blocks and q are ints: floats and Fractions are not truncated
+    with pytest.raises(TypeError):
+        par(A, 3, (2.0, 1))
+    with pytest.raises(TypeError):
+        par(A, 3, (Fraction(2), 1))
+    with pytest.raises(TypeError):
+        par(C, 8, (1, 2), q=2.0)
 
 
 def test_type_a_criterion():

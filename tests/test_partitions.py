@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,13 @@ def test_validation():
     with pytest.raises(ValueError):
         Partition((2, 0))
     assert Partition.of([1, 3, 2]).parts == (3, 2, 1)
+    # parts are ints: floats and Fractions are not truncated
+    with pytest.raises(TypeError):
+        Partition.of([2.7, 1.2])
+    with pytest.raises(TypeError):
+        Partition((3.0, 1))
+    with pytest.raises(TypeError):
+        Partition((Fraction(3), 1))
 
 
 def test_dual_examples():

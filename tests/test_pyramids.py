@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from goodgradings.algebras import AlgebraSpec, Family
+from goodgradings.classify import center_torus
 from goodgradings.partitions import (Partition, orthogonal_partitions,
                                      partitions, symplectic_partitions)
 from goodgradings.pyramids import (Pyramid, Row, TYPE_A, compositions,
@@ -73,6 +75,30 @@ def test_half_shift_pyramids_have_half_coordinates():
     assert len(halves) == 1
     assert sorted(x for x, _ in halves[0].boxes()) == \
         [Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)]
+
+
+def test_box_coordinates_are_exact_ints_or_halves():
+    # an integral coordinate is an int, never an integral Fraction, so
+    # integer pyramids are hashed, sorted and added as ints
+    def exact(pyr):
+        return all(type(x) is int or (type(x) is Fraction and x.denominator == 2)
+                   for x, _ in pyr.boxes())
+
+    specs = [(AlgebraSpec(Family.GL, n), partitions) for n in range(1, 10)] \
+        + [(AlgebraSpec(Family.SP, N), symplectic_partitions)
+           for N in range(2, 15, 2)] \
+        + [(AlgebraSpec(Family.SO, N), orthogonal_partitions)
+           for N in range(3, 15)]
+    for spec, orbits in specs:
+        torus = center_torus(spec)
+        for p in orbits(spec.size):
+            assert all(exact(pyr) for pyr in torus.pyramids(p)), (spec, p)
+    for n in range(1, 9):
+        assert all(exact(unimodal_to_pyramid(u)) for u in unimodal_compositions(n))
+    first = Row(y=1, first=Fraction(4, 2), count=1).first
+    assert type(first) is int and first == 2
+    with pytest.raises(TypeError):
+        Row(y=1, first=0.5, count=1)
 
 
 def test_joint_row_structure():
