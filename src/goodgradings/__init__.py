@@ -1,15 +1,15 @@
 """Good Z-gradings of classical simple Lie algebras.
 
 Constructs, enumerates, and independently verifies all good gradings
-per nilpotent orbit: exact rational linear algebra, matrix realizations
-of the classical families, pyramid combinatorics, the per-family
-classification with a brute-force sweep oracle, Richardson goodness
+per nilpotent orbit: exact fraction-free elimination, sparse matrix
+realizations of the classical families, pyramid combinatorics, the
+per-family classification with a sweep oracle that finds the good
+gradings as the lattice points of a polytope, Richardson goodness
 tests, and the static exceptional tables.
 """
 
 from .algebras import (AlgebraBasis, AlgebraSpec, Family, GradedDecomposition,
-                       GradingElement, build_algebra, centralizer,
-                       graded_decomposition)
+                       GradingElement, build_algebra, graded_decomposition)
 from .classify import (GoodGradingFamily, GradingEntry, even_good_grading_gl,
                        good_gradings, good_gradings_gl, good_gradings_so,
                        good_gradings_sp, sweep_oracle)
@@ -19,7 +19,6 @@ from .gradings import (Characteristic, GoodPair, VerificationError,
                        check_duality_form, check_torus_weights,
                        grading_of_pyramid, is_good, jordan_type,
                        nilpotent_of_pyramid, normalize_traceless)
-from .linalg import Matrix, Subspace, bracket, kernel, rank
 from .parabolic import (ParabolicSpec, generic_richardson_oracle,
                         grading_is_good_generic, parabolic_grading,
                         richardson_is_good)

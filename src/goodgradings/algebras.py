@@ -19,10 +19,9 @@ modulo scalars, so type A grading elements are normalized traceless.
 Every element of the algebra is kept sparse, as `Sparse`
 ({(row, col): value} with int or Fraction values and no zero entries).
 Basis elements have at most two nonzero entries, each the int 1 or -1,
-so brackets of integer matrices stay integers.  The dense ad e of
-`ad_coordinate_matrix` and the kernel of `centralizer` are the test
-reference for the block engine in `gradings`; no runtime path builds a
-dense `linalg.Matrix`.
+so brackets of integer matrices stay integers.  The dense rows of ad e
+from `ad_coordinate_matrix` are the test reference for the block engine
+in `gradings`; no runtime path builds them.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Matrix, Scalar, Subspace, as_fraction, kernel
+from .linalg import Scalar, as_fraction
 
 Sparse = dict[tuple[int, int], Scalar]
 
@@ -248,9 +247,6 @@ class GradingElement:
             if len(diag) % 2 and diag[half] != 0:
                 raise ValueError("middle diagonal entry must vanish")
 
-    def matrix(self) -> Matrix:
-        return Matrix.diagonal(self.diagonal)
-
     def is_integral(self) -> bool:
         """Whether ad H has integer eigenvalues.  They are differences of
         diagonal entries, and in gl, sp and so_N (N >= 3) every such
@@ -296,18 +292,9 @@ def graded_decomposition(g: AlgebraBasis, H: GradingElement) -> GradedDecomposit
     return GradedDecomposition(tuple(sorted(frozen)), frozen, of)
 
 
-def ad_coordinate_matrix(g: AlgebraBasis, e: Sparse) -> Matrix:
-    """Dense matrix of ad e on g in basis coordinates (columns = [e, b_k]).
-
-    The dense reference for the block engine in `gradings`, which never
-    builds it; `centralizer` and the tests use it.
-    """
+def ad_coordinate_matrix(g: AlgebraBasis, e: Sparse) -> list[list[Scalar]]:
+    """Dense rows of ad e on g in basis coordinates: column k holds the
+    coordinates of [e, b_k].  The test reference for the block engine in
+    `gradings`, which never builds it."""
     cols = [g.coordinates(sparse_bracket(e, elem)) for elem in g.elements]
-    return Matrix([[cols[k][r] for k in range(g.dim)] for r in range(g.dim)])
-
-
-def centralizer(g: AlgebraBasis, e: Sparse) -> Subspace:
-    """{x in g : [e, x] = 0} as a subspace in basis coordinates."""
-    if not g.contains(e):
-        raise ValueError("element does not lie in the algebra")
-    return kernel(ad_coordinate_matrix(g, e))
+    return [list(row) for row in zip(*cols)]

@@ -18,7 +18,6 @@ from .classify import (GoodGradingFamily, center_torus, good_gradings,
                        sweep_oracle)
 from .exceptional import ExceptionalDataError, exceptional_lookup
 from .gradings import VerificationError
-from .linalg import Scalar
 from .parabolic import ParabolicSpec, richardson_is_good
 from .partitions import Partition
 from .pyramids import render_pyramid
@@ -102,10 +101,6 @@ def _family_spec(letter: str, p: Partition) -> AlgebraSpec:
     return spec
 
 
-def _frac(x: Scalar) -> str:
-    return str(x)
-
-
 def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -113,7 +108,7 @@ def canonical_json(payload) -> str:
 def _entry_payload(ent) -> dict:
     kind, values = ent.source
     return {
-        "diagonal": [_frac(x) for x in ent.H.diagonal],
+        "diagonal": [str(x) for x in ent.H.diagonal],
         "characteristic": {
             "diagram": ent.characteristic.diagram,
             "rank": ent.characteristic.rank,
@@ -122,7 +117,7 @@ def _entry_payload(ent) -> dict:
         },
         "is_dynkin": ent.is_dynkin,
         "is_even": ent.is_even,
-        "source": {"kind": kind, "values": [_frac(v) for v in values]},
+        "source": {"kind": kind, "values": [str(v) for v in values]},
         "verification": "verified",
     }
 
@@ -169,7 +164,7 @@ def _cmd_classify(args) -> int:
         tags = [t for t, flag in (("dynkin", ent.is_dynkin),
                                   ("even", ent.is_even)) if flag]
         tag = f"  [{', '.join(tags)}]" if tags else ""
-        lines.append(f"  diag({', '.join(_frac(x) for x in ent.H.diagonal)})"
+        lines.append(f"  diag({', '.join(str(x) for x in ent.H.diagonal)})"
                      f"  characteristic {ent.characteristic}{tag}")
     _emit(_report("classify", {"family": args.family, "partition": args.partition},
                   results, started), args.format, lines)
@@ -218,7 +213,7 @@ def _cmd_pyramids(args) -> int:
     results = {
         "count": len(pyrs),
         "pyramids": [{
-            "rows": [{"y": r.y, "first": _frac(r.first), "count": r.count,
+            "rows": [{"y": r.y, "first": str(r.first), "count": r.count,
                       "role": r.role} for r in pyr.rows],
         } for pyr in pyrs],
     }

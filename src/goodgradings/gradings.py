@@ -23,8 +23,9 @@ into degree d + 2, so g^e has dim g_d minus a sum of block ranks
 vectors of degree d.  `graded_ad_ranks` sums them for any degree per
 basis element (one H's, or the sweep's affine forms) and serves
 `is_good`, the sweep and the generic oracle.  The degrees are ints.
-The dense ad e of `algebras.ad_coordinate_matrix` is the reference the
-tests compare against; no runtime path builds it.
+The tests compare the block ranks with the dense rows of ad e from
+`algebras.ad_coordinate_matrix`, ranked by the dense `Matrix` reference
+in ``tests/dense_reference.py``; no runtime path builds either.
 
 Signs in the nilpotent: the prose picture "send each box to its right
 neighbor" needs coefficients +-1 to land inside sp/so.  Arrows come in

@@ -29,6 +29,7 @@ middle box, "center" the lone middle box.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -402,9 +403,10 @@ def unimodal_to_pyramid(u: Sequence[int]) -> Pyramid:
     """Pyramid whose odd-place column heights are the composition.
 
     The bottom row has len(u) boxes; the column over the i-th bottom box
-    carries u_i boxes.  Inverse of pyramid_to_unimodal.
+    carries u_i boxes.  Inverse of pyramid_to_unimodal.  Parts must be
+    ints: a float or a `Fraction` raises TypeError.
     """
-    u = tuple(int(x) for x in u)
+    u = tuple(map(operator.index, u))
     if not u or any(x < 1 for x in u):
         raise ValueError("composition parts must be positive")
     if not is_unimodal(u):

@@ -1,24 +1,25 @@
 """The block engine for ad e against the dense reference.
 
-The dense reference is `ad_coordinate_matrix` with rational row
-reduction of its degree slices, and `centralizer` (the kernel of the
-whole dense ad e).  The block engine never builds either.
+The dense reference is the rows of ad e from `ad_coordinate_matrix`,
+with the ranks of its degree slices and of the whole matrix (dim g^e
+is dim g minus that rank).  The block engine never builds it.
 """
 
 import dataclasses
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from goodgradings import cli, parabolic
-from goodgradings.algebras import (AlgebraSpec, Family, GradingElement,
-                                   ad_coordinate_matrix, build_algebra,
-                                   centralizer, graded_decomposition)
+from dense_reference import Matrix, rank
+from goodgradings import algebras, cli, parabolic
+from goodgradings.algebras import (AlgebraBasis, AlgebraSpec, Family,
+                                   GradingElement, ad_coordinate_matrix,
+                                   build_algebra, graded_decomposition)
 from goodgradings.classify import good_gradings
 from goodgradings.gradings import (ad_blocks, graded_ad_ranks, is_good,
                                    nilpotent_of_pyramid)
-from goodgradings.linalg import Matrix, rref
 from goodgradings.parabolic import (ParabolicSpec, generic_richardson_oracle,
                                     grading_is_good_generic)
 from goodgradings.partitions import (orthogonal_partitions, partitions,
@@ -45,12 +46,12 @@ def _orbits():
             yield AlgebraSpec(SO, N), p, orthogonal_pyramid(p)
 
 
-def _dense_ranks(ad: Matrix, dec) -> dict:
+def _dense_ranks(ad, dec) -> dict:
     ranks = {}
     for d, cols in dec.buckets.items():
         rows = dec.buckets.get(d + 2, ())
-        sub = [[ad.data[r][c] for c in cols] for r in rows]
-        ranks[d] = len(rref(sub)[1]) if rows else 0
+        sub = [[ad[r][c] for c in cols] for r in rows]
+        ranks[d] = rank(Matrix(sub)) if rows else 0
     return ranks
 
 
@@ -69,7 +70,7 @@ def test_block_ranks_equal_dense_slices_on_every_orbit():
         e = nilpotent_of_pyramid(g, base)
         ad = ad_coordinate_matrix(g, e)
         blocks = ad_blocks(g, e)
-        centralizer_dim = centralizer(g, e).dim
+        centralizer_dim = g.dim - rank(Matrix(ad))
         for ent in good_gradings(spec, p).entries:
             dec = graded_decomposition(g, ent.H)
             ranks = graded_ad_ranks(blocks, dec.of)
@@ -133,8 +134,8 @@ def test_blocks_are_disjoint_and_cover_the_nonzero_columns():
     rows = [r for _, rs, _ in blocks for r in rs]
     assert len(columns) == len(set(columns)) and len(rows) == len(set(rows))
     assert set(columns) == {c for c in range(g.dim)
-                            if any(ad.data[r][c] for r in range(g.dim))}
-    assert set(rows) == {r for r in range(g.dim) if any(ad.data[r])}
+                            if any(ad[r][c] for r in range(g.dim))}
+    assert set(rows) == {r for r in range(g.dim) if any(ad[r])}
     assert all(rk == 1 for cols, rs, rk in blocks
                if len(cols) == 1 or len(rs) == 1)
 
@@ -199,15 +200,25 @@ def test_element_outside_the_algebra_is_rejected():
 
 def test_no_runtime_path_builds_a_dense_matrix(monkeypatch, capsys):
     # elements are sparse on every runtime path: classify, verify and the
-    # generic oracle construct no linalg.Matrix
-    built = []
-    real = Matrix.__init__
+    # generic oracle call neither dense builder the library keeps for the
+    # tests, under whatever name a library module holds it
+    calls = Counter()
 
-    def counted(self, data):
-        built.append(len(data))
-        real(self, data)
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
 
-    monkeypatch.setattr(Matrix, "__init__", counted)
+    real = algebras.ad_coordinate_matrix
+    wrapped = counted("ad_coordinate_matrix", real)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "goodgradings":
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, wrapped)
+    monkeypatch.setattr(AlgebraBasis, "coordinates",
+                        counted("coordinates", AlgebraBasis.coordinates))
     for argv in (["classify", "--family", "D", "--partition", "5,5,3,3,1,1"],
                  ["verify", "--family", "C", "--partition", "4,4,2,2"],
                  ["verify", "--family", "A", "--partition", "3,2,1"]):
@@ -219,6 +230,9 @@ def test_no_runtime_path_builds_a_dense_matrix(monkeypatch, capsys):
                                         (SP, 12, (3, 1, 2), 0),
                                         (GL, 8, (2, 1, 3, 2), 0)]]
     assert verdicts == [False, False, False]
-    assert built == []
-    Matrix([[1]])  # the counter sees a Matrix when one is built
-    assert built == [1]
+    assert calls == Counter()
+    # the counters see the builders when they run: one ad e of gl_2 reads
+    # the coordinates of four brackets
+    algebras.ad_coordinate_matrix(build_algebra(AlgebraSpec(GL, 2)),
+                                  {(0, 1): 1})
+    assert calls == Counter(ad_coordinate_matrix=1, coordinates=4)

@@ -5,77 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goodgradings.linalg import (Matrix, Subspace, as_fraction, bracket,
-                                 integer_row, kernel, rank, rref)
-
-
-def reference_rref(rows):
-    """Gauss-Jordan over Fraction: the reference the fraction-free
-    `rref` must match row for row."""
-    work = [[as_fraction(x) for x in row] for row in rows]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = work[r][c]
-        if inv != 1:
-            work[r] = [x / inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
-
-
-def test_kernel_identity_is_zero():
-    assert kernel(Matrix.identity(3)) == Subspace.zero(3)
-
-
-def test_kernel_zero_matrix_is_full():
-    assert kernel(Matrix.zeros(2, 3)) == Subspace.full(3)
-
-
-def test_kernel_rank_one():
-    m = Matrix([[1, 1], [2, 2]])
-    k = kernel(m)
-    assert k.dim == 1
-    assert k.basis == ((Fraction(1), Fraction(-1)),)
+from dense_reference import Matrix, bracket, rank, reference_rref
+from goodgradings.linalg import as_fraction, integer_row, rref
 
 
 def test_rank_examples():
     assert rank(Matrix.identity(4)) == 4
     assert rank(Matrix.zeros(3, 5)) == 0
     assert rank(Matrix([[1, 2], [2, 4]])) == 1
-
-
-def test_membership():
-    s = Subspace.from_vectors(2, [[1, 1]])
-    assert s.contains([2, 2])
-    assert s.contains([0, 0])
-    assert not s.contains([1, -1])
-    with pytest.raises(ValueError):
-        s.contains([1, 1, 1])
-
-
-def test_subspace_canonical_equality():
-    a = Subspace.from_vectors(3, [[1, 1, 0], [0, 0, 2]])
-    b = Subspace.from_vectors(3, [[2, 2, 2], [1, 1, 5]])
-    assert a == b
-    assert a.basis == b.basis
 
 
 def test_echelon_idempotent():
@@ -114,24 +51,8 @@ def small_matrix(draw):
 
 @given(small_matrix())
 @settings(max_examples=60, deadline=None)
-def test_rank_nullity(m):
-    assert rank(m) + kernel(m).dim == m.cols
-
-
-@given(small_matrix())
-@settings(max_examples=60, deadline=None)
 def test_rank_of_transpose(m):
     assert rank(m) == rank(m.transpose())
-
-
-@given(small_matrix())
-@settings(max_examples=40, deadline=None)
-def test_kernel_vectors_annihilate(m):
-    k = kernel(m)
-    for v in k.basis:
-        image = [sum(m.data[i][j] * v[j] for j in range(m.cols))
-                 for i in range(m.rows)]
-        assert all(x == 0 for x in image)
 
 
 entry = st.one_of(small_int, st.builds(Fraction, small_int,

@@ -87,7 +87,7 @@ def test_dual_involution_property(parts):
 
 
 def test_centralizer_dim_formulas():
-    # cross-checked against kernel computations in test_algebras
+    # cross-checked against dim g minus the dense rank of ad e in test_algebras
     assert gl_centralizer_dim(Partition((2, 1))) == 5
     assert sp_centralizer_dim(Partition((2, 2))) == 4
     assert so_centralizer_dim(Partition((3, 3, 1, 1))) == 10

@@ -37,6 +37,10 @@ def test_type_a_validation():
         # second row sticks out
         Pyramid(TYPE_A, (Row(y=1, first=Fraction(-1), count=2),
                          Row(y=2, first=Fraction(-3), count=2)))
+    # composition parts are ints: neither truncated nor rounded
+    for u in [(1.7, 2.2), (Fraction(3, 2), 2)]:
+        with pytest.raises(TypeError):
+            unimodal_to_pyramid(u)
 
 
 def test_enumeration_counts_to_ten():
