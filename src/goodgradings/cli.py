@@ -59,10 +59,11 @@ _FAMILY_LETTERS = {"A": Family.GL, "GL": Family.GL, "B": Family.SO,
 # (28,5,3) in gl_36 takes 1.8 s on a 2-CPU Xeon.
 MAX_ALGEBRA_DIM = 1300
 MAX_PYRAMIDS = 242
-# `series` walks every partition up to its order; the whole command takes
-# 1.7 s at order 30 and 2.8 s at 32 on a 2-CPU Xeon, nearly all of it in
-# that walk.
-MAX_SERIES_ORDER = 30
+# `series` walks every partition up to its order (177,969 at order 39),
+# nearly all of its time going to the validated `Partition` it builds for
+# each.  As a subprocess on a 2-CPU Xeon the whole command takes about
+# 0.9 s at order 39 and 1.0 s at 40.
+MAX_SERIES_ORDER = 39
 
 
 def _letter_spec(letter: str, size: int) -> AlgebraSpec:

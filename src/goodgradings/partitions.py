@@ -107,18 +107,48 @@ def so_centralizer_dim(p: Partition) -> int:
     return (s - odd) // 2
 
 
-def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of n, largest part first, in lexicographic order."""
+def partitions(n: int) -> Iterator[Partition]:
+    """All partitions of n in reverse lexicographic order: (n) first,
+    (1, ..., 1) last, each with its parts weakly decreasing.
+
+    The walk is ZS1 (Zoghbi and Stojmenovic, "Fast algorithms for
+    generating integer partitions", Int. J. Comput. Math. 70, 1998): one
+    array x of parts, of which x[:m] is the current partition and x[h]
+    its last part above 1.  The next partition lowers x[h] by one and
+    refills the tail with copies of the new value, so each step costs
+    constant amortized time, plus the validated `Partition` it yields.
+    """
+    n = operator.index(n)
     if n < 0:
         return
     if n == 0:
         yield Partition(())
         return
-    if max_part is None or max_part > n:
-        max_part = n
-    for first in range(max_part, 0, -1):
-        for rest in partitions(n - first, first):
-            yield Partition((first,) + rest.parts)
+    x = [1] * n
+    x[0] = n
+    m, h = 1, 0
+    yield Partition((n,))
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            m += 1
+            h -= 1
+        else:
+            r = x[h] - 1
+            t = m - h
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h + 1
+            else:
+                m = h + 2
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield Partition(tuple(x[:m]))
 
 
 def symplectic_partitions(n: int) -> Iterator[Partition]:

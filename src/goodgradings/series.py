@@ -44,6 +44,8 @@ def pyramid_count_formula(p: Partition) -> int:
 
 def pyramid_counts_by_partition(order: int) -> list[int]:
     """counts[n] = sum over partitions of n of the pyramid count product."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
     counts = [0] * (order + 1)
     for n in range(1, order + 1):
         counts[n] = sum(pyramid_count_formula(p) for p in partitions(n))

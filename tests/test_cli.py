@@ -130,12 +130,24 @@ def test_richardson_dimension_limit_at_its_boundary(capsys):
 
 def test_series_order_limit_at_its_boundary(capsys):
     # one order above the cap is refused before any series is built; the
-    # cap admits the largest order the benchmark runs, 26
-    assert MAX_SERIES_ORDER == 30
+    # cap keeps the whole command, a walk over every partition up to the
+    # order, near 1 s (see the comment on cli.MAX_SERIES_ORDER)
+    assert MAX_SERIES_ORDER == 39
     started = time.monotonic()
-    code, out, err = run_cli(capsys, "series", "--order", "31")
+    code, out, err = run_cli(capsys, "series", "--order", "40")
     assert time.monotonic() - started < 1.0
-    assert code == 2 and out == "" and "between 1 and 30" in err
+    assert code == 2 and out == "" and "between 1 and 39" in err
+
+
+def test_series_at_the_order_cap(capsys):
+    code, out, _ = run_cli(capsys, "series", "--order", str(MAX_SERIES_ORDER),
+                           "--format", "json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["order"] == MAX_SERIES_ORDER
+    assert len(results["pyramid_counts_by_partition"]) == MAX_SERIES_ORDER + 1
+    assert results["series_match"] is True
+    assert results["product_form_identity"] is True
 
 
 def test_verify_has_no_grid_options(capsys):

@@ -4,8 +4,8 @@ Each `classify_*.json` file under tests/golden/ is the canonical report
 of one orbit with the `timing_ms` key removed.  The set covers A/B/C/D,
 the symplectic and orthogonal half-shift families (C 2,2; C 4,4,2,2;
 D 3,3,1,1; D 5,5,3,3) and gl orbits with several pyramids.
-`series_30.json` is the report of `series --order 30`, the largest
-order the command accepts, in the same form.
+`series_30.json` is the report of `series --order 30` in the same form;
+the tests of `cli.MAX_SERIES_ORDER` check the orders above it.
 
 The commands that print box coordinates have goldens too: each
 `pyramids_*.json` is a `pyramids --format json` report, covering every

@@ -70,6 +70,64 @@ def test_symplectic_orthogonal_membership():
     assert not Partition((3, 1)).is_symplectic()
 
 
+def _recursive_partitions(n, max_part=None):
+    """The partitions of n with parts at most max_part, by recursion on
+    the largest part: the reference walk for `partitions`."""
+    if n < 0:
+        return
+    if n == 0:
+        yield Partition(())
+        return
+    if max_part is None or max_part > n:
+        max_part = n
+    for first in range(max_part, 0, -1):
+        for rest in _recursive_partitions(n - first, first):
+            yield Partition((first,) + rest.parts)
+
+
+def _euler_partition_numbers(top):
+    """p(0..top) by Euler's pentagonal-number recurrence:
+    p(n) = sum_{k>=1} (-1)^(k+1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2))."""
+    p = [1] + [0] * top
+    for n in range(1, top + 1):
+        k = 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if g <= n:
+                    p[n] += sign * p[n - g]
+            k += 1
+    return p
+
+
+def test_partitions_match_the_recursive_walk():
+    assert [p.parts for p in partitions(5)] == [
+        (5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1),
+        (1, 1, 1, 1, 1)]
+    for n in range(-2, 26):
+        walk = list(partitions(n))
+        assert walk == list(_recursive_partitions(n)), n
+        # reverse lexicographic, each partition once
+        parts = [p.parts for p in walk]
+        assert parts == sorted(set(parts), reverse=True), n
+
+
+def test_partition_counts_follow_euler_recurrence():
+    euler = _euler_partition_numbers(40)
+    assert euler[:11] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+    assert euler[40] == 37338
+    for n in range(41):
+        assert sum(1 for _ in partitions(n)) == euler[n], n
+
+
+def test_partitions_edge_inputs():
+    assert list(partitions(0)) == [Partition(())]
+    assert list(partitions(-1)) == []
+    # n must be an int: a float is refused, not truncated
+    with pytest.raises(TypeError):
+        list(partitions(2.0))
+
+
 def test_partition_generators():
     assert sum(1 for _ in partitions(10)) == 42
     assert [p.parts for p in symplectic_partitions(4)] == \

@@ -46,10 +46,11 @@ def test_over_one_minus_is_undone_by_one_minus():
 
 
 def test_series_reject_order_below_one():
-    for fn in (pyramid_count_series, unimodal_count_series,
-               pyramid_series_identity_check):
-        with pytest.raises(ValueError):
-            fn(0)
+    for fn in (pyramid_count_series, pyramid_counts_by_partition,
+               unimodal_count_series, pyramid_series_identity_check):
+        for order in (0, -2):
+            with pytest.raises(ValueError, match="order must be >= 1"):
+                fn(order)
 
 
 def test_pyramid_count_formula():
