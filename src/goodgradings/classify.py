@@ -21,9 +21,9 @@ not bad input.
 
 All families share one parametrization: a grading is
 `gradings.grading_of_pyramid(spec, base, shifts)`, one shift per center
-part, and `center_torus` makes the family choice (base pyramid, center
-parts, shift vectors, pyramids) in one place for the enumeration, the
-sweep and the CLI.
+part.  `center_torus(spec, p)` makes the family choice in one place; the
+enumeration builds this value (base pyramid, center parts, shift
+vectors, pyramids) once per orbit and hands it to the sweep.
 
 The sweep oracle ignores the casework: on the ad e blocks the
 enumeration built, it finds the good gradings h(p) + z(t) as the
@@ -39,7 +39,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .algebras import (AlgebraSpec, Family, GradingElement, build_algebra,
                        graded_decomposition)
@@ -58,6 +58,37 @@ from .pyramids import (Pyramid, enumerate_pyramids, orthogonal_center_parts,
                        type_a_center_parts, type_a_shift_vectors)
 
 
+class CenterTorus(NamedTuple):
+    """The center torus of one orbit, as pyramids.
+
+    Every good grading of e(p) is h(base) plus a vector of the center of
+    the reductive centralizer of e(p): one shift per center part in
+    `parts`.  `shift_vectors` lists the good ones and `pyramids` their
+    pyramids, in the same order.
+    """
+
+    base: Pyramid
+    parts: tuple[int, ...]
+    shift_vectors: list[dict[int, Scalar]]
+    pyramids: list[Pyramid]
+
+
+def center_torus(spec: AlgebraSpec, p: Partition) -> CenterTorus:
+    """The center torus of e(p), the one place where the family picks
+    its pyramid functions.  They are looked up by module name on each
+    call, so a name rebound at run time (the traced benchmark wraps the
+    pyramid listings) takes effect."""
+    base, parts, shift_vectors, pyramids = {
+        Family.GL: (symmetric_pyramid, type_a_center_parts,
+                    type_a_shift_vectors, enumerate_pyramids),
+        Family.SP: (symplectic_pyramid, symplectic_center_parts,
+                    symplectic_shift_vectors, symplectic_pyramids),
+        Family.SO: (orthogonal_pyramid, orthogonal_center_parts,
+                    orthogonal_shift_vectors, orthogonal_pyramids),
+    }[spec.family]
+    return CenterTorus(base(p), parts(p), shift_vectors(p), pyramids(p))
+
+
 @dataclass(frozen=True)
 class GradingEntry:
     """One good grading: the element, where it came from, and its data."""
@@ -73,13 +104,14 @@ class GradingEntry:
 @dataclass(frozen=True)
 class GoodGradingFamily:
     """The good gradings of e(p) = blocks.e, plus the ad e blocks (on
-    the algebra blocks.g) they were verified on; eq, hash and repr
-    ignore the blocks."""
+    the algebra blocks.g) they were verified on and the center torus of
+    e(p); eq, hash and repr ignore the blocks and the torus."""
 
     spec: AlgebraSpec
     partition: Partition
     entries: tuple[GradingEntry, ...]
     blocks: AdBlocks = field(compare=False, repr=False)
+    torus: CenterTorus = field(compare=False, repr=False)
 
     def __post_init__(self):
         if sum(1 for ent in self.entries if ent.is_dynkin) != 1:
@@ -104,36 +136,6 @@ class GoodGradingFamily:
 def _reject_zero(p: Partition):
     if p.is_zero_orbit():
         raise ValueError("the zero orbit has no good element")
-
-
-class CenterTorus(NamedTuple):
-    """A family's choice of pyramids, as functions of the partition p.
-
-    Every good grading of e(p) is h(base(p)) plus a vector of the center
-    of the reductive centralizer of e(p): one shift per center part.
-    The shift vectors list the good ones in the order of the pyramids.
-    """
-
-    base: Callable[[Partition], Pyramid]
-    center_parts: Callable[[Partition], tuple[int, ...]]
-    shift_vectors: Callable[[Partition], list[dict[int, Scalar]]]
-    pyramids: Callable[[Partition], list[Pyramid]]
-
-
-def center_torus(spec: AlgebraSpec) -> CenterTorus:
-    """The one place where the family picks its pyramid functions.
-
-    The table is built per call from the module's names, so a name
-    rebound at run time (the traced benchmark wraps these) takes effect.
-    """
-    return {
-        Family.GL: CenterTorus(symmetric_pyramid, type_a_center_parts,
-                               type_a_shift_vectors, enumerate_pyramids),
-        Family.SP: CenterTorus(symplectic_pyramid, symplectic_center_parts,
-                               symplectic_shift_vectors, symplectic_pyramids),
-        Family.SO: CenterTorus(orthogonal_pyramid, orthogonal_center_parts,
-                               orthogonal_shift_vectors, orthogonal_pyramids),
-    }[spec.family]
 
 
 def _entry(H: GradingElement, blocks: AdBlocks, pyr: Pyramid, source: tuple,
@@ -163,19 +165,18 @@ def good_gradings(spec: AlgebraSpec, p: Partition) -> GoodGradingFamily:
     _reject_zero(p)
     if p.n != spec.size:
         raise ValueError("partition total != matrix size")
-    torus = center_torus(spec)
-    base = torus.base(p)
+    torus = center_torus(spec, p)
     g = build_algebra(spec)
-    blocks = ad_blocks(g, nilpotent_of_pyramid(g, base))
+    blocks = ad_blocks(g, nilpotent_of_pyramid(g, torus.base))
     kind, keys = ("shifts", p.parts) if spec.family is Family.GL \
-        else ("t", torus.center_parts(p))
+        else ("t", torus.parts)
     entries = []
-    for shifts, pyr in zip(torus.shift_vectors(p), torus.pyramids(p)):
-        H = grading_of_pyramid(spec, base, shifts)
+    for shifts, pyr in zip(torus.shift_vectors, torus.pyramids):
+        H = grading_of_pyramid(spec, torus.base, shifts)
         values = tuple(shifts.get(v, 0) for v in keys)
         entries.append(_entry(H, blocks, pyr, (kind, values),
                               all(x == 0 for x in values)))
-    return GoodGradingFamily(spec, p, tuple(entries), blocks)
+    return GoodGradingFamily(spec, p, tuple(entries), blocks, torus)
 
 
 def good_gradings_gl(p: Partition) -> GoodGradingFamily:
@@ -255,18 +256,16 @@ def _centralizer_weights(fam: GoodGradingFamily):
     is a.s + b, s = 2t, for forms[k] = (a, b), read off the degrees of
     H(0) and of H at the unit vectors; weights counts the forms of a
     basis of g^e, checked against the closed form for dim g^e."""
-    spec, p, g = fam.spec, fam.partition, fam.blocks.g
-    torus = center_torus(spec)
-    base = torus.base(p)
+    spec, g, base = fam.spec, fam.blocks.g, fam.torus.base
     of_0, *of_steps = (
         graded_decomposition(g, grading_of_pyramid(spec, base, shifts)).of
-        for shifts in [{}] + [{v: 1} for v in torus.center_parts(p)])
+        for shifts in [{}] + [{v: 1} for v in fam.torus.parts])
     forms = [(tuple(of_i[k] - d for of_i in of_steps), 2 * d)
              for k, d in enumerate(of_0)]
     weights = Counter(forms) - graded_ad_ranks(fam.blocks, forms)
     closed_form = {Family.GL: gl_centralizer_dim, Family.SP: sp_centralizer_dim,
                    Family.SO: so_centralizer_dim}[spec.family]
-    if sum(weights.values()) != closed_form(p):
+    if sum(weights.values()) != closed_form(fam.partition):
         raise VerificationError("centralizer weights disagree with dim g^e")
     return forms, weights
 
@@ -274,35 +273,32 @@ def _centralizer_weights(fam: GoodGradingFamily):
 def sweep_oracle(fam: GoodGradingFamily) -> list[GradingElement]:
     """Every good grading H(t) = h(p) + z(t), read off a polytope in t.
 
-    Runs on the orbit the enumeration built (`fam.blocks`), not on
-    `fam.entries`.  t holds one shift per center part (for gl relative
-    to the largest part).  In s = 2t every degree of ad H(t) is affine
-    with integer coefficients, and `graded_ad_ranks` on those forms
-    gives the weights of g^e for every t at once.  H(t) is good iff
-    every degree is an integer (the parity rows) and every weight of g^e
-    has degree >= 0.  So the bounds on t come from the orbit, not from
-    the classification.  `is_good` confirms every point; sp/so points
-    are deduplicated by sign flips to nonnegative coordinates.  Sorted
-    by coordinate vector.
+    Runs on the orbit the enumeration built (`fam.blocks`, and the base
+    and center parts of `fam.torus`), not on its shift vectors, pyramids
+    or entries.  t holds one shift per center part (for gl relative to
+    the largest part).  In s = 2t every degree of ad H(t) is affine with
+    integer coefficients, and `graded_ad_ranks` on those forms gives the
+    weights of g^e for every t at once.  H(t) is good iff every degree
+    is an integer (the parity rows) and every weight of g^e has degree
+    >= 0.  So the bounds on t come from the orbit, not from the
+    classification.  `is_good` confirms every point once.  For sp/so the
+    sign-folded copy |t| of every point must be a point too, and only
+    the points with nonnegative coordinates are kept.  Sorted by
+    coordinate vector.
     """
-    spec, p, blocks = fam.spec, fam.partition, fam.blocks
-    torus = center_torus(spec)
-    base, parts = torus.base(p), torus.center_parts(p)
+    spec, blocks, (base, parts, _, _) = fam.spec, fam.blocks, fam.torus
     forms, weights = _centralizer_weights(fam)
     parity = {(tuple(x % 2 for x in a), b % 2) for a, b in forms}
-
-    def grading(t):
-        return grading_of_pyramid(spec, base, dict(zip(parts, t)))
-
-    found: dict[tuple, GradingElement] = {}
-    for s in _lattice_points(list(weights), parity, len(parts)):
-        t = tuple(Fraction(x, 2) for x in s)
-        H = grading(t)
+    points = _lattice_points(list(weights), parity, len(parts))
+    folded = spec.family is not Family.GL
+    if folded and not {tuple(map(abs, s)) for s in points} <= set(points):
+        raise VerificationError("the polytope is not closed under sign flips")
+    found = []
+    for s in points:
+        H = grading_of_pyramid(spec, base, {v: Fraction(x, 2)
+                                            for v, x in zip(parts, s)})
         if not is_good(H, blocks).verified:
             raise VerificationError("a point of the polytope is not good")
-        ct = t if spec.family is Family.GL else tuple(abs(x) for x in t)
-        if ct not in found:
-            found[ct] = H if ct == t else grading(ct)
-            if ct != t and not is_good(found[ct], blocks).verified:
-                raise VerificationError("sign flip changed the goodness verdict")
-    return [found[ct] for ct in sorted(found)]
+        if not folded or min(s, default=0) >= 0:
+            found.append((s, H))
+    return [H for _, H in sorted(found)]

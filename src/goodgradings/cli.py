@@ -54,7 +54,7 @@ _FAMILY_LETTERS = {"A": Family.GL, "GL": Family.GL, "B": Family.SO,
 
 
 # Input limits of classify, verify, pyramids and render, checked before
-# anything is built; richardson has the dimension limit.  They admit
+# the algebra is built; richardson has the dimension limit.  They admit
 # so_50 (dim 1225), the largest orbit the tests verify; verify of
 # (28,5,3) in gl_36 takes 1.8 s on a 2-CPU Xeon.
 MAX_ALGEBRA_DIM = 1300
@@ -94,9 +94,10 @@ def _family_spec(letter: str, p: Partition) -> AlgebraSpec:
     if family is Family.SO and not p.is_orthogonal():
         raise InputError(f"{p} is not an orthogonal partition")
     spec = _letter_spec(letter, p.n)
-    # sp/so list their shift vectors: at most 67 within the dimension limit
+    # gl counts its pyramids before listing any; sp/so list theirs, at
+    # most 67 within the dimension limit (so_48, p = 23,23,1,1)
     count = pyramid_count_formula(p) if spec.family is Family.GL \
-        else len(center_torus(spec).shift_vectors(p))
+        else len(center_torus(spec, p).pyramids)
     if count > MAX_PYRAMIDS:
         raise InputError(f"{p} has {count} pyramids, more than {MAX_PYRAMIDS}")
     return spec
@@ -133,53 +134,39 @@ def _family_payload(fam: GoodGradingFamily) -> dict:
     }
 
 
-def _emit(report: dict, fmt: str, text_lines: list[str]) -> None:
-    if fmt == "json":
-        sys.stdout.write(canonical_json(report))
-    else:
-        sys.stdout.write("\n".join(text_lines) + "\n")
-
-
-def _report(command: str, inputs: dict, results: dict, started: float) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "input": inputs,
-        "results": results,
-        "timing_ms": int((time.monotonic() - started) * 1000),
-    }
-
-
-def _cmd_classify(args) -> int:
-    started = time.monotonic()
+def _good_gradings(args) -> GoodGradingFamily:
     p = _parse_partition(args.partition)
     spec = _family_spec(args.family, p)
     try:
-        fam = good_gradings(spec, p)
+        return good_gradings(spec, p)
     except ValueError as exc:
         raise InputError(str(exc))
-    results = _family_payload(fam)
-    lines = [f"{len(fam.entries)} good grading(s) for partition {p} "
-             f"in {spec.family.value.lower()}_{spec.size}"]
+
+
+def _pyramids(args) -> tuple[Partition, list]:
+    p = _parse_partition(args.partition)
+    spec = _family_spec(args.family, p)
+    try:
+        return p, center_torus(spec, p).pyramids
+    except ValueError as exc:
+        raise InputError(str(exc))
+
+
+def _cmd_classify(args):
+    fam = _good_gradings(args)
+    lines = [f"{len(fam.entries)} good grading(s) for partition {fam.partition} "
+             f"in {fam.spec.family.value.lower()}_{fam.spec.size}"]
     for ent in fam.entries:
         tags = [t for t, flag in (("dynkin", ent.is_dynkin),
                                   ("even", ent.is_even)) if flag]
         tag = f"  [{', '.join(tags)}]" if tags else ""
         lines.append(f"  diag({', '.join(str(x) for x in ent.H.diagonal)})"
                      f"  characteristic {ent.characteristic}{tag}")
-    _emit(_report("classify", {"family": args.family, "partition": args.partition},
-                  results, started), args.format, lines)
-    return 0
+    return _family_payload(fam), lines
 
 
-def _cmd_verify(args) -> int:
-    started = time.monotonic()
-    p = _parse_partition(args.partition)
-    spec = _family_spec(args.family, p)
-    try:
-        fam = good_gradings(spec, p)
-    except ValueError as exc:
-        raise InputError(str(exc))
+def _cmd_verify(args):
+    fam = _good_gradings(args)
     # the sweep runs on a validated orbit: any error it raises is a bug
     brute = {H.diagonal for H in sweep_oracle(fam)}
     enumerated = fam.diagonals()
@@ -190,27 +177,16 @@ def _cmd_verify(args) -> int:
         "match": match,
         "pyramids": len(fam),
     }
-    lines = [f"partition {p} in {spec.family.value.lower()}_{spec.size}:",
+    lines = [f"partition {fam.partition} in "
+             f"{fam.spec.family.value.lower()}_{fam.spec.size}:",
              f"  enumerated gradings: {len(enumerated)}",
              f"  sweep oracle found:  {len(brute)}",
              f"  sets match: {'yes' if match else 'NO'}"]
-    _emit(_report("verify", {"family": args.family, "partition": args.partition},
-                  results, started), args.format, lines)
-    if not match:
-        print("verification mismatch between enumeration and sweep oracle",
-              file=sys.stderr)
-        return 1
-    return 0
+    return results, lines, 0 if match else 1
 
 
-def _cmd_pyramids(args) -> int:
-    started = time.monotonic()
-    p = _parse_partition(args.partition)
-    spec = _family_spec(args.family, p)
-    try:
-        pyrs = center_torus(spec).pyramids(p)
-    except ValueError as exc:
-        raise InputError(str(exc))
+def _cmd_pyramids(args):
+    p, pyrs = _pyramids(args)
     results = {
         "count": len(pyrs),
         "pyramids": [{
@@ -222,13 +198,10 @@ def _cmd_pyramids(args) -> int:
     for k, pyr in enumerate(pyrs):
         lines.append(f"-- pyramid {k}:")
         lines.append(render_pyramid(pyr))
-    _emit(_report("pyramids", {"family": args.family, "partition": args.partition},
-                  results, started), args.format, lines)
-    return 0
+    return results, lines
 
 
-def _cmd_series(args) -> int:
-    started = time.monotonic()
+def _cmd_series(args):
     order = args.order
     if not 1 <= order <= MAX_SERIES_ORDER:
         raise InputError(f"order must be between 1 and {MAX_SERIES_ORDER}")
@@ -247,9 +220,7 @@ def _cmd_series(args) -> int:
     lines = [f"pyramid counts through q^{order}: {closed[1:]}",
              f"unimodal counts through q^{order}: {unimodal[1:]}",
              f"product form identity holds: {identity}"]
-    _emit(_report("series", {"order": order}, results, started),
-          args.format, lines)
-    return 0
+    return results, lines
 
 
 def _richardson_reason(par: ParabolicSpec, good: bool) -> str:
@@ -261,8 +232,7 @@ def _richardson_reason(par: ParabolicSpec, good: bool) -> str:
     return "composition does not match any goodness pattern"
 
 
-def _cmd_richardson(args) -> int:
-    started = time.monotonic()
+def _cmd_richardson(args):
     blocks = _parse_ints(args.composition)
     q = args.q
     type_a = _FAMILY_LETTERS.get(args.family.upper()) is Family.GL
@@ -279,14 +249,10 @@ def _cmd_richardson(args) -> int:
     verdict = "good" if good else f"not good ({reason})"
     lines = [f"Richardson element of ({args.composition}; q={q}) in "
              f"{spec.family.value.lower()}_{spec.size}: {verdict}"]
-    _emit(_report("richardson", {"family": args.family,
-                                 "composition": args.composition, "q": q},
-                  results, started), args.format, lines)
-    return 0
+    return results, lines
 
 
-def _cmd_exceptional(args) -> int:
-    started = time.monotonic()
+def _cmd_exceptional(args):
     try:
         entry = exceptional_lookup(args.algebra, args.orbit)
     except ValueError as exc:
@@ -310,61 +276,46 @@ def _cmd_exceptional(args) -> int:
         lines = [f"{entry.algebra} orbit {entry.orbit_label}: "
                  f"{len(chars)} characteristic(s)"]
         lines.extend("  " + " ".join(str(x) for x in v) for v in chars)
-    _emit(_report("exceptional", {"algebra": args.algebra, "orbit": args.orbit},
-                  results, started), args.format, lines)
-    return 0
+    return results, lines
 
 
-def _cmd_render(args) -> int:
-    started = time.monotonic()
-    p = _parse_partition(args.partition)
-    spec = _family_spec(args.family, p)
-    try:
-        pyrs = center_torus(spec).pyramids(p)
-    except ValueError as exc:
-        raise InputError(str(exc))
+def _cmd_render(args):
+    _, pyrs = _pyramids(args)
     if not 0 <= args.index < len(pyrs):
         raise InputError(f"pyramid index out of range (0..{len(pyrs) - 1})")
     picture = render_pyramid(pyrs[args.index])
-    results = {"index": args.index, "render": picture}
-    _emit(_report("render", {"family": args.family, "partition": args.partition,
-                             "index": args.index}, results, started),
-          args.format, [picture])
-    return 0
+    return {"index": args.index, "render": picture}, [picture]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand sets `func`, which returns the report's results
+    and text lines (verify also its exit code), and `inputs`, the
+    arguments the report echoes."""
     parser = argparse.ArgumentParser(
         prog="goodgradings",
         description="Good Z-gradings of classical Lie algebras: "
                     "construct, enumerate, verify.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, partition=True):
+    def orbit_command(name, func, text):
+        sp = sub.add_parser(name, help=text)
         sp.add_argument("--family", required=True,
                         help="A, B, C, D, or GL")
-        if partition:
-            sp.add_argument("--partition", required=True,
-                            help="comma-separated parts, e.g. 2,2")
+        sp.add_argument("--partition", required=True,
+                        help="comma-separated parts, e.g. 2,2")
         sp.add_argument("--format", choices=("text", "json"), default="text")
+        sp.set_defaults(func=func, inputs=("family", "partition"))
+        return sp
 
-    sp = sub.add_parser("classify", help="enumerate all good gradings")
-    common(sp)
-    sp.set_defaults(func=_cmd_classify)
-
-    sp = sub.add_parser("verify",
-                        help="check the enumeration against the sweep oracle")
-    common(sp)
-    sp.set_defaults(func=_cmd_verify)
-
-    sp = sub.add_parser("pyramids", help="enumerate pyramids")
-    common(sp)
-    sp.set_defaults(func=_cmd_pyramids)
+    orbit_command("classify", _cmd_classify, "enumerate all good gradings")
+    orbit_command("verify", _cmd_verify,
+                  "check the enumeration against the sweep oracle")
+    orbit_command("pyramids", _cmd_pyramids, "enumerate pyramids")
 
     sp = sub.add_parser("series", help="pyramid and unimodal counting series")
     sp.add_argument("--order", type=int, required=True)
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.set_defaults(func=_cmd_series)
+    sp.set_defaults(func=_cmd_series, inputs=("order",))
 
     sp = sub.add_parser("richardson",
                         help="closed-form Richardson goodness test")
@@ -373,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated flag jumps, order matters")
     sp.add_argument("--q", type=int, default=0, help="middle flag jump")
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.set_defaults(func=_cmd_richardson)
+    sp.set_defaults(func=_cmd_richardson,
+                    inputs=("family", "composition", "q"))
 
     sp = sub.add_parser("exceptional", help="query the exceptional tables")
     sp.add_argument("--algebra", required=True, help="G2, F4, E6, E7, E8")
@@ -381,27 +333,41 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--expand-symmetry", action="store_true",
                     help="include diagram-symmetry mirrors (E6)")
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.set_defaults(func=_cmd_exceptional)
+    sp.set_defaults(func=_cmd_exceptional, inputs=("algebra", "orbit"))
 
-    sp = sub.add_parser("render", help="ASCII picture of one pyramid")
-    common(sp)
+    sp = orbit_command("render", _cmd_render, "ASCII picture of one pyramid")
     sp.add_argument("--index", type=int, default=0)
-    sp.set_defaults(func=_cmd_render)
+    sp.set_defaults(inputs=("family", "partition", "index"))
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and write its report, timed here alone."""
+    args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        results, lines, *code = args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (VerificationError, ExceptionalDataError) as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return 1
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "command": args.subcommand,
+        "input": {key: getattr(args, key) for key in args.inputs},
+        "results": results,
+        "timing_ms": int((time.monotonic() - started) * 1000),
+    }
+    sys.stdout.write(canonical_json(report) if args.format == "json"
+                     else "\n".join(lines) + "\n")
+    if code == [1]:
+        print("verification mismatch between enumeration and sweep oracle",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -225,6 +225,18 @@ def symplectic_center_parts(p: Partition) -> tuple[int, ...]:
     return tuple(v for v, m in p.distinct() if v % 2 == 0 and m == 2)
 
 
+def _subset_shifts(p: Partition,
+                   cparts: tuple[int, ...]) -> list[dict[int, Scalar]]:
+    """The sp/so shift vectors without a part-1 parameter: every subset
+    of the center parts, then the half shift when all parts are center
+    parts and the size is even."""
+    out = [dict(zip(cparts, bits))
+           for bits in itertools.product((0, 1), repeat=len(cparts))]
+    if cparts and len(cparts) == len(p.distinct()) and p.n % 2 == 0:
+        out.append({v: Fraction(1, 2) for v in cparts})
+    return out
+
+
 def symplectic_shift_vectors(p: Partition) -> list[dict[int, Scalar]]:
     """Shift amounts per center part for every symplectic pyramid of p.
 
@@ -233,15 +245,7 @@ def symplectic_shift_vectors(p: Partition) -> list[dict[int, Scalar]]:
     extra vector shifting all rows outward by 1/2.  Order: subsets in
     lexicographic 0/1 order, the half shift last.
     """
-    cparts = symplectic_center_parts(p)
-    if not cparts:
-        return [{}]
-    out = []
-    for bits in itertools.product((0, 1), repeat=len(cparts)):
-        out.append(dict(zip(cparts, bits)))
-    if all(v % 2 == 0 and m == 2 for v, m in p.distinct()):
-        out.append({v: Fraction(1, 2) for v in cparts})
-    return out
+    return _subset_shifts(p, symplectic_center_parts(p))
 
 
 def symplectic_pyramids(p: Partition) -> list[Pyramid]:
@@ -323,19 +327,12 @@ def orthogonal_shift_vectors(p: Partition) -> list[dict[int, Scalar]]:
     n = p.n
     cparts = orthogonal_center_parts(p)
     c = len(cparts)
-    if c == 0:
-        return [{}]
-    all_in_c = all(v % 2 == 1 and m == 2 for v, m in p.distinct())
-    out: list[dict[int, Scalar]] = []
-    if cparts[-1] != 1:
-        for bits in itertools.product((0, 1), repeat=c):
-            out.append(dict(zip(cparts, bits)))
-        if n % 2 == 0 and all_in_c:
-            out.append({v: Fraction(1, 2) for v in cparts})
-        return out
+    if c == 0 or cparts[-1] != 1:
+        return _subset_shifts(p, cparts)
     if all(v == 1 for v in p.parts):
         # (1,1): the zero orbit of so_2; no parameter to range over
         return [{}]
+    out: list[dict[int, Scalar]] = []
     q = min(v for v in p.parts if v > 1)
     if c >= 2 and cparts[-2] == q:
         rest = cparts[:-2]
@@ -346,7 +343,7 @@ def orthogonal_shift_vectors(p: Partition) -> list[dict[int, Scalar]]:
                     shifts[q] = tq
                     shifts[1] = t
                     out.append(shifts)
-        if n % 2 == 0 and all_in_c:
+        if n % 2 == 0 and c == len(p.distinct()):
             t = Fraction(1, 2)
             while t <= q - Fraction(3, 2):
                 shifts = {v: Fraction(1, 2) for v in cparts[:-1]}

@@ -38,8 +38,7 @@ def grid_sweep(fam):
     """The good gradings h(p) + z(t) for t on the grid, as `sweep_oracle`
     returns them: deduplicated by sign for sp/so, sorted by coordinates."""
     spec, p, blocks = fam.spec, fam.partition, fam.blocks
-    torus = center_torus(spec)
-    base, cparts = torus.base(p), torus.center_parts(p)
+    base, cparts = fam.torus.base, fam.torus.parts
     found = {}
     for t in itertools.product(grid_axis(p), repeat=len(cparts)):
         H = grading_of_pyramid(spec, base, dict(zip(cparts, t)))
@@ -230,14 +229,49 @@ def test_sweep_guards():
         good_gradings(AlgebraSpec(Family.SP, 4), Partition((3, 1)))
 
 
+def sweep_orbits():
+    """The small orbits with at most two center parts, where the grid
+    walk is cheap enough to compare against."""
+    return [(spec, p) for spec, p in small_orbits(7, 10)
+            if len(center_torus(spec, p).parts) <= 2]
+
+
 def test_sweep_reads_the_orbit_not_the_entries():
-    for fam in (good_gradings_sp(Partition((2, 2))),
-                good_gradings_so(Partition((3, 3, 1, 1)))):
-        alone = dataclasses.replace(fam, entries=(fam.dynkin,))
-        assert alone.blocks is fam.blocks and alone != fam
+    # the sweep reads the ad e blocks and the torus's base and center
+    # parts, never the enumerated entries, shift vectors or pyramids
+    several = 0
+    for spec, p in sweep_orbits():
+        fam = good_gradings(spec, p)
+        alone = dataclasses.replace(
+            fam, entries=(fam.dynkin,),
+            torus=fam.torus._replace(shift_vectors=[], pyramids=[]))
+        assert alone.blocks is fam.blocks and alone.torus.base is fam.torus.base
         swept = sweep_oracle(fam)
-        assert len(swept) == len(fam) > 1
-        assert sweep_oracle(alone) == swept
+        assert len(swept) == len(fam), (spec, p)
+        assert sweep_oracle(alone) == swept, (spec, p)
+        several += len(fam) > 1 and alone != fam
+    assert several > 50
+
+
+@pytest.mark.parametrize("parts, dropped", [((5, 5, 1), (2,)),
+                                            ((3, 3, 1, 1), (1, 3))])
+def test_sweep_refuses_a_polytope_without_a_sign_copy(monkeypatch, parts,
+                                                       dropped):
+    # sp/so keep the points with nonnegative coordinates, each the
+    # sign-folded copy |t| of the others; a polytope that lacks |t| for
+    # one of its points is a bug, not a smaller answer
+    import goodgradings.classify as classify
+    real = classify._lattice_points
+
+    def without(*args):
+        points = real(*args)
+        assert dropped in points
+        return [s for s in points if s != dropped]
+
+    fam = good_gradings_so(Partition(parts))
+    monkeypatch.setattr(classify, "_lattice_points", without)
+    with pytest.raises(VerificationError, match="sign flips"):
+        sweep_oracle(fam)
 
 
 def test_family_equality_ignores_the_orbit_build():
@@ -261,8 +295,8 @@ def test_is_integral_matches_decomposition_on_sweep_candidates():
         p = Partition(parts)
         spec = AlgebraSpec(family, p.n)
         g = build_algebra(spec)
-        torus = center_torus(spec)
-        base, cparts = torus.base(p), torus.center_parts(p)
+        torus = center_torus(spec, p)
+        base, cparts = torus.base, torus.parts
         verdicts = set()
         for t in itertools.product(grid_axis(p), repeat=len(cparts)):
             H = grading_of_pyramid(spec, base, dict(zip(cparts, t)))
@@ -349,7 +383,7 @@ def test_verify_builds_the_orbit_once(monkeypatch, capsys):
 def test_center_parts():
     def cparts(family, parts):
         p = Partition(parts)
-        return center_torus(AlgebraSpec(family, p.n)).center_parts(p)
+        return center_torus(AlgebraSpec(family, p.n), p).parts
 
     assert cparts(Family.GL, (2, 1)) == (1,)
     assert cparts(Family.SP, (2, 2)) == (2,)
@@ -361,14 +395,14 @@ def test_center_parts():
 
 def test_sweep_grid_holds_every_shift_vector():
     # Every center coordinate of every good grading lies on the grid
-    # axis of the reference walk, so the walk cannot miss one.  Nothing
-    # is built.
+    # axis of the reference walk, so the walk cannot miss one.  No
+    # algebra is built.
     checked = 0
     for spec, p in small_orbits(7, 10):
-        cparts = center_torus(spec).center_parts(p)
+        torus = center_torus(spec, p)
         axis = grid_axis(p)
-        for shifts in center_torus(spec).shift_vectors(p):
-            assert set(shifts) <= set(cparts), (spec, p)
+        for shifts in torus.shift_vectors:
+            assert set(shifts) <= set(torus.parts), (spec, p)
             assert all(x in axis for x in shifts.values()), (spec, p, shifts)
             checked += 1
     assert checked > 300
@@ -378,9 +412,7 @@ def test_sweep_equals_the_grid_walk():
     # the polytope sweep and the reference grid walk return the same
     # gradings in the same order on every small orbit with c <= 2
     compared = 0
-    for spec, p in small_orbits(7, 10):
-        if len(center_torus(spec).center_parts(p)) > 2:
-            continue
+    for spec, p in sweep_orbits():
         fam = good_gradings(spec, p)
         assert sweep_oracle(fam) == grid_sweep(fam), (spec, p)
         compared += 1
@@ -417,7 +449,7 @@ def test_sweep_weights_are_the_centralizer_degrees():
     for spec, p in small_orbits(7, 10):
         fam = good_gradings(spec, p)
         _, weights = _centralizer_weights(fam)
-        cparts = center_torus(spec).center_parts(p)
+        cparts = fam.torus.parts
         keys = p.parts if spec.family is Family.GL else cparts
         for ent in fam.entries:
             shifts = dict(zip(keys, ent.source[1]))

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from goodgradings import cli
 from goodgradings.cli import (MAX_ALGEBRA_DIM, MAX_PYRAMIDS, MAX_SERIES_ORDER,
                               _family_spec, canonical_json, main)
 from goodgradings.partitions import Partition
@@ -156,6 +157,18 @@ def test_verify_has_no_grid_options(capsys):
         main(["verify", "--family", "A", "--partition", "2,1",
               "--step", "1/2"])
     assert exc.value.code == 2
+
+
+def test_verify_reports_a_mismatch(capsys, monkeypatch):
+    # a sweep that misses gradings: the report is written, then the
+    # mismatch goes to stderr and the exit code is 1
+    monkeypatch.setattr(cli, "sweep_oracle", lambda fam: [fam.dynkin.H])
+    code, out, err = run_cli(capsys, "verify", "--family", "C",
+                             "--partition", "2,2", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["results"] == {
+        "enumerated": 3, "swept": 1, "match": False, "pyramids": 3}
+    assert err == "verification mismatch between enumeration and sweep oracle\n"
 
 
 def test_pyramids_subcommand(capsys):

@@ -12,8 +12,14 @@ The commands that print box coordinates have goldens too: each
 row role (full, half, joint, v0half, center) and both half-shift
 families (C 4,4,2,2; D 5,5,3,3), and `render_C_2-2_2.txt` is the text
 picture of the half-shifted pyramid `render --family C --partition 2,2
---index 2`.  A change to the engine must leave every report
-byte-identical apart from the timing.  Every JSON golden is parsed with
+--index 2`.
+
+The report frame of the other commands is pinned by one JSON golden
+each, named after its arguments: `verify --family D --partition
+3,3,1,1`, `richardson --family C --composition 1,2`, `exceptional
+--algebra E6 --orbit A4 --expand-symmetry` and `render --family C
+--partition 2,2 --index 2`.  A change to the engine must leave every
+report byte-identical apart from the timing.  Every JSON golden is parsed with
 floats refused, so no coordinate may be written as a float.
 """
 
@@ -27,6 +33,17 @@ from goodgradings.cli import canonical_json, main
 GOLDEN = Path(__file__).with_name("golden")
 FILES = sorted(GOLDEN.glob("classify_*.json"))
 PYRAMID_FILES = sorted(GOLDEN.glob("pyramids_*.json"))
+# golden file -> the command it is the json report of
+FRAMES = {
+    "verify_D_3-3-1-1.json": ["verify", "--family", "D",
+                              "--partition", "3,3,1,1"],
+    "richardson_C_1-2.json": ["richardson", "--family", "C",
+                              "--composition", "1,2"],
+    "exceptional_E6_A4.json": ["exceptional", "--algebra", "E6",
+                               "--orbit", "A4", "--expand-symmetry"],
+    "render_C_2-2_2.json": ["render", "--family", "C", "--partition", "2,2",
+                            "--index", "2"],
+}
 
 
 def _no_float(text):
@@ -50,6 +67,8 @@ def _golden(path):
 def test_fixture_set_is_present():
     assert len(FILES) == 14
     assert len(PYRAMID_FILES) == 6
+    assert all((GOLDEN / name).is_file() for name in FRAMES)
+    assert len(list(GOLDEN.iterdir())) == 14 + 6 + len(FRAMES) + 2
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.stem)
@@ -66,6 +85,11 @@ def test_pyramids_report_is_byte_identical(path, capsys):
     assert _report(["pyramids", "--family", family,
                     "--partition", parts.replace("-", ",")], capsys) \
         == _golden(path)
+
+
+@pytest.mark.parametrize("name", sorted(FRAMES))
+def test_report_frame_is_byte_identical(name, capsys):
+    assert _report(FRAMES[name], capsys) == _golden(GOLDEN / name)
 
 
 def test_render_picture_is_byte_identical(capsys):

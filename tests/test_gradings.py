@@ -255,13 +255,12 @@ def torus_points():
     orbits = {GL: partitions, SP: symplectic_partitions,
               SO: orthogonal_partitions}
     for spec in specs:
-        torus = center_torus(spec)
         for p in orbits[spec.family](spec.size):
             if p.is_zero_orbit():
                 continue
-            base = torus.base(p)
-            for shifts, pyr in zip(torus.shift_vectors(p), torus.pyramids(p)):
-                yield spec, base, shifts, pyr
+            torus = center_torus(spec, p)
+            for shifts, pyr in zip(torus.shift_vectors, torus.pyramids):
+                yield spec, torus.base, shifts, pyr
 
 
 def test_characteristic_methods_agree_on_families():

@@ -15,6 +15,10 @@ read outside its own body, so a class that only builds itself is dead.
 Likewise every name a library module imports is read in that module,
 and imported at module level, where the import graph shows it; only
 `__init__.py` imports to re-export.
+
+Every parameter default of a library function, nested functions
+included, is overridden by some call, by keyword or by position: a
+default that no call changes is a constant, not a knob.
 """
 
 import ast
@@ -164,3 +168,62 @@ def test_library_modules_import_at_module_level():
         if lines:
             nested[path.name] = lines
     assert not nested, f"imports below module level (file: lines): {nested}"
+
+
+def _defaulted_parameters(tree, prefix=""):
+    """(qualified function name, name, parameter, position) for every
+    parameter with a default of every function in the tree, nested ones
+    included.  position is the index a positional argument of a call
+    fills, not counting the `self` of a method, or None for a
+    keyword-only parameter."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, FUNCTIONS):
+            where = f"{prefix}{node.name}"
+            bound = isinstance(tree, ast.ClassDef) and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in node.decorator_list)
+            args = node.args
+            positional = args.posonlyargs + args.args
+            for k in range(len(positional) - len(args.defaults),
+                           len(positional)):
+                yield where, node.name, positional[k].arg, k - bound
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield where, node.name, arg.arg, None
+            yield from _defaulted_parameters(node, f"{where}.")
+        elif isinstance(node, ast.ClassDef):
+            yield from _defaulted_parameters(node, f"{prefix}{node.name}.")
+        else:
+            yield from _defaulted_parameters(node, prefix)
+
+
+def _passes(call, parameter, position):
+    """Whether a call passes the parameter, by keyword or by position
+    (a `*args` or `**kwargs` in the call may pass anything)."""
+    if any(kw.arg in (parameter, None) for kw in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_parameter_default_is_overridden_somewhere():
+    # a default that no call overrides is a knob without behaviour: the
+    # parameter is a constant
+    calls = {}
+    for top in SEARCHED:
+        for path in top.rglob("*.py"):
+            for node in ast.walk(_parse(path)):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) \
+                        else getattr(func, "attr", None)
+                    calls.setdefault(name, []).append(node)
+    dead = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for where, name, parameter, position in _defaulted_parameters(
+                _parse(path)):
+            if not any(_passes(call, parameter, position)
+                       for call in calls.get(name, [])):
+                dead.append(f"{path.name}:{where}({parameter})")
+    assert not dead, f"parameter defaults no call overrides: {dead}"

@@ -94,9 +94,9 @@ def test_box_coordinates_are_exact_ints_or_halves():
         + [(AlgebraSpec(Family.SO, N), orthogonal_partitions)
            for N in range(3, 15)]
     for spec, orbits in specs:
-        torus = center_torus(spec)
         for p in orbits(spec.size):
-            assert all(exact(pyr) for pyr in torus.pyramids(p)), (spec, p)
+            assert all(exact(pyr) for pyr in center_torus(spec, p).pyramids), \
+                (spec, p)
     for n in range(1, 9):
         assert all(exact(unimodal_to_pyramid(u)) for u in unimodal_compositions(n))
     first = Row(y=1, first=Fraction(4, 2), count=1).first
