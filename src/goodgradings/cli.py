@@ -20,7 +20,8 @@ from .exceptional import ExceptionalDataError, exceptional_lookup
 from .gradings import VerificationError
 from .parabolic import ParabolicSpec, richardson_is_good
 from .partitions import Partition
-from .pyramids import render_pyramid
+from .pyramids import (orthogonal_shift_vectors, render_pyramid,
+                       symplectic_shift_vectors)
 from .series import (pyramid_count_formula, pyramid_count_series,
                      pyramid_counts_by_partition, pyramid_series_identity_check,
                      unimodal_count_series)
@@ -59,11 +60,13 @@ _FAMILY_LETTERS = {"A": Family.GL, "GL": Family.GL, "B": Family.SO,
 # (28,5,3) in gl_36 takes 1.8 s on a 2-CPU Xeon.
 MAX_ALGEBRA_DIM = 1300
 MAX_PYRAMIDS = 242
-# `series` walks every partition up to its order (177,969 at order 39),
-# nearly all of its time going to the validated `Partition` it builds for
-# each.  As a subprocess on a 2-CPU Xeon the whole command takes about
-# 0.9 s at order 39 and 1.0 s at 40.
-MAX_SERIES_ORDER = 39
+# `series` walks every partition up to its order, 646,192 at order 46
+# (770,946 at 47), and nearly all of its time goes to that walk and the
+# pyramid count product of each partition.  As a subprocess on a 2-CPU
+# Xeon the whole command takes 0.83 s at order 46 and 1.0 s at 47,
+# scaled to the host speed at which perfbench's `calibration` takes
+# 3.5 ms (medians of 7 runs).
+MAX_SERIES_ORDER = 46
 
 
 def _letter_spec(letter: str, size: int) -> AlgebraSpec:
@@ -94,10 +97,15 @@ def _family_spec(letter: str, p: Partition) -> AlgebraSpec:
     if family is Family.SO and not p.is_orthogonal():
         raise InputError(f"{p} is not an orthogonal partition")
     spec = _letter_spec(letter, p.n)
-    # gl counts its pyramids before listing any; sp/so list theirs, at
-    # most 67 within the dimension limit (so_48, p = 23,23,1,1)
-    count = pyramid_count_formula(p) if spec.family is Family.GL \
-        else len(center_torus(spec, p).pyramids)
+    # no pyramid is built here: gl counts them by the product formula,
+    # sp/so by their shift vectors, one per pyramid (at most 67 within
+    # the dimension limit: so_48, p = 23,23,1,1)
+    if spec.family is Family.GL:
+        count = pyramid_count_formula(p)
+    elif spec.family is Family.SP:
+        count = len(symplectic_shift_vectors(p))
+    else:
+        count = len(orthogonal_shift_vectors(p))
     if count > MAX_PYRAMIDS:
         raise InputError(f"{p} has {count} pyramids, more than {MAX_PYRAMIDS}")
     return spec

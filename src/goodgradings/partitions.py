@@ -109,25 +109,32 @@ def so_centralizer_dim(p: Partition) -> int:
 
 def partitions(n: int) -> Iterator[Partition]:
     """All partitions of n in reverse lexicographic order: (n) first,
-    (1, ..., 1) last, each with its parts weakly decreasing.
+    (1, ..., 1) last, each a validated `Partition` of the parts
+    `_part_tuples(n)` walks."""
+    return map(Partition, _part_tuples(n))
+
+
+def _part_tuples(n: int) -> Iterator[tuple[int, ...]]:
+    """The parts of every partition of n, as plain weakly decreasing
+    tuples in reverse lexicographic order.
 
     The walk is ZS1 (Zoghbi and Stojmenovic, "Fast algorithms for
     generating integer partitions", Int. J. Comput. Math. 70, 1998): one
     array x of parts, of which x[:m] is the current partition and x[h]
     its last part above 1.  The next partition lowers x[h] by one and
     refills the tail with copies of the new value, so each step costs
-    constant amortized time, plus the validated `Partition` it yields.
+    constant amortized time, plus the tuple it yields.
     """
     n = operator.index(n)
     if n < 0:
         return
     if n == 0:
-        yield Partition(())
+        yield ()
         return
     x = [1] * n
     x[0] = n
     m, h = 1, 0
-    yield Partition((n,))
+    yield (n,)
     while x[0] != 1:
         if x[h] == 2:
             x[h] = 1
@@ -148,7 +155,7 @@ def partitions(n: int) -> Iterator[Partition]:
                 if t > 1:
                     h += 1
                     x[h] = t
-        yield Partition(tuple(x[:m]))
+        yield tuple(x[:m])
 
 
 def symplectic_partitions(n: int) -> Iterator[Partition]:

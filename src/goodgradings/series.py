@@ -7,7 +7,7 @@ k at index k.  Each series here is a sparse numerator times factors
 
 from __future__ import annotations
 
-from .partitions import Partition, partitions
+from .partitions import Partition, _part_tuples
 
 
 def _times_one_plus(f: list[int], k: int) -> list[int]:
@@ -33,22 +33,31 @@ def _sparse(terms, order: int) -> list[int]:
     return f
 
 
-def pyramid_count_formula(p: Partition) -> int:
-    """Number of pyramids with row lengths p: prod(2(p_i - p_{i+1}) + 1)."""
-    parts = p.parts
+def _pyramid_count(parts: tuple[int, ...]) -> int:
+    """prod(2(p_i - p_{i+1}) + 1) over weakly decreasing parts; equal
+    neighbours contribute a factor 1, so only the drops are multiplied."""
     out = 1
-    for i in range(len(parts) - 1):
-        out *= 2 * (parts[i] - parts[i + 1]) + 1
+    prev = parts[0] if parts else 0
+    for part in parts:
+        if part != prev:
+            out *= 2 * (prev - part) + 1
+            prev = part
     return out
 
 
+def pyramid_count_formula(p: Partition) -> int:
+    """Number of pyramids with row lengths p: prod(2(p_i - p_{i+1}) + 1)."""
+    return _pyramid_count(p.parts)
+
+
 def pyramid_counts_by_partition(order: int) -> list[int]:
-    """counts[n] = sum over partitions of n of the pyramid count product."""
+    """counts[n] = sum over partitions of n of the pyramid count product,
+    read off the raw part tuples of the partition walk."""
     if order < 1:
         raise ValueError("order must be >= 1")
     counts = [0] * (order + 1)
     for n in range(1, order + 1):
-        counts[n] = sum(pyramid_count_formula(p) for p in partitions(n))
+        counts[n] = sum(map(_pyramid_count, _part_tuples(n)))
     return counts
 
 

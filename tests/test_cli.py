@@ -8,7 +8,10 @@ import pytest
 from goodgradings import cli
 from goodgradings.cli import (MAX_ALGEBRA_DIM, MAX_PYRAMIDS, MAX_SERIES_ORDER,
                               _family_spec, canonical_json, main)
-from goodgradings.partitions import Partition
+from goodgradings.algebras import AlgebraSpec, Family
+from goodgradings.classify import center_torus
+from goodgradings.partitions import (Partition, orthogonal_partitions,
+                                     symplectic_partitions)
 
 
 def run_cli(capsys, *argv):
@@ -129,15 +132,37 @@ def test_richardson_dimension_limit_at_its_boundary(capsys):
         assert code == 0 and "Richardson element" in out, letter
 
 
+def test_sp_so_pyramid_limit_counts_the_torus_pyramids(monkeypatch):
+    # the limit counts sp/so pyramids by their shift vectors, without
+    # building the torus; on every nonzero sp/so orbit with N <= 20 that
+    # count is the number of distinct pyramids the torus lists
+    orbits = [("C", p) for N in range(2, 21, 2)
+              for p in symplectic_partitions(N)]
+    orbits += [("DB"[N % 2], p) for N in range(1, 21)
+               for p in orthogonal_partitions(N)]
+    orbits = [(letter, p) for letter, p in orbits if not p.is_zero_orbit()]
+    assert len(orbits) == 1408
+    for letter, p in orbits:
+        family = Family.SP if letter == "C" else Family.SO
+        pyramids = center_torus(AlgebraSpec(family, p.n), p).pyramids
+        count = len(set(pyramids))
+        assert count == len(pyramids), p
+        monkeypatch.setattr(cli, "MAX_PYRAMIDS", count)
+        assert _family_spec(letter, p).family is family
+        monkeypatch.setattr(cli, "MAX_PYRAMIDS", count - 1)
+        with pytest.raises(cli.InputError, match=f" has {count} pyramids"):
+            _family_spec(letter, p)
+
+
 def test_series_order_limit_at_its_boundary(capsys):
     # one order above the cap is refused before any series is built; the
     # cap keeps the whole command, a walk over every partition up to the
     # order, near 1 s (see the comment on cli.MAX_SERIES_ORDER)
-    assert MAX_SERIES_ORDER == 39
+    assert MAX_SERIES_ORDER == 46
     started = time.monotonic()
-    code, out, err = run_cli(capsys, "series", "--order", "40")
+    code, out, err = run_cli(capsys, "series", "--order", "47")
     assert time.monotonic() - started < 1.0
-    assert code == 2 and out == "" and "between 1 and 39" in err
+    assert code == 2 and out == "" and "between 1 and 46" in err
 
 
 def test_series_at_the_order_cap(capsys):

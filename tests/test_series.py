@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from goodgradings.partitions import Partition
+from goodgradings.cli import MAX_SERIES_ORDER
+from goodgradings.partitions import Partition, partitions
 from goodgradings.series import (_over_one_minus, _times_one_plus,
                                  pyramid_count_formula, pyramid_count_series,
                                  pyramid_counts_by_partition,
@@ -69,8 +70,17 @@ def test_pyramid_series_small_coefficients():
 
 
 def test_pyramid_series_matches_partition_sums():
-    order = 12
+    # the direct count over raw part tuples against the closed form, at
+    # the CLI's order cap
+    order = MAX_SERIES_ORDER
     assert pyramid_count_series(order) == pyramid_counts_by_partition(order)
+
+
+def test_partition_sums_match_the_validated_partitions():
+    # the direct count against the product formula summed over the
+    # validated partitions
+    assert pyramid_counts_by_partition(22) == [0] + [
+        sum(map(pyramid_count_formula, partitions(n))) for n in range(1, 23)]
 
 
 def test_unimodal_series_small():
