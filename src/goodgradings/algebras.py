@@ -26,10 +26,10 @@ in `gradings`; no runtime path builds them.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
 
 from .linalg import Scalar, as_fraction
 

@@ -36,10 +36,9 @@ completeness check.  It builds its gradings with `grading_of_pyramid` too.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
 from .algebras import (AlgebraSpec, Family, GradingElement, build_algebra,
                        graded_decomposition)
@@ -47,7 +46,6 @@ from .gradings import (AdBlocks, Characteristic, VerificationError,
                        ad_blocks, characteristic_from_pyramid,
                        characteristic_of, graded_ad_ranks,
                        grading_of_pyramid, is_good, nilpotent_of_pyramid)
-from .linalg import Scalar
 from .partitions import (Partition, gl_centralizer_dim, so_centralizer_dim,
                          sp_centralizer_dim)
 from .pyramids import (Pyramid, enumerate_pyramids, orthogonal_center_parts,
@@ -58,19 +56,21 @@ from .pyramids import (Pyramid, enumerate_pyramids, orthogonal_center_parts,
                        type_a_center_parts, type_a_shift_vectors)
 
 
-class CenterTorus(NamedTuple):
+class CenterTorus(namedtuple("CenterTorus",
+                             "base parts shift_vectors pyramids")):
     """The center torus of one orbit, as pyramids.
 
     Every good grading of e(p) is h(base) plus a vector of the center of
     the reductive centralizer of e(p): one shift per center part in
     `parts`.  `shift_vectors` lists the good ones and `pyramids` their
     pyramids, in the same order.
+
+    Fields: `base` (a Pyramid), `parts` (a tuple of ints),
+    `shift_vectors` (a list of {center part: shift} dicts) and
+    `pyramids` (a list of Pyramids).
     """
 
-    base: Pyramid
-    parts: tuple[int, ...]
-    shift_vectors: list[dict[int, Scalar]]
-    pyramids: list[Pyramid]
+    __slots__ = ()
 
 
 def center_torus(spec: AlgebraSpec, p: Partition) -> CenterTorus:

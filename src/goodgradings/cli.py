@@ -248,9 +248,9 @@ def _cmd_richardson(args):
                         sum(blocks) if type_a else 2 * sum(blocks) + q)
     try:
         par = ParabolicSpec(spec, blocks, q)
+        good = richardson_is_good(par)
     except ValueError as exc:
         raise InputError(str(exc))
-    good = richardson_is_good(par)
     reason = _richardson_reason(par, good)
     results = {"composition": list(blocks), "q": q, "good": good,
                "reason": reason}

@@ -7,17 +7,18 @@ are given up to the diagram symmetry and can be expanded on demand).
 Orbits that the source names but prints no row for are stored with
 table_row = false and an empty list rather than guessed.
 
-The data file ships with the package and is checksummed on load; it is
-validated (label ranges, vector lengths, orbit counts) but never
-re-derived here.
+The data file ships with the package and is read on first use through
+this module's own loader (`__loader__.get_data`), which also reads it
+from a zipped package; it is checksummed on load and validated (label
+ranges, vector lengths, orbit counts) but never re-derived here.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
-from importlib import resources
 
 _DATA_SHA256 = "74dd16c59827200b60f9f887df8778788978841f258a56f416701d2263d7b1ef"
 
@@ -55,8 +56,8 @@ class ExceptionalEntry:
 
 
 def _load_raw() -> dict:
-    blob = resources.files("goodgradings").joinpath(
-        "data/exceptional_tables.json").read_bytes()
+    blob = __loader__.get_data(os.path.join(
+        os.path.dirname(__file__), "data", "exceptional_tables.json"))
     digest = hashlib.sha256(blob).hexdigest()
     if digest != _DATA_SHA256:
         raise ExceptionalDataError(

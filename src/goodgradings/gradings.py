@@ -37,9 +37,9 @@ gamma(a') = -gamma(a) for so.  One representative per pair gets +1.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Sequence
 
 from .algebras import (AlgebraBasis, AlgebraSpec, Family, GradedDecomposition,
                        GradingElement, Sparse, graded_decomposition,

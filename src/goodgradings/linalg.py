@@ -15,9 +15,9 @@ matrices, never build a Fraction in the inner loop.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
 
 Scalar = int | Fraction
 

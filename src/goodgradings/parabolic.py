@@ -172,11 +172,17 @@ def _descent_by_one_pattern(c) -> bool:
 
 def richardson_is_good(par: ParabolicSpec) -> bool:
     """Closed-form test: is the Richardson element of the parabolic a
-    good element of the associated even grading?"""
+    good element of the associated even grading?
+
+    A single type A block is all of gl_n: its Richardson element is
+    zero, so this raises ValueError, as the generic oracle does.
+    """
     c = par.blocks
     q = par.q
     fam = par.spec.family
     if fam is Family.GL:
+        if len(c) == 1:
+            raise ValueError("the degree-2 piece is zero")
         return is_unimodal(c)
     if fam is Family.SP:
         if not _weakly_increasing(c):

@@ -8,8 +8,8 @@ partitions (odd resp. even parts occur with even multiplicity).
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True, order=True)

@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
 
 from .linalg import Scalar, as_fraction
 from .partitions import Partition

@@ -125,7 +125,7 @@ def test_richardson_dimension_limit_at_its_boundary(capsys):
         assert code == 2 and out == "", letter
         assert "dimension" in err, letter
     # one size below, each is answered
-    for letter, composition, q in (("A", "36", 0), ("C", "25", 0),
+    for letter, composition, q in (("A", "35,1", 0), ("C", "25", 0),
                                    ("B", "25", 1), ("D", "24,1", 0)):
         code, out, _ = run_cli(capsys, "richardson", "--family", letter,
                                "--composition", composition, "--q", str(q))
@@ -233,6 +233,15 @@ def test_richardson_rejects_a_family_parity_mismatch(capsys):
     code, out, err = run_cli(capsys, "richardson", "--family", "D",
                              "--composition", "1", "--q", "1")
     assert code == 2 and out == "" and "even" in err
+
+
+def test_richardson_refuses_a_single_type_a_block(capsys):
+    # the parabolic is all of gl_n and its Richardson element is zero
+    for n in range(1, 9):
+        code, out, err = run_cli(capsys, "richardson", "--family", "A",
+                                 "--composition", str(n))
+        assert code == 2 and out == "", n
+        assert "degree-2 piece is zero" in err, n
 
 
 def test_exceptional_subcommand(capsys):

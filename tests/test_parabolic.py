@@ -45,6 +45,17 @@ def test_type_a_criterion():
     assert richardson_is_good(par(A, 5, (1, 1, 1, 1, 1)))
 
 
+def test_single_type_a_block_is_refused():
+    # one block is all of gl_n: its Richardson element is zero, so the
+    # closed form refuses it as the generic oracle does
+    for n in range(1, 9):
+        p = par(A, n, (n,))
+        with pytest.raises(ValueError, match="degree-2 piece is zero"):
+            richardson_is_good(p)
+        with pytest.raises(ValueError, match="degree-2 piece is zero"):
+            generic_richardson_oracle(p)
+
+
 def test_sp_criterion():
     assert richardson_is_good(par(C, 6, (1, 2)))
     assert not richardson_is_good(par(C, 6, (2, 1)))
