@@ -17,23 +17,36 @@ Type A is realized as gl_n only: a grading of sl_n is a grading of gl_n
 modulo scalars, so type A grading elements are normalized traceless.
 
 Every element of the algebra is kept sparse, as `Sparse`
-({(row, col): value} with int or Fraction values and no zero entries).
-Basis elements have at most two nonzero entries, each the int 1 or -1,
-so brackets of integer matrices stay integers.  The dense rows of ad e
+({(row, col): int} with no zero entries): basis elements have at most
+two nonzero entries, each the int 1 or -1, and every element the
+library builds is an integer combination of them, so brackets stay
+integers.  Coordinates are ints too, read through `operator.index`, so
+a Fraction or a float raises TypeError.  `Fraction` appears only in the
+diagonal of a grading element (`as_fraction` coerces it once) and, in
+`pyramids`, in half-integer box coordinates.  The dense rows of ad e
 from `ad_coordinate_matrix` are the test reference for the block engine
 in `gradings`; no runtime path builds them.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .linalg import Scalar, as_fraction
+Scalar = int | Fraction
+Sparse = dict[tuple[int, int], int]
 
-Sparse = dict[tuple[int, int], Scalar]
+
+def as_fraction(x: Scalar | str) -> Fraction:
+    """Coerce an exact value to Fraction.  Floats are deliberately rejected."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, str)):
+        return Fraction(x)
+    raise TypeError(f"not an exact rational: {x!r}")
 
 
 class Family(str, Enum):
@@ -168,12 +181,12 @@ class AlgebraBasis:
                 return False
         return True
 
-    def coordinates(self, x: Sparse) -> tuple[Scalar, ...]:
+    def coordinates(self, x: Sparse) -> tuple[int, ...]:
         """Dense coordinate tuple of a member given by its entries."""
         coords = self.sparse_coordinates(x)
-        return tuple(coords.get(k, Fraction(0)) for k in range(self.dim))
+        return tuple(coords.get(k, 0) for k in range(self.dim))
 
-    def sparse_coordinates(self, x: Sparse) -> dict[int, Scalar]:
+    def sparse_coordinates(self, x: Sparse) -> dict[int, int]:
         """Nonzero coordinates {basis index: value} of a member.
 
         Each basis element's coordinate is the entry at the position it
@@ -184,16 +197,14 @@ class AlgebraBasis:
         return {index[key]: v for key, v in x.items()
                 if v != 0 and key in index}
 
-    def from_coordinates(self, coords: Sequence[Scalar]) -> Sparse:
-        """The element with these coordinates.  Int coordinates give int
-        entries; any other value goes through `as_fraction`, so a float
-        raises TypeError."""
+    def from_coordinates(self, coords: Sequence[int]) -> Sparse:
+        """The element with these int coordinates.  Each goes through
+        `operator.index`, so a Fraction or a float raises TypeError."""
         if len(coords) != self.dim:
             raise ValueError("coordinate vector has the wrong length")
         acc: Sparse = {}
         for c, elem in zip(coords, self.elements):
-            if type(c) is not int:
-                c = as_fraction(c)
+            c = operator.index(c)
             if c == 0:
                 continue
             for key, v in elem.items():
@@ -263,9 +274,9 @@ class GradedDecomposition:
     buckets: dict  # degree -> tuple of basis indices
     of: tuple[int, ...]  # the degree of each basis element
 
-    def piece_dim(self, degree: Scalar) -> int:
-        d = as_fraction(degree)  # a float raises TypeError
-        return len(self.buckets.get(d.numerator, ())) if d.denominator == 1 else 0
+    def piece_dim(self, degree: int) -> int:
+        # a Fraction or a float raises TypeError
+        return len(self.buckets.get(operator.index(degree), ()))
 
     def is_even(self) -> bool:
         return all(d % 2 == 0 for d in self.degrees)
@@ -292,7 +303,7 @@ def graded_decomposition(g: AlgebraBasis, H: GradingElement) -> GradedDecomposit
     return GradedDecomposition(tuple(sorted(frozen)), frozen, of)
 
 
-def ad_coordinate_matrix(g: AlgebraBasis, e: Sparse) -> list[list[Scalar]]:
+def ad_coordinate_matrix(g: AlgebraBasis, e: Sparse) -> list[list[int]]:
     """Dense rows of ad e on g in basis coordinates: column k holds the
     coordinates of [e, b_k].  The test reference for the block engine in
     `gradings`, which never builds it."""

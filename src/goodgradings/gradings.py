@@ -13,9 +13,9 @@ an internal error, never a property of the input.
 
 The ranks come from a block engine built once per nilpotent, the one
 per-orbit object every verdict takes (`AdBlocks`: the algebra, e and
-the blocks).  ad e is assembled column by column as sparse integer
-coordinates (bracketing with an integer multiple of e, which changes
-no rank), split into connected blocks (columns that reach a common
+the blocks).  ad e is assembled column by column as the sparse int
+coordinates of [e, b_k] (`ad_blocks` refuses an e whose entries are not
+all ints), split into connected blocks (columns that reach a common
 row), and each block is ranked once by fraction-free integer
 elimination (`linalg.rref`).
 Every diagonal H with [H, e] = 2e maps each block from one degree d
@@ -42,11 +42,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebras import (AlgebraBasis, AlgebraSpec, Family, GradedDecomposition,
-                       GradingElement, Sparse, graded_decomposition,
+                       GradingElement, Scalar, Sparse, graded_decomposition,
                        sparse_bracket, _signed_indices)
-from .linalg import Scalar, integer_row, rref
+from .linalg import rref
 from .partitions import Partition
-from .pyramids import ORTHOGONAL, SYMPLECTIC, TYPE_A, Pyramid, row_shift
+from .pyramids import Pyramid, row_shift
 
 Box = tuple[Scalar, int]
 
@@ -56,9 +56,7 @@ class VerificationError(RuntimeError):
 
 
 def _check_flavor(spec: AlgebraSpec, pyr: Pyramid):
-    wanted = {Family.GL: TYPE_A, Family.SP: SYMPLECTIC,
-              Family.SO: ORTHOGONAL}[spec.family]
-    if pyr.flavor != wanted:
+    if pyr.flavor is not spec.family:
         raise ValueError(f"pyramid flavor {pyr.flavor} does not match {spec.family}")
     if pyr.size() != spec.size:
         raise ValueError("box count != matrix size")
@@ -92,11 +90,11 @@ def _arrows(pyr: Pyramid) -> list[tuple[Box, Box]]:
     for r in pyr.rows:
         cs = r.coords()
         out.extend(((cs[i], r.y), (cs[i + 1], r.y)) for i in range(len(cs) - 1))
-    if pyr.flavor == SYMPLECTIC:
+    if pyr.flavor is Family.SP:
         for r in pyr.rows:
             if r.role == "half" and r.y > 0:
                 out.append(((-1, -r.y), (1, r.y)))
-    if pyr.flavor == ORTHOGONAL:
+    if pyr.flavor is Family.SO:
         for r in pyr.rows:
             if r.y <= 0:
                 continue
@@ -123,7 +121,7 @@ def jordan_type(e: Sparse, n: int) -> Partition:
     rank(e^k) is the rank of the images e^k v_j of the unit vectors,
     each kept sparse and pushed through e once per power.
     """
-    by_col: dict[int, list[tuple[int, Scalar]]] = {}
+    by_col: dict[int, list[tuple[int, int]]] = {}
     for (i, j), v in e.items():
         by_col.setdefault(j, []).append((i, v))
     images = [{j: 1} for j in range(n)]
@@ -133,7 +131,7 @@ def jordan_type(e: Sparse, n: int) -> Partition:
             break
         nxt = []
         for vec in images:
-            out: dict[int, Scalar] = {}
+            out: dict[int, int] = {}
             for j, x in vec.items():
                 for i, v in by_col.get(j, ()):
                     out[i] = out.get(i, 0) + v * x
@@ -262,18 +260,20 @@ class AdBlocks:
 def ad_blocks(g: AlgebraBasis, e: Sparse) -> AdBlocks:
     """Assemble ad e sparsely, split it into connected blocks, rank each.
 
-    Raises ValueError unless e lies in g: sparse coordinates drop the
-    entries no basis element owns, so the blocks of a non-member would
-    be silently wrong.  Checked here once per e, not once per grading.
+    Raises TypeError unless every entry of e is an int: blocks with one
+    row or one column are never eliminated, so `rref` would not see
+    every entry.  Raises ValueError unless e lies in g: sparse
+    coordinates drop the entries no basis element owns, so the blocks of
+    a non-member would be silently wrong.  Both are checked here once
+    per e, not once per grading.
     """
+    if not all(isinstance(v, int) for v in e.values()):
+        raise TypeError("ad e is built for int entries of e only")
     if not g.contains(e):
         raise ValueError("element does not lie in the algebra")
-    # bracket with a positive multiple of e that has integer entries:
-    # scaling changes no block and no rank, and keeps Fractions out of ad e
-    scaled = dict(zip(e, integer_row(e.values())))
     cols = {}
     for k, elem in enumerate(g.elements):
-        col = g.sparse_coordinates(sparse_bracket(scaled, elem))
+        col = g.sparse_coordinates(sparse_bracket(e, elem))
         if col:
             cols[k] = col
     parent = {k: k for k in cols}

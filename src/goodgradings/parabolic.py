@@ -18,7 +18,6 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebras import (AlgebraBasis, AlgebraSpec, Family, GradingElement,
                        build_algebra, graded_decomposition)
@@ -75,26 +74,26 @@ def parabolic_grading(par: ParabolicSpec) -> GradingElement:
     fam = par.spec.family
     if fam is Family.GL:
         m = len(par.blocks)
-        diag: list[Fraction] = []
+        diag: list[int] = []
         for i, a in enumerate(par.blocks, start=1):
-            diag.extend([Fraction(m + 1 - 2 * i)] * a)
+            diag.extend([m + 1 - 2 * i] * a)
         return normalize_traceless(GradingElement(par.spec, tuple(diag)))
     t = len(par.blocks)
     n = par.spec.size
     half = n // 2
-    values: list[Fraction] = []
+    values: list[int] = []
     lagrangian_tail = (fam is Family.SO and n % 2 == 0 and par.q == 0
                        and par.blocks[-1] == 1)
     for i, a in enumerate(par.blocks, start=1):
         if par.q > 0:
-            y = Fraction(2 * (t + 1 - i))
+            y = 2 * (t + 1 - i)
         elif lagrangian_tail:
-            y = Fraction(2 * (t - i))
+            y = 2 * (t - i)
         else:
-            y = Fraction(2 * (t - i) + 1)
+            y = 2 * (t - i) + 1
         values.extend([y] * a)
-    values.extend([Fraction(0)] * (half - len(values)))
-    mid = (Fraction(0),) if n % 2 else ()
+    values.extend([0] * (half - len(values)))
+    mid = (0,) if n % 2 else ()
     diag = tuple(values) + mid + tuple(-v for v in values)
     return GradingElement(par.spec, diag)
 

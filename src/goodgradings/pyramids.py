@@ -9,7 +9,7 @@ without any `Fraction` arithmetic.  Row lengths encode the Jordan
 blocks of a nilpotent, first coordinates encode the diagonal of a
 grading element.
 
-Three flavors:
+Three flavors, one per algebra `Family` (GL, SP, SO):
 
 * type A pyramids: rows indexed 1..k bottom-up, nested supports
   (f_j <= f_{j+1}, l_j >= l_{j+1}), bottom row centered;
@@ -34,13 +34,9 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Scalar, as_fraction
+from .algebras import Family, Scalar, as_fraction
 from .partitions import Partition
 from .series import pyramid_count_formula
-
-TYPE_A = "A"
-SYMPLECTIC = "SP"
-ORTHOGONAL = "OP"
 
 
 @dataclass(frozen=True)
@@ -77,7 +73,7 @@ class Row:
 
 @dataclass(frozen=True)
 class Pyramid:
-    flavor: str
+    flavor: Family
     rows: tuple[Row, ...]
 
     def __post_init__(self):
@@ -89,7 +85,9 @@ class Pyramid:
         ys = [r.y for r in self.rows]
         if len(set(ys)) != len(ys):
             raise ValueError("duplicate row index")
-        if self.flavor == TYPE_A:
+        if not isinstance(self.flavor, Family):
+            raise ValueError(f"unknown flavor {self.flavor!r}")
+        if self.flavor is Family.GL:
             if ys != list(range(1, len(ys) + 1)):
                 raise ValueError("type A rows must be indexed 1..k")
             rows = self.rows
@@ -98,13 +96,11 @@ class Pyramid:
             for a, b in zip(rows, rows[1:]):
                 if not (a.first <= b.first and a.last >= b.last):
                     raise ValueError("row supports must be nested upward")
-        elif self.flavor in (SYMPLECTIC, ORTHOGONAL):
+        else:
             boxes = self.boxes()
             mirrored = sorted((-x, -y) for x, y in boxes)
             if sorted(boxes) != mirrored:
                 raise ValueError("pyramid is not centrally symmetric")
-        else:
-            raise ValueError(f"unknown flavor {self.flavor!r}")
 
     def size(self) -> int:
         return sum(r.count for r in self.rows)
@@ -125,7 +121,7 @@ def symmetric_pyramid(p: Partition) -> Pyramid:
     """The centered pyramid of a partition: row j holds p_j boxes."""
     rows = [Row(y=j + 1, first=-pj + 1, count=pj, parts=(pj,))
             for j, pj in enumerate(p.parts)]
-    return Pyramid(TYPE_A, tuple(rows))
+    return Pyramid(Family.GL, tuple(rows))
 
 
 def type_a_center_parts(p: Partition) -> tuple[int, ...]:
@@ -191,7 +187,7 @@ def symplectic_pyramid(p: Partition) -> Pyramid:
         for _ in range(m // 2):
             upper.append(Row(y=y, first=-v + 1, count=v, parts=(v,)))
             y += 1
-    return Pyramid(SYMPLECTIC, tuple(zero + upper + [_mirror(r) for r in upper]))
+    return Pyramid(Family.SP, tuple(zero + upper + [_mirror(r) for r in upper]))
 
 
 def _mirror(r: Row) -> Row:
@@ -306,7 +302,7 @@ def orthogonal_pyramid(p: Partition) -> Pyramid:
             raise AssertionError("odd size needs an unpaired part for the middle box")
         zero.append(Row(y=0, first=0, count=1, parts=(center_part,),
                         role="center"))
-    return Pyramid(ORTHOGONAL, tuple(zero + upper + [_mirror(r) for r in upper]))
+    return Pyramid(Family.SO, tuple(zero + upper + [_mirror(r) for r in upper]))
 
 
 def orthogonal_center_parts(p: Partition) -> tuple[int, ...]:
@@ -414,12 +410,12 @@ def unimodal_to_pyramid(u: Sequence[int]) -> Pyramid:
         support = [i for i, h in enumerate(u) if h >= j]
         rows.append(Row(y=j, first=-k + 1 + 2 * support[0], count=len(support),
                         parts=(len(support),)))
-    return Pyramid(TYPE_A, tuple(rows))
+    return Pyramid(Family.GL, tuple(rows))
 
 
 def pyramid_to_unimodal(pyr: Pyramid) -> tuple[int, ...]:
     """Nonzero column heights of an even-type pyramid, left to right."""
-    if pyr.flavor != TYPE_A:
+    if pyr.flavor is not Family.GL:
         raise ValueError("column reading is defined for type A pyramids")
     parities = {(x - pyr.rows[0].first) % 2 for x, _ in pyr.boxes()}
     if parities != {0}:

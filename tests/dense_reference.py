@@ -13,7 +13,7 @@ of them calls the library's elimination:
 
 from fractions import Fraction
 
-from goodgradings.linalg import as_fraction
+from goodgradings.algebras import as_fraction
 from goodgradings.partitions import Partition
 
 
@@ -113,7 +113,8 @@ def dense(x, n):
 
 def reference_rref(rows):
     """Gauss-Jordan over Fraction: the reference the fraction-free
-    `rref` must match row for row."""
+    `rref` must match row for row, once each row here is scaled by the
+    lcm of its denominators."""
     work = [[as_fraction(x) for x in row] for row in rows]
     if not work:
         return [], []

@@ -269,12 +269,12 @@ def _random_grading(rng, spec):
 def _injective_iff_surjective_sample(g, rng):
     H = _random_grading(rng, g.spec)
     dec = graded_decomposition(g, H)
-    idxs = dec.buckets.get(Fraction(2), ())
+    idxs = dec.buckets.get(2, ())
     if not idxs:
         return None
-    coords = [Fraction(0)] * g.dim
+    coords = [0] * g.dim
     for k in idxs:
-        coords[k] = Fraction(rng.randint(-2, 2))
+        coords[k] = rng.randint(-2, 2)
     e = g.from_coordinates(coords)
     if not e:
         return None

@@ -81,18 +81,34 @@ def test_block_ranks_equal_dense_slices_on_every_orbit():
     assert (orbits, gradings) == (136, 311)
 
 
-def test_rational_multiple_of_e_has_the_same_blocks():
-    # ad e is bracketed with a multiple of e that has integer entries, so
-    # e/3 must give the blocks of e: same columns, rows and ranks
+def test_integer_multiple_of_e_has_the_same_blocks():
+    # scaling e scales ad e, which changes no block and no rank: -3e
+    # gives the blocks of e, with the same columns, rows and ranks
     for spec, p, base in _orbits():
         if p.is_zero_orbit():
             continue
         g = build_algebra(spec)
         e = nilpotent_of_pyramid(g, base)
-        e3 = {key: Fraction(v, 3) for key, v in e.items()}
-        third = ad_blocks(g, e3)
-        assert third.blocks == ad_blocks(g, e).blocks, (spec, p)
-        assert third.e is e3 and third.g is g
+        e3 = {key: -3 * v for key, v in e.items()}
+        scaled = ad_blocks(g, e3)
+        assert scaled.blocks == ad_blocks(g, e).blocks, (spec, p)
+        assert scaled.e is e3 and scaled.g is g
+
+
+def test_ad_blocks_refuses_entries_that_are_not_ints():
+    # e/3 has the blocks of e, but ad e takes int entries only; a single
+    # non-int entry is refused although some blocks would never reach
+    # the elimination that refuses it
+    for spec, p, base in _orbits():
+        if p.is_zero_orbit():
+            continue
+        g = build_algebra(spec)
+        e = nilpotent_of_pyramid(g, base)
+        key = next(iter(e))
+        for bad in ({k: Fraction(v, 3) for k, v in e.items()},
+                    {**e, key: Fraction(e[key])}, {**e, key: float(e[key])}):
+            with pytest.raises(TypeError):
+                ad_blocks(g, bad)
 
 
 def test_block_ranks_equal_dense_slices_on_generic_samples(monkeypatch):

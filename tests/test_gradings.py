@@ -113,12 +113,19 @@ def test_jordan_type_equals_the_dense_reference_on_random_nilpotents():
         for i in range(n):
             for j in range(i + 1, n):
                 if rng.random() < 0.4:
-                    v = rng.choice((-2, -1, 1, 2, 3, Fraction(1, 2)))
+                    v = rng.choice((-2, -1, 1, 2, 3, 5))
                     e[(sigma[i], sigma[j])] = v
         jt = jordan_type(e, n)
         assert jt == reference_jordan_type(dense(e, n)), (n, e)
         seen.add(jt.parts)
     assert len(seen) > 30
+
+
+def test_jordan_type_refuses_entries_that_are_not_ints():
+    # the ranks of the powers of e come from `rref`, which takes ints only
+    for x in (Fraction(1, 2), Fraction(1), 1.0):
+        with pytest.raises(TypeError):
+            jordan_type({(0, 1): x, (1, 2): 1}, 3)
 
 
 def test_single_block_nilpotent():

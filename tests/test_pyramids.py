@@ -6,7 +6,7 @@ from goodgradings.algebras import AlgebraSpec, Family
 from goodgradings.classify import center_torus
 from goodgradings.partitions import (Partition, orthogonal_partitions,
                                      partitions, symplectic_partitions)
-from goodgradings.pyramids import (Pyramid, Row, TYPE_A, compositions,
+from goodgradings.pyramids import (Pyramid, Row, compositions,
                                    enumerate_pyramids, is_unimodal,
                                    orthogonal_pyramid, orthogonal_pyramids,
                                    pyramid_to_unimodal, render_pyramid,
@@ -29,14 +29,24 @@ def test_symmetric_pyramid_examples():
     assert coords(p22) == [(-1, 1), (-1, 2), (1, 1), (1, 2)]
 
 
+def test_flavor_is_the_algebra_family():
+    p = Partition((2, 2))
+    assert symmetric_pyramid(p).flavor is Family.GL
+    assert symplectic_pyramid(p).flavor is Family.SP
+    assert orthogonal_pyramid(Partition((3, 1))).flavor is Family.SO
+    # a string equal to a family member is not a flavor
+    with pytest.raises(ValueError, match="unknown flavor"):
+        Pyramid("GL", (Row(y=1, first=-1, count=2),))
+
+
 def test_type_a_validation():
     with pytest.raises(ValueError):
         # bottom row not centered
-        Pyramid(TYPE_A, (Row(y=1, first=Fraction(0), count=2),))
+        Pyramid(Family.GL, (Row(y=1, first=Fraction(0), count=2),))
     with pytest.raises(ValueError):
         # second row sticks out
-        Pyramid(TYPE_A, (Row(y=1, first=Fraction(-1), count=2),
-                         Row(y=2, first=Fraction(-3), count=2)))
+        Pyramid(Family.GL, (Row(y=1, first=Fraction(-1), count=2),
+                            Row(y=2, first=Fraction(-3), count=2)))
     # composition parts are ints: neither truncated nor rounded
     for u in [(1.7, 2.2), (Fraction(3, 2), 2)]:
         with pytest.raises(TypeError):
