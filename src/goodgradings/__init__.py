@@ -11,8 +11,7 @@ tests, and the static exceptional tables.
 from .algebras import (AlgebraBasis, AlgebraSpec, Family, GradedDecomposition,
                        GradingElement, build_algebra, graded_decomposition)
 from .classify import (GoodGradingFamily, GradingEntry, even_good_grading_gl,
-                       good_gradings, good_gradings_gl, good_gradings_so,
-                       good_gradings_sp, sweep_oracle)
+                       good_gradings, sweep_oracle)
 from .exceptional import ExceptionalEntry, exceptional_lookup, orbit_labels
 from .gradings import (Characteristic, GoodPair, VerificationError,
                        characteristic_from_pyramid, characteristic_of,

@@ -40,11 +40,12 @@ Scalar = int | Fraction
 Sparse = dict[tuple[int, int], int]
 
 
-def as_fraction(x: Scalar | str) -> Fraction:
-    """Coerce an exact value to Fraction.  Floats are deliberately rejected."""
+def as_fraction(x: Scalar) -> Fraction:
+    """Coerce an int or a Fraction to Fraction.  Floats and strings are
+    deliberately rejected."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
@@ -181,11 +182,6 @@ class AlgebraBasis:
                 return False
         return True
 
-    def coordinates(self, x: Sparse) -> tuple[int, ...]:
-        """Dense coordinate tuple of a member given by its entries."""
-        coords = self.sparse_coordinates(x)
-        return tuple(coords.get(k, 0) for k in range(self.dim))
-
     def sparse_coordinates(self, x: Sparse) -> dict[int, int]:
         """Nonzero coordinates {basis index: value} of a member.
 
@@ -307,5 +303,6 @@ def ad_coordinate_matrix(g: AlgebraBasis, e: Sparse) -> list[list[int]]:
     """Dense rows of ad e on g in basis coordinates: column k holds the
     coordinates of [e, b_k].  The test reference for the block engine in
     `gradings`, which never builds it."""
-    cols = [g.coordinates(sparse_bracket(e, elem)) for elem in g.elements]
-    return [list(row) for row in zip(*cols)]
+    cols = [g.sparse_coordinates(sparse_bracket(e, elem))
+            for elem in g.elements]
+    return [[col.get(k, 0) for col in cols] for k in range(g.dim)]

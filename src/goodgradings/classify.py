@@ -122,13 +122,6 @@ class GoodGradingFamily:
     def diagonals(self) -> set[tuple[Fraction, ...]]:
         return {ent.H.diagonal for ent in self.entries}
 
-    @property
-    def dynkin(self) -> GradingEntry:
-        return next(ent for ent in self.entries if ent.is_dynkin)
-
-    def even_entries(self) -> list[GradingEntry]:
-        return [ent for ent in self.entries if ent.is_even]
-
     def __len__(self):
         return len(self.entries)
 
@@ -177,21 +170,6 @@ def good_gradings(spec: AlgebraSpec, p: Partition) -> GoodGradingFamily:
         entries.append(_entry(H, blocks, pyr, (kind, values),
                               all(x == 0 for x in values)))
     return GoodGradingFamily(spec, p, tuple(entries), blocks, torus)
-
-
-def good_gradings_gl(p: Partition) -> GoodGradingFamily:
-    """All good gradings for the nilpotent of Jordan type p in gl_n."""
-    return good_gradings(AlgebraSpec(Family.GL, p.n), p)
-
-
-def good_gradings_sp(p: Partition) -> GoodGradingFamily:
-    """All good gradings for the nilpotent of a symplectic partition in sp_N."""
-    return good_gradings(AlgebraSpec(Family.SP, p.n), p)
-
-
-def good_gradings_so(p: Partition) -> GoodGradingFamily:
-    """All good gradings for the nilpotent of an orthogonal partition in so_N."""
-    return good_gradings(AlgebraSpec(Family.SO, p.n), p)
 
 
 # -- even gradings ------------------------------------------------------------

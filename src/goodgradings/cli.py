@@ -20,8 +20,7 @@ from .exceptional import ExceptionalDataError, exceptional_lookup
 from .gradings import VerificationError
 from .parabolic import ParabolicSpec, richardson_is_good
 from .partitions import Partition
-from .pyramids import (orthogonal_shift_vectors, render_pyramid,
-                       symplectic_shift_vectors)
+from .pyramids import render_pyramid
 from .series import (pyramid_count_formula, pyramid_count_series,
                      pyramid_counts_by_partition, pyramid_series_identity_check,
                      unimodal_count_series)
@@ -97,17 +96,13 @@ def _family_spec(letter: str, p: Partition) -> AlgebraSpec:
     if family is Family.SO and not p.is_orthogonal():
         raise InputError(f"{p} is not an orthogonal partition")
     spec = _letter_spec(letter, p.n)
-    # no pyramid is built here: gl counts them by the product formula,
-    # sp/so by their shift vectors, one per pyramid (at most 67 within
-    # the dimension limit: so_48, p = 23,23,1,1)
+    # gl counts its pyramids by the product formula, before any is built;
+    # within the dimension limit no sp/so orbit has more than 67 (so_48,
+    # p = 23,23,1,1), which tests/test_cli.py checks
     if spec.family is Family.GL:
         count = pyramid_count_formula(p)
-    elif spec.family is Family.SP:
-        count = len(symplectic_shift_vectors(p))
-    else:
-        count = len(orthogonal_shift_vectors(p))
-    if count > MAX_PYRAMIDS:
-        raise InputError(f"{p} has {count} pyramids, more than {MAX_PYRAMIDS}")
+        if count > MAX_PYRAMIDS:
+            raise InputError(f"{p} has {count} pyramids, more than {MAX_PYRAMIDS}")
     return spec
 
 

@@ -1,9 +1,12 @@
 """Static classification data for the exceptional algebras.
 
-For G2 and F4 every good grading is a Dynkin grading.  For E6, E7, E8
-the table lists, per nilpotent orbit with a non-semisimple reductive
-centralizer, the printed characteristics of its good gradings (E6 rows
-are given up to the diagram symmetry and can be expanded on demand).
+For G2 and F4 every good grading is a Dynkin grading; the table lists
+their nonzero orbits (Collingwood-McGovern, Nilpotent Orbits in
+Semisimple Lie Algebras, 8.4), a trailing ~ marking short roots.  For
+E6, E7, E8 the table lists, per nilpotent orbit with a non-semisimple
+reductive centralizer, the printed characteristics of its good
+gradings (E6 rows are given up to the diagram symmetry and can be
+expanded on demand).
 Orbits that the source names but prints no row for are stored with
 table_row = false and an empty list rather than guessed.
 
@@ -20,10 +23,11 @@ import json
 import os
 from dataclasses import dataclass
 
-_DATA_SHA256 = "74dd16c59827200b60f9f887df8778788978841f258a56f416701d2263d7b1ef"
+_DATA_SHA256 = "5724a5a4ec413231f4b7f8986926a5fc3e969d8c02da89717d9d0ab6bbbf7414"
 
-_ALGEBRAS = ("G2", "F4", "E6", "E7", "E8")
-_RANKS = {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
+# (rank, number of orbits listed) per algebra
+_SHAPES = {"G2": (2, 4), "F4": (4, 15), "E6": (6, 10), "E7": (7, 6),
+           "E8": (8, 7)}
 
 
 class ExceptionalDataError(RuntimeError):
@@ -36,11 +40,7 @@ class ExceptionalEntry:
     orbit_label: str
     characteristics: tuple[tuple[int, ...], ...]
     table_row: bool
-    dynkin_only_stated: bool
-
-    @property
-    def dynkin_only(self) -> bool:
-        return self.dynkin_only_stated or self.algebra in ("G2", "F4")
+    dynkin_only: bool
 
     def expanded_characteristics(self) -> tuple[tuple[int, ...], ...]:
         """Include diagram-symmetry mirrors (E6: reverse the chain labels)."""
@@ -66,14 +66,14 @@ def _load_raw() -> dict:
 
 
 def _validate(raw: dict) -> dict:
-    for alg in ("E6", "E7", "E8"):
+    for alg, (rank, count) in _SHAPES.items():
         section = raw[alg]
-        rank = _RANKS[alg]
         if section["rank"] != rank:
             raise ExceptionalDataError(f"{alg}: wrong rank")
-        labels = [o["label"] for o in section["orbits"]]
-        if len(set(labels)) != len(labels):
-            raise ExceptionalDataError(f"{alg}: duplicate orbit label")
+        labels = {_normalize_label(o["label"]) for o in section["orbits"]}
+        if len(labels) != count or len(section["orbits"]) != count:
+            raise ExceptionalDataError(
+                f"{alg}: expected {count} distinct orbit labels")
         for orbit in section["orbits"]:
             for vec in orbit["characteristics"]:
                 if len(vec) != rank:
@@ -100,28 +100,23 @@ def _normalize_label(label: str) -> str:
 
 
 def orbit_labels(algebra: str) -> tuple[str, ...]:
-    algebra = algebra.upper()
-    if algebra in ("G2", "F4"):
-        return ()
-    return tuple(o["label"] for o in tables()[algebra]["orbits"])
+    """The orbit labels the table lists for the algebra, in table order."""
+    return tuple(o["label"] for o in tables()[algebra.upper()]["orbits"])
 
 
 def exceptional_lookup(algebra: str, orbit_label: str) -> ExceptionalEntry:
-    """Table row for one orbit; G2/F4 answer 'Dynkin only' for any orbit."""
+    """Table row for one listed orbit, under its canonical label."""
     algebra = algebra.upper()
-    if algebra not in _ALGEBRAS:
+    if algebra not in _SHAPES:
         raise ValueError(f"unknown exceptional algebra {algebra!r}")
-    if algebra in ("G2", "F4"):
-        return ExceptionalEntry(algebra=algebra, orbit_label=orbit_label,
-                                characteristics=(), table_row=False,
-                                dynkin_only_stated=True)
+    labels = [_normalize_label(label) for label in orbit_labels(algebra)]
     wanted = _normalize_label(orbit_label)
-    for orbit in tables()[algebra]["orbits"]:
-        if _normalize_label(orbit["label"]) == wanted:
-            return ExceptionalEntry(
-                algebra=algebra,
-                orbit_label=orbit["label"],
-                characteristics=tuple(tuple(v) for v in orbit["characteristics"]),
-                table_row=bool(orbit["table_row"]),
-                dynkin_only_stated=bool(orbit["dynkin_only_stated"]))
-    raise ValueError(f"unknown orbit label {orbit_label!r} for {algebra}")
+    if wanted not in labels:
+        raise ValueError(f"unknown orbit label {orbit_label!r} for {algebra}")
+    orbit = tables()[algebra]["orbits"][labels.index(wanted)]
+    return ExceptionalEntry(
+        algebra=algebra,
+        orbit_label=orbit["label"],
+        characteristics=tuple(tuple(v) for v in orbit["characteristics"]),
+        table_row=bool(orbit["table_row"]),
+        dynkin_only=bool(orbit["dynkin_only_stated"]))

@@ -43,21 +43,12 @@ class Partition:
     def __len__(self):
         return len(self.parts)
 
-    def part(self, i: int) -> int:
-        """1-indexed part, 0 beyond the end."""
-        return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
-
     def dual(self) -> "Partition":
         """Conjugate partition: dual_j = #{i : p_i >= j}."""
         if not self.parts:
             return Partition(())
         return Partition(tuple(sum(1 for p in self.parts if p >= j)
                                for j in range(1, self.parts[0] + 1)))
-
-    def multiplicity(self, j: int) -> int:
-        if j < 1:
-            raise ValueError("parts are positive")
-        return sum(1 for p in self.parts if p == j)
 
     def distinct(self) -> tuple[tuple[int, int], ...]:
         """(value, multiplicity) pairs, values strictly decreasing."""

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,10 +109,6 @@ class Pyramid:
     def boxes(self) -> list[tuple[Scalar, int]]:
         """All box centers as (x, y), row by row."""
         return [(x, r.y) for r in self.rows for x in r.coords()]
-
-    def column_height(self, x: Scalar) -> int:
-        x = as_fraction(x)
-        return sum(1 for bx, _ in self.boxes() if bx == x)
 
 
 # -- type A ---------------------------------------------------------------
@@ -420,8 +417,8 @@ def pyramid_to_unimodal(pyr: Pyramid) -> tuple[int, ...]:
     parities = {(x - pyr.rows[0].first) % 2 for x, _ in pyr.boxes()}
     if parities != {0}:
         raise ValueError("pyramid has mixed column parities (grading is odd)")
-    bottom = pyr.rows[0]
-    heights = tuple(pyr.column_height(x) for x in bottom.coords())
+    columns = Counter(x for x, _ in pyr.boxes())
+    heights = tuple(columns[x] for x in pyr.rows[0].coords())
     if not is_unimodal(heights):
         raise AssertionError("nested rows must give unimodal heights")
     return heights

@@ -8,11 +8,16 @@ Range:
   orbit (partition other than 1,...,1) of A n <= 8, B N <= 11,
   C N <= 12 and D N <= 12;
 * richardson on the 512 parabolic classes of A n <= 8 and B/C/D
-  N <= 12, listed with `pyramids.compositions`.
+  N <= 12, listed with `pyramids.compositions`;
+* exceptional on every orbit label of G2, F4, E6, E7 and E8, with and
+  without `--expand-symmetry`, plus one unknown label per algebra;
+* `series --order k` for k = 1..24;
+* under the key "refused", one request per input guard, each refused
+  with exit code 2.
 
 Each request's digest input is its argument line, its exit code and its
 canonical JSON report with `timing_ms` removed (or its error message),
-in request order.  Budget: 3 to 6 s in-process for all 1,484 requests
+in request order.  Budget: 3 to 7 s in-process for all 1,606 requests
 on a 2-CPU Xeon (CPython 3.11.7).  The acceptance criteria check
 enumeration against the sweep on wider ranges, with their own time
 budgets.
@@ -32,11 +37,25 @@ import json
 from pathlib import Path
 
 from goodgradings.cli import canonical_json, main
+from goodgradings.exceptional import orbit_labels
 from goodgradings.partitions import (orthogonal_partitions, partitions,
                                      symplectic_partitions)
 from goodgradings.pyramids import compositions
 
 DIGESTS = Path(__file__).with_name("equivalence_digests.json")
+
+# one request per input guard of the CLI, each expected to exit 2
+REFUSED = (
+    "classify --family A --partition 37",  # dim 1369 > 1300
+    "classify --family A --partition 20,13,3",  # 315 pyramids > 242
+    "series --order 47",
+    "render --family C --partition 2,2 --index 99",
+    "classify --family C --partition 3",  # not symplectic
+    "classify --family B --partition 4,1",  # not orthogonal
+    "classify --family A --partition 1,1,1",  # the zero orbit
+    "richardson --family A --composition 3",  # degree-2 piece is zero
+    "exceptional --algebra E9 --orbit A1",
+)
 
 ORBIT_FAMILIES = (("A", range(2, 9), partitions),
                   ("B", range(3, 12, 2), orthogonal_partitions),
@@ -68,6 +87,17 @@ def requests():
                     continue
                 for c in compositions((size - q) // 2):
                     yield f"richardson {letter} {size}", _richardson(letter, c, q)
+    for algebra in ("G2", "F4", "E6", "E7", "E8"):
+        for label in orbit_labels(algebra):
+            argv = ["exceptional", "--algebra", algebra, "--orbit", label]
+            yield f"exceptional {algebra}", argv
+            yield f"exceptional {algebra}", argv + ["--expand-symmetry"]
+        yield f"exceptional {algebra}", ["exceptional", "--algebra", algebra,
+                                         "--orbit", "Z9"]
+    for k in range(1, 25):
+        yield f"series {k}", ["series", "--order", str(k)]
+    for argv in REFUSED:
+        yield "refused", argv.split()
 
 
 def _richardson(letter, c, q):

@@ -11,8 +11,7 @@ from fractions import Fraction
 
 from goodgradings.algebras import (AlgebraSpec, Family, GradingElement,
                                    build_algebra, graded_decomposition)
-from goodgradings.classify import (good_gradings_gl, good_gradings_so,
-                                   good_gradings_sp, sweep_oracle)
+from goodgradings.classify import good_gradings, sweep_oracle
 from goodgradings.exceptional import exceptional_lookup, orbit_labels
 from goodgradings.gradings import (ad_blocks, check_duality_form,
                                    check_torus_weights, graded_ad_ranks,
@@ -100,10 +99,11 @@ def test_criterion_04_type_a_soundness_completeness():
                     H = grading_of_pyramid(spec, pyr, {})
                     assert is_good(H, blocks).verified, (p, pyr)
                     checked += 1
-            sweep_matches(good_gradings_gl(p))
+            sweep_matches(good_gradings(spec, p))
             orbits += 1
     for parts in ((6, 3, 2, 1), (5, 4, 3, 2, 1)):  # c = 3 and c = 4
-        sweep_matches(good_gradings_gl(Partition(parts)))
+        sweep_matches(good_gradings(AlgebraSpec(Family.GL, sum(parts)),
+                                    Partition(parts)))
         orbits += 1
     report(4, 60, started,
            f"{checked} pyramid pairs verified good (n<=6); enumeration "
@@ -116,14 +116,15 @@ def test_criterion_05_type_c():
     families = 0
     for N in range(2, 15, 2):
         for p in nonzero(symplectic_partitions(N)):
-            fam = good_gradings_sp(p)
+            fam = good_gradings(AlgebraSpec(Family.SP, p.n), p)
             sweep_matches(fam)
-            evens = fam.even_entries()
+            evens = sum(1 for ent in fam.entries if ent.is_even)
             all_even_mult2 = all(v % 2 == 0 and m == 2 for v, m in p.distinct())
-            assert len(evens) <= 2, p
-            assert (len(evens) == 2) == all_even_mult2, p
+            assert evens <= 2, p
+            assert (evens == 2) == all_even_mult2, p
             families += 1
-    sweep_matches(good_gradings_sp(Partition((8, 8, 4, 4, 2, 2))))  # c = 3
+    sweep_matches(good_gradings(AlgebraSpec(Family.SP, 28),
+                                Partition((8, 8, 4, 4, 2, 2))))  # c = 3
     report(5, 120, started,
            f"{families} symplectic orbits (N<=14): enumeration equals the "
            f"sweep; even-grading counts as stated; (8,8,4,4,2,2) swept")
@@ -138,7 +139,7 @@ def test_criterion_06_types_b_d():
         (5, 5, 3, 3, 1, 1), (7, 7, 5, 5, 3, 3, 1, 1),
         (9, 9, 7, 7, 5, 5, 3, 3, 1, 1))]
     for p in orbits:
-        fam = good_gradings_so(p)
+        fam = good_gradings(AlgebraSpec(Family.SO, p.n), p)
         sweep_matches(fam)
         if any(any(x.denominator == 2 for x in ent.H.diagonal)
                for ent in fam.entries):
@@ -229,14 +230,14 @@ def test_criterion_08_fixture_orbits():
     started = time.monotonic()
     # regular: exactly one good grading, the Dynkin one, all labels 2
     for n in range(2, 7):
-        fam = good_gradings_gl(Partition((n,)))
+        fam = good_gradings(AlgebraSpec(Family.GL, n), Partition((n,)))
         assert len(fam) == 1 and fam.entries[0].is_dynkin
         assert fam.entries[0].characteristic.labels == (2,) * (n - 1)
     # minimal nilpotent of sl_n: exactly two non-Dynkin gradings, with the
     # degree-2 node at one end of the diagram
     for n in range(3, 7):
         p = Partition((2,) + (1,) * (n - 2))
-        fam = good_gradings_gl(p)
+        fam = good_gradings(AlgebraSpec(Family.GL, p.n), p)
         assert len(fam) == 3
         others = sorted(ent.characteristic.labels for ent in fam.entries
                         if not ent.is_dynkin)
@@ -306,15 +307,15 @@ def test_criterion_09_property_suites():
     for n in range(2, 6):
         spec = AlgebraSpec(Family.GL, n)
         for p in nonzero(partitions(n)):
-            emitted.append((spec, p, good_gradings_gl(p)))
+            emitted.append((spec, p, good_gradings(spec, p)))
     for N in range(2, 9, 2):
         spec = AlgebraSpec(Family.SP, N)
         for p in nonzero(symplectic_partitions(N)):
-            emitted.append((spec, p, good_gradings_sp(p)))
+            emitted.append((spec, p, good_gradings(spec, p)))
     for N in range(3, 9):
         spec = AlgebraSpec(Family.SO, N)
         for p in nonzero(orthogonal_partitions(N)):
-            emitted.append((spec, p, good_gradings_so(p)))
+            emitted.append((spec, p, good_gradings(spec, p)))
     gram_checked = 0
     for spec, p, fam in emitted:
         for ent in fam.entries:
@@ -328,7 +329,7 @@ def test_criterion_09_property_suites():
     torus_checked = 0
     for n in range(2, 6):
         for p in nonzero(partitions(n)):
-            fam = good_gradings_gl(p)
+            fam = good_gradings(AlgebraSpec(Family.GL, p.n), p)
             for ent in fam.entries:
                 assert check_torus_weights(ent.H, fam.blocks), (p, ent.source)
                 torus_checked += 1
@@ -341,13 +342,16 @@ def test_criterion_09_property_suites():
 def test_criterion_10_exceptional_data():
     started = time.monotonic()
     assert len(orbit_labels("E6")) == 10
+    assert (len(orbit_labels("G2")), len(orbit_labels("F4"))) == (4, 15)
     for alg in ("G2", "F4"):
-        entry = exceptional_lookup(alg, "any")
-        assert entry.dynkin_only and entry.characteristics == ()
+        for label in orbit_labels(alg):
+            entry = exceptional_lookup(alg, label)
+            assert entry.dynkin_only and entry.characteristics == ()
     a4 = exceptional_lookup("E6", "A4")
     assert a4.characteristics == ((2, 0, 0, 0, 2, 2),
                                   (2, 1, 0, 1, 0, 1),
                                   (2, 0, 0, 2, 2, 0))
     report(10, 5, started,
-           "E6 stores the 10 listed orbits; G2/F4 answer Dynkin-only; "
+           "E6 stores the 10 listed orbits; the 4 G2 and 15 F4 orbits "
+           "answer Dynkin-only; "
            "the E6 A4 row matches byte for byte")

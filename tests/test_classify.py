@@ -8,9 +8,7 @@ from goodgradings.algebras import AlgebraSpec, Family, GradingElement, \
     build_algebra, graded_decomposition
 from goodgradings.classify import (_centralizer_weights, _lattice_points,
                                    center_torus, even_good_grading_gl,
-                                   good_gradings, good_gradings_gl,
-                                   good_gradings_so, good_gradings_sp,
-                                   sweep_oracle)
+                                   good_gradings, sweep_oracle)
 from goodgradings.gradings import (AdBlocks, VerificationError, ad_blocks,
                                    characteristic_of, grading_of_pyramid,
                                    is_good, nilpotent_of_pyramid,
@@ -21,6 +19,7 @@ from goodgradings.partitions import (Partition, orthogonal_partitions,
 from goodgradings.pyramids import (orthogonal_pyramid, orthogonal_pyramids,
                                    symmetric_pyramid, symplectic_pyramid,
                                    symplectic_pyramids)
+from goodgradings.series import pyramid_count_series
 
 
 # -- the grid walk: the reference the polytope sweep is compared against --
@@ -63,57 +62,70 @@ def small_orbits(max_gl, max_size):
             if not p.is_zero_orbit()]
 
 
+def gradings_of(family, parts):
+    p = Partition(parts)
+    return good_gradings(AlgebraSpec(family, p.n), p)
+
+
+def dynkin_entry(fam):
+    [dynkin] = [ent for ent in fam.entries if ent.is_dynkin]
+    return dynkin
+
+
+def even_count(fam):
+    return sum(1 for ent in fam.entries if ent.is_even)
+
+
 def test_gl_counts():
-    assert len(good_gradings_gl(Partition((2, 1)))) == 3
-    assert len(good_gradings_gl(Partition((4,)))) == 1
-    assert len(good_gradings_gl(Partition((2, 2)))) == 1
-    assert len(good_gradings_gl(Partition((3, 1)))) == 5
+    assert len(gradings_of(Family.GL, (2, 1))) == 3
+    assert len(gradings_of(Family.GL, (4,))) == 1
+    assert len(gradings_of(Family.GL, (2, 2))) == 1
+    assert len(gradings_of(Family.GL, (3, 1))) == 5
 
 
 def test_sp_counts():
-    assert len(good_gradings_sp(Partition((2, 2)))) == 3
-    assert len(good_gradings_sp(Partition((2, 1, 1)))) == 1
-    assert len(good_gradings_sp(Partition((4, 2)))) == 1
-    assert len(good_gradings_sp(Partition((4, 4, 2, 2)))) == 5
+    assert len(gradings_of(Family.SP, (2, 2))) == 3
+    assert len(gradings_of(Family.SP, (2, 1, 1))) == 1
+    assert len(gradings_of(Family.SP, (4, 2))) == 1
+    assert len(gradings_of(Family.SP, (4, 4, 2, 2))) == 5
 
 
 def test_so_counts():
-    assert len(good_gradings_so(Partition((3, 1, 1)))) == 3
-    assert len(good_gradings_so(Partition((3, 3, 1)))) == 2
-    assert len(good_gradings_so(Partition((3, 3, 1, 1)))) == 7
-    assert len(good_gradings_so(Partition((5, 3)))) == 1
+    assert len(gradings_of(Family.SO, (3, 1, 1))) == 3
+    assert len(gradings_of(Family.SO, (3, 3, 1))) == 2
+    assert len(gradings_of(Family.SO, (3, 3, 1, 1))) == 7
+    assert len(gradings_of(Family.SO, (5, 3))) == 1
 
 
 def test_counts_match_pyramid_counts():
     for parts in [(2, 2), (4, 2), (2, 2, 1, 1), (3, 3, 2, 2)]:
-        p = Partition(parts)
-        assert len(good_gradings_sp(p)) == len(symplectic_pyramids(p))
+        assert len(gradings_of(Family.SP, parts)) \
+            == len(symplectic_pyramids(Partition(parts)))
     for parts in [(3, 1), (3, 3, 1), (5, 1, 1), (3, 3, 1, 1), (2, 2, 1, 1)]:
-        p = Partition(parts)
-        assert len(good_gradings_so(p)) == len(orthogonal_pyramids(p))
+        assert len(gradings_of(Family.SO, parts)) \
+            == len(orthogonal_pyramids(Partition(parts)))
 
 
 def test_exactly_one_dynkin():
-    for fam in (good_gradings_gl(Partition((3, 1))),
-                good_gradings_sp(Partition((2, 2))),
-                good_gradings_so(Partition((3, 3, 1, 1)))):
+    for fam in (gradings_of(Family.GL, (3, 1)), gradings_of(Family.SP, (2, 2)),
+                gradings_of(Family.SO, (3, 3, 1, 1))):
         assert sum(1 for ent in fam.entries if ent.is_dynkin) == 1
-        assert fam.dynkin.source[1] == tuple(
-            Fraction(0) for _ in fam.dynkin.source[1])
+        source = dynkin_entry(fam).source[1]
+        assert source == tuple(Fraction(0) for _ in source)
 
 
 def test_zero_orbit_rejected():
     with pytest.raises(ValueError):
-        good_gradings_gl(Partition((1, 1, 1)))
+        gradings_of(Family.GL, (1, 1, 1))
     with pytest.raises(ValueError):
-        good_gradings(AlgebraSpec(Family.SO, 3), Partition((1, 1, 1)))
+        gradings_of(Family.SO, (1, 1, 1))
 
 
 def test_family_mismatch_rejected():
     with pytest.raises(ValueError):
-        good_gradings_sp(Partition((3, 1)))
+        gradings_of(Family.SP, (3, 1))
     with pytest.raises(ValueError):
-        good_gradings_so(Partition((2, 1, 1)))
+        gradings_of(Family.SO, (2, 1, 1))
     with pytest.raises(ValueError):
         good_gradings(AlgebraSpec(Family.SP, 6), Partition((2, 2)))
 
@@ -132,17 +144,17 @@ def test_even_good_grading_gl():
 def test_even_good_grading_gl_even_nilpotent_is_dynkin():
     p = Partition((3, 1))
     H = even_good_grading_gl(p)
-    fam = good_gradings_gl(p)
-    assert H.diagonal == fam.dynkin.H.diagonal
+    fam = good_gradings(AlgebraSpec(Family.GL, p.n), p)
+    assert H.diagonal == dynkin_entry(fam).H.diagonal
 
 
 def test_even_counts_sp():
-    assert len(good_gradings_sp(Partition((2, 2))).even_entries()) == 2
-    assert len(good_gradings_sp(Partition((3, 3))).even_entries()) == 1
-    assert len(good_gradings_sp(Partition((2, 1, 1))).even_entries()) == 0
-    assert len(good_gradings_sp(Partition((2, 2, 1, 1))).even_entries()) == 1
+    assert even_count(gradings_of(Family.SP, (2, 2))) == 2
+    assert even_count(gradings_of(Family.SP, (3, 3))) == 1
+    assert even_count(gradings_of(Family.SP, (2, 1, 1))) == 0
+    assert even_count(gradings_of(Family.SP, (2, 2, 1, 1))) == 1
     # the two even gradings are t = (0,..) and t = (1,..)
-    fam = good_gradings_sp(Partition((2, 2)))
+    fam = gradings_of(Family.SP, (2, 2))
     evens = [ent for ent in fam.entries if ent.is_even]
     assert sorted(ent.source[1] for ent in evens) == \
         [(Fraction(0),), (Fraction(1),)]
@@ -153,13 +165,13 @@ def test_even_counts_sp_match_closed_conditions():
         for p in symplectic_partitions(N):
             if p.is_zero_orbit():
                 continue
-            evens = good_gradings_sp(p).even_entries()
+            evens = even_count(good_gradings(AlgebraSpec(Family.SP, p.n), p))
             all_even_mult2 = all(v % 2 == 0 and m == 2 for v, m in p.distinct())
             dynkin_even = len({q % 2 for q in p.parts}) == 1
             even_parts_mult2 = all(m == 2 for v, m in p.distinct() if v % 2 == 0)
-            assert len(evens) <= 2
-            assert (len(evens) == 2) == all_even_mult2
-            assert (len(evens) >= 1) == (dynkin_even or even_parts_mult2)
+            assert evens <= 2
+            assert (evens == 2) == all_even_mult2
+            assert (evens >= 1) == (dynkin_even or even_parts_mult2)
 
 
 def test_gl_block_system_matches_pyramids():
@@ -180,7 +192,7 @@ def test_gl_block_system_matches_pyramids():
             H = grading_of_pyramid(spec, base, shifts)
             assert normalize_traceless(H) == H
             system.add(H.diagonal)
-        assert system == good_gradings_gl(p).diagonals()
+        assert system == good_gradings(spec, p).diagonals()
 
 
 def test_sign_symmetry_of_goodness():
@@ -193,8 +205,7 @@ def test_sign_symmetry_of_goodness():
         base = symplectic_pyramid(p) if fam is Family.SP \
             else orthogonal_pyramid(p)
         blocks = ad_blocks(g, nilpotent_of_pyramid(g, base))
-        family = good_gradings_sp(p) if fam is Family.SP \
-            else good_gradings_so(p)
+        family = good_gradings(spec, p)
         from goodgradings.pyramids import (orthogonal_center_parts,
                                            symplectic_center_parts)
         cparts = symplectic_center_parts(p) if fam is Family.SP \
@@ -206,18 +217,32 @@ def test_sign_symmetry_of_goodness():
             assert is_good(flipped, blocks).verified
 
 
+def test_sweep_counts_tie_to_the_pyramid_series():
+    # the sweep reads its gradings off the orbit alone, yet over the
+    # nonzero orbits of gl_n they number the pyramids of size n, less
+    # the one pyramid of the zero orbit
+    series = pyramid_count_series(10)
+    sums = []
+    for n in range(2, 11):
+        spec = AlgebraSpec(Family.GL, n)
+        sums.append(sum(len(sweep_oracle(good_gradings(spec, p)))
+                        for p in partitions(n) if not p.is_zero_orbit()))
+        assert sums[-1] == series[n] - 1, n
+    assert sums == [1, 4, 10, 22, 44, 84, 153, 271, 467]
+
+
 def test_sweep_matches_enumeration_spot_checks():
-    fam = good_gradings_sp(Partition((2, 2)))
+    fam = gradings_of(Family.SP, (2, 2))
     assert {H.diagonal for H in sweep_oracle(fam)} == fam.diagonals()
-    fam = good_gradings_so(Partition((3, 3, 1)))
+    fam = gradings_of(Family.SO, (3, 3, 1))
     assert {H.diagonal for H in sweep_oracle(fam)} == fam.diagonals()
 
 
 def test_sweep_trivial_center():
-    fam = good_gradings_sp(Partition((4, 2)))
+    fam = gradings_of(Family.SP, (4, 2))
     swept = sweep_oracle(fam)
     assert len(swept) == 1
-    assert swept[0].diagonal == fam.dynkin.H.diagonal
+    assert swept[0].diagonal == dynkin_entry(fam).H.diagonal
 
 
 def test_sweep_guards():
@@ -243,7 +268,7 @@ def test_sweep_reads_the_orbit_not_the_entries():
     for spec, p in sweep_orbits():
         fam = good_gradings(spec, p)
         alone = dataclasses.replace(
-            fam, entries=(fam.dynkin,),
+            fam, entries=(dynkin_entry(fam),),
             torus=fam.torus._replace(shift_vectors=[], pyramids=[]))
         assert alone.blocks is fam.blocks and alone.torus.base is fam.torus.base
         swept = sweep_oracle(fam)
@@ -268,7 +293,7 @@ def test_sweep_refuses_a_polytope_without_a_sign_copy(monkeypatch, parts,
         assert dropped in points
         return [s for s in points if s != dropped]
 
-    fam = good_gradings_so(Partition(parts))
+    fam = gradings_of(Family.SO, parts)
     monkeypatch.setattr(classify, "_lattice_points", without)
     with pytest.raises(VerificationError, match="sign flips"):
         sweep_oracle(fam)
@@ -276,7 +301,8 @@ def test_sweep_refuses_a_polytope_without_a_sign_copy(monkeypatch, parts,
 
 def test_family_equality_ignores_the_orbit_build():
     p = Partition((3, 3, 1, 1))
-    one, two = good_gradings_so(p), good_gradings_so(p)
+    spec = AlgebraSpec(Family.SO, p.n)
+    one, two = good_gradings(spec, p), good_gradings(spec, p)
     assert one.blocks.g is not two.blocks.g and one.blocks is not two.blocks
     assert one == two and hash(one) == hash(two)
     assert "blocks" not in repr(one) and "AlgebraBasis" not in repr(one)
@@ -431,7 +457,7 @@ def test_unbounded_polytope_raises():
 def test_sweep_counts_the_centralizer_weights():
     # dropping a block of ad e drops centralizer weights; the sum no
     # longer matches the closed form for dim g^e
-    fam = good_gradings_so(Partition((3, 3, 1, 1)))
+    fam = gradings_of(Family.SO, (3, 3, 1, 1))
     blocks = fam.blocks
     for k, (cols, _, rk) in enumerate(blocks.blocks):
         if len(cols) > rk:
@@ -473,14 +499,14 @@ def test_sweep_checks_few_points(monkeypatch):
         calls.append(1)
         return real(*args)
 
-    fam = good_gradings_so(Partition((5, 5, 3, 3, 1, 1)))
+    fam = gradings_of(Family.SO, (5, 5, 3, 3, 1, 1))
     monkeypatch.setattr(classify, "is_good", counted)
     assert len(sweep_oracle(fam)) == 12
     assert 49 <= len(calls) <= 61
 
 
 def test_entries_report_verified_data():
-    fam = good_gradings_sp(Partition((2, 2)))
+    fam = gradings_of(Family.SP, (2, 2))
     for ent in fam.entries:
         assert all(x in (0, 1, 2) for x in ent.characteristic.labels)
         assert all(d >= 0 for d in ent.centralizer_degrees)
@@ -499,12 +525,12 @@ def test_very_even_orbits_report_the_pyramid_orbit():
                  if all(v % 2 == 0 and m % 2 == 0 for v, m in p.distinct())]
     assert len(very_even) == 11
     for p in very_even:
-        fam = good_gradings_so(p)
+        fam = good_gradings(AlgebraSpec(Family.SO, p.n), p)
         N, half = p.n, p.n // 2
-        labels = fam.dynkin.characteristic.labels
+        labels = dynkin_entry(fam).characteristic.labels
         assert len(fam) == 1 and labels[-2:] == (0, 2), p
         swap = {half - 1: N - 1, N - 1: half - 1}
-        diag = list(fam.dynkin.H.diagonal)
+        diag = list(dynkin_entry(fam).H.diagonal)
         diag[half - 1], diag[N - 1] = diag[N - 1], diag[half - 1]
         H = GradingElement(fam.spec, tuple(diag))
         e = {(swap.get(a, a), swap.get(b, b)): v

@@ -1,3 +1,4 @@
+import itertools
 import json
 import shlex
 import time
@@ -12,6 +13,10 @@ from goodgradings.algebras import AlgebraSpec, Family
 from goodgradings.classify import center_torus
 from goodgradings.partitions import (Partition, orthogonal_partitions,
                                      symplectic_partitions)
+from goodgradings.pyramids import (orthogonal_center_parts,
+                                   orthogonal_shift_vectors,
+                                   symplectic_center_parts,
+                                   symplectic_shift_vectors)
 
 
 def run_cli(capsys, *argv):
@@ -132,26 +137,89 @@ def test_richardson_dimension_limit_at_its_boundary(capsys):
         assert code == 0 and "Richardson element" in out, letter
 
 
-def test_sp_so_pyramid_limit_counts_the_torus_pyramids(monkeypatch):
-    # the limit counts sp/so pyramids by their shift vectors, without
-    # building the torus; on every nonzero sp/so orbit with N <= 20 that
-    # count is the number of distinct pyramids the torus lists
-    orbits = [("C", p) for N in range(2, 21, 2)
+def test_sp_so_pyramid_limit_counts_the_torus_pyramids():
+    # the sp/so pyramid bound below counts shift vectors; on every
+    # nonzero sp/so orbit with N <= 20 the torus lists one distinct
+    # pyramid per shift vector
+    orbits = [(Family.SP, p) for N in range(2, 21, 2)
               for p in symplectic_partitions(N)]
-    orbits += [("DB"[N % 2], p) for N in range(1, 21)
+    orbits += [(Family.SO, p) for N in range(1, 21)
                for p in orthogonal_partitions(N)]
-    orbits = [(letter, p) for letter, p in orbits if not p.is_zero_orbit()]
+    orbits = [(family, p) for family, p in orbits if not p.is_zero_orbit()]
     assert len(orbits) == 1408
-    for letter, p in orbits:
-        family = Family.SP if letter == "C" else Family.SO
-        pyramids = center_torus(AlgebraSpec(family, p.n), p).pyramids
-        count = len(set(pyramids))
-        assert count == len(pyramids), p
-        monkeypatch.setattr(cli, "MAX_PYRAMIDS", count)
-        assert _family_spec(letter, p).family is family
-        monkeypatch.setattr(cli, "MAX_PYRAMIDS", count - 1)
-        with pytest.raises(cli.InputError, match=f" has {count} pyramids"):
-            _family_spec(letter, p)
+    for family, p in orbits:
+        torus = center_torus(AlgebraSpec(family, p.n), p)
+        assert len(set(torus.pyramids)) == len(torus.pyramids) \
+            == len(torus.shift_vectors), p
+
+
+SHIFTS = {Family.SP: (symplectic_center_parts, symplectic_shift_vectors, 0),
+          Family.SO: (orthogonal_center_parts, orthogonal_shift_vectors, 1)}
+
+
+def _reduced(family, p):
+    """p with its parts outside the center replaced by the fewest copies
+    of the smallest of them: one copy if it has the center parts' parity
+    (a single such part is no center part), else a pair.  The shift
+    vectors depend only on the center parts, the smallest part above 1,
+    whether every part is a center part, and the parity of N, and the
+    reduced partition keeps all four."""
+    center_parts, _, parity = SHIFTS[family]
+    center = center_parts(p)
+    rest = [v for v in p.parts if v not in center]
+    if not rest:
+        return p
+    f = min(rest)
+    return Partition.of(center * 2 + ((f,) if f % 2 == parity else (f, f)))
+
+
+def _reduced_partitions(family, largest):
+    """Every reduced partition of size at most largest: each set of
+    distinct center values, doubled, alone or with one filler value."""
+    center_parts, _, parity = SHIFTS[family]
+
+    def center_sets(low, budget):
+        yield ()
+        for v in range(low, budget + 1, 2):
+            for rest in center_sets(v + 2, budget - v):
+                yield (v,) + rest
+
+    for center in center_sets(2 - parity, largest // 2):
+        pairs = center * 2
+        yield Partition.of(pairs)
+        for f in range(1, largest - sum(pairs) + 1):
+            filler = (f,) if f % 2 == parity else (f, f)
+            if f not in center and sum(pairs + filler) <= largest:
+                yield Partition.of(pairs + filler)
+
+
+def test_sp_so_orbits_stay_under_the_pyramid_limit():
+    # the CLI counts only gl pyramids before it builds anything: within
+    # the dimension limit no sp/so orbit has more than MAX_PYRAMIDS.
+    # The shift vectors of p are those of its reduction (checked on every
+    # orbit with N <= 20), so the reduced partitions up to the largest
+    # size under the limit carry every count, and the maxima are
+    # 17 (sp_40, 8,8,6,6,4,4,2,2) and 67 (so_48, 23,23,1,1)
+    started = time.monotonic()
+    expected = {Family.SP: (17, (8, 8, 6, 6, 4, 4, 2, 2)),
+                Family.SO: (67, (23, 23, 1, 1))}
+    for family, (most, witness) in expected.items():
+        _, shift_vectors, _ = SHIFTS[family]
+        walk = symplectic_partitions if family is Family.SP \
+            else orthogonal_partitions
+        for N in range(1, 21):
+            for p in walk(N):
+                assert len(shift_vectors(p)) \
+                    == len(shift_vectors(_reduced(family, p))), p
+        sizes = itertools.count(2, 2) if family is Family.SP \
+            else itertools.count(3)
+        largest = max(itertools.takewhile(
+            lambda N: AlgebraSpec(family, N).dim <= cli.MAX_ALGEBRA_DIM, sizes))
+        counts = {p: len(shift_vectors(p))
+                  for p in _reduced_partitions(family, largest)}
+        assert max(counts.values()) == most <= cli.MAX_PYRAMIDS, family
+        assert counts[Partition(witness)] == most
+    assert time.monotonic() - started < 1.0
 
 
 def test_series_order_limit_at_its_boundary(capsys):
@@ -187,7 +255,8 @@ def test_verify_has_no_grid_options(capsys):
 def test_verify_reports_a_mismatch(capsys, monkeypatch):
     # a sweep that misses gradings: the report is written, then the
     # mismatch goes to stderr and the exit code is 1
-    monkeypatch.setattr(cli, "sweep_oracle", lambda fam: [fam.dynkin.H])
+    monkeypatch.setattr(cli, "sweep_oracle", lambda fam: [
+        ent.H for ent in fam.entries if ent.is_dynkin])
     code, out, err = run_cli(capsys, "verify", "--family", "C",
                              "--partition", "2,2", "--format", "json")
     assert code == 1
@@ -246,9 +315,14 @@ def test_richardson_refuses_a_single_type_a_block(capsys):
 
 def test_exceptional_subcommand(capsys):
     code, out, _ = run_cli(capsys, "exceptional", "--algebra", "G2",
-                           "--orbit", "any")
+                           "--orbit", "g2(A1)")
     assert code == 0
-    assert "Dynkin only" in out
+    assert out == "G2 orbit G2(a1): Dynkin only\n"
+    # an orbit label of another algebra is refused
+    code, out, err = run_cli(capsys, "exceptional", "--algebra", "F4",
+                             "--orbit", "E8")
+    assert code == 2 and out == ""
+    assert "unknown orbit label 'E8' for F4" in err
     code, out, _ = run_cli(capsys, "exceptional", "--algebra", "E6",
                            "--orbit", "A4", "--format", "json")
     assert code == 0

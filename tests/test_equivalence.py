@@ -3,7 +3,7 @@ byte-identical, apart from the timing, to the committed digests."""
 
 import json
 
-from equivalence import DIGESTS, digests, requests
+from equivalence import DIGESTS, REFUSED, _report, digests, requests
 
 
 def test_fixture_range():
@@ -14,6 +14,17 @@ def test_fixture_range():
     assert counts["richardson"] == 512
     assert counts["classify"] == counts["verify"] == counts["pyramids"] \
         == counts["render"]
+    # two requests per orbit label (4 + 15 + 10 + 6 + 7), one unknown
+    # label per algebra
+    assert counts["exceptional"] == 2 * 42 + 5
+    assert counts["series"] == 24
+    assert counts["refused"] == len(REFUSED) == 9
+
+
+def test_refused_requests_exit_2():
+    for argv in REFUSED:
+        report = _report(argv.split())
+        assert report.startswith("exit 2\nerror: "), argv
 
 
 def test_reports_match_the_committed_digests():

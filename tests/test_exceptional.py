@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from goodgradings import exceptional
@@ -25,10 +27,23 @@ def test_orbit_counts_e7_e8():
 
 
 def test_g2_f4_dynkin_only():
+    # the nonzero orbits of G2 and F4 (Collingwood-McGovern 8.4), each
+    # Dynkin only and echoed under its canonical label; any other label
+    # is refused
+    assert orbit_labels("G2") == ("A1", "A1~", "G2(a1)", "G2")
+    assert orbit_labels("F4") == (
+        "A1", "A1~", "A1+A1~", "A2", "A2~", "A2+A1~", "B2", "A2~+A1",
+        "C3(a1)", "F4(a3)", "B3", "C3", "F4(a2)", "F4(a1)", "F4")
     for alg in ("G2", "F4"):
-        entry = exceptional_lookup(alg, "any orbit")
-        assert entry.dynkin_only
-        assert entry.characteristics == ()
+        for label in orbit_labels(alg):
+            entry = exceptional_lookup(alg, label)
+            assert entry.dynkin_only and not entry.table_row
+            assert entry.characteristics == ()
+            assert exceptional_lookup(alg.lower(), label.lower()) == entry
+        with pytest.raises(ValueError, match="unknown orbit label"):
+            exceptional_lookup(alg, "any orbit")
+    with pytest.raises(ValueError):
+        exceptional_lookup("F4", "E8")
 
 
 def test_e6_a4_row_byte_for_byte():
@@ -84,7 +99,7 @@ def test_unprinted_orbits_flagged():
         entry = exceptional_lookup(alg, label)
         assert not entry.table_row
         assert entry.characteristics == ()
-        assert not entry.dynkin_only_stated
+        assert not entry.dynkin_only
 
 
 def test_printed_rows_per_orbit():
@@ -93,3 +108,19 @@ def test_printed_rows_per_orbit():
     assert len(exceptional_lookup("E7", "A4+A1").characteristics) == 5
     assert len(exceptional_lookup("E8", "D7(a1)").characteristics) == 2
     assert len(exceptional_lookup("E8", "D7(a2)").characteristics) == 2
+
+
+def test_validation_counts_the_distinct_orbit_labels():
+    # every algebra lists its expected number of orbits, with labels that
+    # stay distinct under the lookup's normalization
+    for alg, label in (("F4", "F4(a1)"), ("G2", "A1~"), ("E7", "A4")):
+        for change in ("drop", "duplicate"):
+            raw = copy.deepcopy(tables())
+            orbits = raw[alg]["orbits"]
+            orbit = next(o for o in orbits if o["label"] == label)
+            if change == "drop":
+                orbits.remove(orbit)
+            else:
+                orbits.append(dict(orbit, label=label.lower()))
+            with pytest.raises(ExceptionalDataError, match="distinct"):
+                exceptional._validate(raw)

@@ -7,7 +7,7 @@ from dense_reference import (Matrix, bracket, dense, rank,
                              reference_jordan_type)
 from goodgradings.algebras import (AlgebraSpec, Family, GradingElement,
                                    build_algebra, graded_decomposition)
-from goodgradings.classify import center_torus, good_gradings_gl
+from goodgradings.classify import center_torus, good_gradings
 from goodgradings.gradings import (_expected_jordan_type, ad_blocks,
                                    characteristic_from_pyramid,
                                    characteristic_of, check_duality_form,
@@ -240,10 +240,10 @@ def test_good_pair_centralizer_degrees():
 
 def test_characteristic_regular_and_minimal():
     for n in (3, 4, 5):
-        fam = good_gradings_gl(Partition((n,)))
+        fam = good_gradings(AlgebraSpec(Family.GL, n), Partition((n,)))
         assert fam.entries[0].characteristic.labels == (2,) * (n - 1)
-    fam = good_gradings_gl(Partition((2, 1, 1)))
-    dyn = fam.dynkin.characteristic
+    fam = good_gradings(AlgebraSpec(Family.GL, 4), Partition((2, 1, 1)))
+    [dyn] = [ent.characteristic for ent in fam.entries if ent.is_dynkin]
     assert dyn.labels == (1, 0, 1)
 
 

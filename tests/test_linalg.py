@@ -24,8 +24,11 @@ def test_echelon_idempotent():
 
 
 def test_floats_rejected():
-    with pytest.raises(TypeError):
-        as_fraction(0.5)
+    # as_fraction takes ints and Fractions only: a float or a string
+    # raises TypeError
+    for x in (0.5, "1/2", "3"):
+        with pytest.raises(TypeError):
+            as_fraction(x)
     with pytest.raises(TypeError):
         Matrix([[0.5]])
     with pytest.raises(TypeError):

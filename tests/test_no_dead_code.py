@@ -19,14 +19,51 @@ and imported at module level, where the import graph shows it; only
 Every parameter default of a library function, nested functions
 included, is overridden by some call, by keyword or by position: a
 default that no call changes is a constant, not a knob.
+
+The library exports only what it runs: every public function, method
+and class of the library is reached by the same analysis over the
+library and the benchmark alone (its tests aside), unless it is listed
+in `PAPER_CONTENT` with the paper criterion or ROADMAP item that needs
+it.  A listed name that gains a runtime caller must leave the list.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ROOT / "src" / "goodgradings"
 SEARCHED = (ROOT / "src", ROOT / "tests", ROOT / "perfbench")
+# the library and the benchmark, without the benchmark's tests
+RUNTIME = tuple(path for top in (ROOT / "src", ROOT / "perfbench")
+                for path in top.rglob("*.py")
+                if not path.name.startswith("test_"))
+# public names that no runtime path reaches, kept for what needs them
+PAPER_CONTENT = {
+    "classify.py:even_good_grading_gl":
+        "paper content: an even good grading for every gl orbit "
+        "(test_classify)",
+    "partitions.py:orbit_dimension":
+        "ROADMAP item 3: candidate orbits of the exact Richardson oracle",
+    "partitions.py:partitions":
+        "lists the gl orbits for criteria 1, 4 and 9 and the equivalence "
+        "fixture",
+    "partitions.py:symplectic_partitions":
+        "lists the sp orbits for criteria 5 and 9 and the equivalence "
+        "fixture",
+    "partitions.py:orthogonal_partitions":
+        "lists the so orbits for criteria 6 and 9 and the equivalence "
+        "fixture",
+    "pyramids.py:unimodal_compositions": "paper content: criterion 3",
+    "pyramids.py:unimodal_to_pyramid": "paper content: criterion 3",
+    "pyramids.py:pyramid_to_unimodal": "paper content: criterion 3",
+    "gradings.py:check_duality_form":
+        "criterion 9; ROADMAP item 4 emits it as a certificate",
+    "gradings.py:check_torus_weights":
+        "criterion 9; ROADMAP item 4 emits it as a certificate",
+    "algebras.py:ad_coordinate_matrix":
+        "traced by the benchmark (bench_trace.TRACED) until ROADMAP item 8",
+}
 # modules whose public names need a caller: the library and the dense
 # reference moved out of it, so that moved code cannot rot in the tests
 DEFINING = (*sorted(LIBRARY.glob("*.py")),
@@ -36,7 +73,9 @@ DEFINING = (*sorted(LIBRARY.glob("*.py")),
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
+@functools.cache
 def _parse(path):
+    # one tree per file, so that its nodes can be named across calls
     return ast.parse(path.read_text(), filename=str(path))
 
 
@@ -45,11 +84,11 @@ def _is_classmethod(node):
                for d in node.decorator_list)
 
 
-def _public_definitions():
-    """(where, name, owner) for every public function and method: owner
-    is None for a function, "" for a method, and the class name for a
-    classmethod."""
-    for path in DEFINING:
+def _public_definitions(paths):
+    """(where, name, owner, node) for every public function and method
+    of the modules: owner is None for a function, "" for a method, and
+    the class name for a classmethod."""
+    for path in paths:
         for node in _parse(path).body:
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
@@ -57,48 +96,74 @@ def _public_definitions():
                             and not item.name.startswith("_"):
                         owner = node.name if _is_classmethod(item) else ""
                         yield (f"{path.name}:{node.name}.{item.name}",
-                               item.name, owner)
+                               item.name, owner, item)
             elif isinstance(node, FUNCTIONS) and not node.name.startswith("_"):
-                yield f"{path.name}:{node.name}", node.name, None
+                yield f"{path.name}:{node.name}", node.name, None, node
 
 
-def _references():
-    """(names read, attributes read, (name, attribute) pairs read as
-    `name.attribute`) across the searched trees."""
+def _public_classes(paths):
+    """(where, name, node) for every public class of the modules."""
+    for path in paths:
+        for node in _parse(path).body:
+            if isinstance(node, ast.ClassDef) \
+                    and not node.name.startswith("_"):
+                yield f"{path.name}:{node.name}", node.name, node
+
+
+def _searched():
+    return [path for top in SEARCHED for path in top.rglob("*.py")]
+
+
+def _walk(tree, pruned):
+    """`ast.walk`, except below the nodes in pruned."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(c for c in ast.iter_child_nodes(node) if c not in pruned)
+
+
+def _uncalled(definitions, paths, pruned=frozenset()):
+    """The definitions, as from `_public_definitions`, that no file of
+    paths reads outside the pruned nodes: a function as a plain name or
+    an attribute, a method as an attribute, a classmethod as
+    `Owner.name`."""
     loads, attrs, qualified = set(), set(), set()
-    for top in SEARCHED:
-        for path in top.rglob("*.py"):
-            for node in ast.walk(_parse(path)):
-                if not isinstance(getattr(node, "ctx", None), ast.Load):
-                    continue
-                if isinstance(node, ast.Name):
-                    loads.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    attrs.add(node.attr)
-                    if isinstance(node.value, ast.Name):
-                        qualified.add((node.value.id, node.attr))
-    return loads, attrs, qualified
-
-
-def test_every_public_function_has_a_caller():
-    loads, attrs, qualified = _references()
+    for path in paths:
+        for node in _walk(_parse(path), pruned):
+            if not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue
+            if isinstance(node, ast.Name):
+                loads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+                if isinstance(node.value, ast.Name):
+                    qualified.add((node.value.id, node.attr))
 
     def used(name, owner):
         if owner:
             return (owner, name) in qualified
         return name in attrs or (owner is None and name in loads)
 
-    dead = [where for where, name, owner in _public_definitions()
+    return [where for where, name, owner, _ in definitions
             if not used(name, owner)]
+
+
+def test_every_public_function_has_a_caller():
+    dead = _uncalled(list(_public_definitions(DEFINING)), _searched())
     assert not dead, f"public functions with no caller: {dead}"
 
 
 class _ReadsOutsideOwnClass(ast.NodeVisitor):
     """Names read, as a plain name or an attribute, except inside the
-    body of a class of that name."""
+    body of a class of that name and below the pruned nodes."""
 
-    def __init__(self):
-        self.read, self.inside = set(), []
+    def __init__(self, pruned):
+        self.read, self.inside, self.pruned = set(), [], pruned
+
+    def visit(self, node):
+        if node not in self.pruned:
+            super().visit(node)
 
     def visit_ClassDef(self, node):
         self.inside.append(node.name)
@@ -115,23 +180,37 @@ class _ReadsOutsideOwnClass(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _public_classes():
-    """(where, name) for every public class of the defining modules."""
-    for path in DEFINING:
-        for node in _parse(path).body:
-            if isinstance(node, ast.ClassDef) \
-                    and not node.name.startswith("_"):
-                yield f"{path.name}:{node.name}", node.name
+def _unread_classes(classes, paths, pruned=frozenset()):
+    """The classes, as from `_public_classes`, that no file of paths
+    reads outside the class's own body and the pruned nodes."""
+    reads = _ReadsOutsideOwnClass(pruned)
+    for path in paths:
+        reads.visit(_parse(path))
+    return [where for where, name, _ in classes if name not in reads.read]
 
 
 def test_every_public_class_is_read():
-    reads = _ReadsOutsideOwnClass()
-    for top in SEARCHED:
-        for path in top.rglob("*.py"):
-            reads.visit(_parse(path))
-    dead = [where for where, name in _public_classes()
-            if name not in reads.read]
+    dead = _unread_classes(list(_public_classes(DEFINING)), _searched())
     assert not dead, f"public classes never read: {dead}"
+
+
+def test_every_public_name_has_a_runtime_caller():
+    # a read inside a name no runtime path reaches does not reach either,
+    # so the unreached names grow until no read is left to prune
+    library = sorted(LIBRARY.glob("*.py"))
+    functions = list(_public_definitions(library))
+    classes = list(_public_classes(library))
+    nodes = {where: node for where, *_, node in functions + classes}
+    unreached, grown = set(), True
+    while grown:
+        pruned = {nodes[where] for where in unreached}
+        found = set(_uncalled(functions, RUNTIME, pruned)) \
+            | set(_unread_classes(classes, RUNTIME, pruned))
+        unreached, grown = found, found != unreached
+    test_only = sorted(unreached - set(PAPER_CONTENT))
+    assert not test_only, f"public names only tests reach: {test_only}"
+    stale = sorted(set(PAPER_CONTENT) - unreached)
+    assert not stale, f"PAPER_CONTENT names with a runtime caller: {stale}"
 
 
 def _unread_imports(path):

@@ -38,19 +38,18 @@ def test_dual_involution_exhaustive():
 
 
 def test_multiplicity():
-    p = Partition((2, 2, 1))
-    assert p.multiplicity(2) == 2
-    assert p.multiplicity(3) == 0
+    # multiplicities are read off `distinct`
+    assert dict(Partition((2, 2, 1)).distinct()) == {2: 2, 1: 1}
     q = Partition((4, 2, 2, 1))
-    assert q.multiplicity(2) == 2
+    assert q.distinct() == ((4, 1), (2, 2), (1, 1))
     d = q.dual()
-    assert d.part(2) - d.part(3) == 2
+    assert d.parts == (4, 3, 1, 1) and d.parts[1] - d.parts[2] == 2
 
 
 def test_multiplicity_weight_identity():
     for n in range(1, 13):
         for p in partitions(n):
-            assert sum(j * p.multiplicity(j) for j in range(1, n + 1)) == n
+            assert sum(j * m for j, m in p.distinct()) == n
 
 
 def test_orbit_dimension():
