@@ -6,7 +6,9 @@ Range:
 
 * classify, verify, pyramids and `render --index 0` on every nonzero
   orbit (partition other than 1,...,1) of A n <= 8, B N <= 11,
-  C N <= 12 and D N <= 12;
+  C N <= 12 and D N <= 12, and classify and verify again on the same
+  orbits in the default text format (keys "classify-text" and
+  "verify-text");
 * richardson on the 512 parabolic classes of A n <= 8 and B/C/D
   N <= 12, listed with `pyramids.compositions`;
 * exceptional on every orbit label of G2, F4, E6, E7 and E8, with and
@@ -16,9 +18,10 @@ Range:
   with exit code 2.
 
 Each request's digest input is its argument line, its exit code and its
-canonical JSON report with `timing_ms` removed (or its error message),
-in request order.  Budget: 3 to 7 s in-process for all 1,606 requests
-on a 2-CPU Xeon (CPython 3.11.7).  The acceptance criteria check
+canonical JSON report with `timing_ms` removed, or its text report,
+which prints no timing (or its error message), in request order.
+Budget: 3 to 9 s in-process for all 2,092 requests on a 2-CPU Xeon
+(CPython 3.11.7).  The acceptance criteria check
 enumeration against the sweep on wider ranges, with their own time
 budgets.
 
@@ -75,6 +78,10 @@ def requests():
                     if command == "render":
                         argv += ["--index", "0"]
                     yield f"{command} {letter} {n}", argv
+            for command in ("classify", "verify"):
+                for parts in orbits:
+                    yield f"{command}-text {letter} {n}", [
+                        command, "--family", letter, "--partition", parts]
     for n in range(2, 9):
         for c in compositions(n):
             if len(c) >= 2:
@@ -105,12 +112,16 @@ def _richardson(letter, c, q):
             "--composition", ",".join(map(str, c)), "--q", str(q)]
 
 
-def _report(argv) -> str:
+def _report(argv, text=False) -> str:
+    """The exit code and then the error message, or the report: the
+    canonical JSON without its timing, or the default text."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv + ["--format", "json"])
+        code = main(argv if text else argv + ["--format", "json"])
     if code != 0:
         return f"exit {code}\n{err.getvalue()}"
+    if text:
+        return f"exit 0\n{out.getvalue()}"
     report = json.loads(out.getvalue())
     del report["timing_ms"]
     return f"exit 0\n{canonical_json(report)}"
@@ -121,7 +132,8 @@ def digests() -> dict[str, str]:
     hashes = {}
     for key, argv in requests():
         h = hashes.setdefault(key, hashlib.sha256())
-        h.update(f"{' '.join(argv)}\n{_report(argv)}".encode())
+        report = _report(argv, text=key.split()[0].endswith("-text"))
+        h.update(f"{' '.join(argv)}\n{report}".encode())
     return {key: h.hexdigest() for key, h in hashes.items()}
 
 

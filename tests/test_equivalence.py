@@ -13,7 +13,8 @@ def test_fixture_range():
         counts[command] = counts.get(command, 0) + 1
     assert counts["richardson"] == 512
     assert counts["classify"] == counts["verify"] == counts["pyramids"] \
-        == counts["render"]
+        == counts["render"] == counts["classify-text"] \
+        == counts["verify-text"] == 243
     # two requests per orbit label (4 + 15 + 10 + 6 + 7), one unknown
     # label per algebra
     assert counts["exceptional"] == 2 * 42 + 5
