@@ -9,12 +9,12 @@ of the defining representation and the bilinear forms
 i.e. antidiagonal Gram matrices.  With this choice every diagonal
 matrix diag(d_1..d_n, (0), -d_1..-d_n) lies in the algebra, so grading
 elements are literally diagonal, and each basis element of the algebra
-is an eigenvector of ad H for diagonal H.  Graded decompositions are
-then a matter of bucketing basis elements by eigenvalue, an int: these
-are Z-gradings, and `graded_decomposition` refuses any other H.
+is an eigenvector of ad H for diagonal H.  A graded decomposition is
+then one eigenvalue per basis element, an int: these are Z-gradings,
+and `graded_decomposition` refuses any other H.
 
 Type A is realized as gl_n only: a grading of sl_n is a grading of gl_n
-modulo scalars, so type A grading elements are normalized traceless.
+modulo scalars, so `GradingElement` stores a type A diagonal traceless.
 
 Every element of the algebra is kept sparse, as `Sparse`
 ({(row, col): int} with no zero entries): basis elements have at most
@@ -118,7 +118,7 @@ class AlgebraBasis:
         self.n = spec.size
         self.indices = _signed_indices(spec)
         self.position = {i: a for a, i in enumerate(self.indices)}
-        self.labels: list[tuple] = []
+        self.labels: list[tuple[int, int]] = []  # (i, j) of each E_ij
         self.elements: list[Sparse] = []
         self._build()
         self.dim = len(self.elements)
@@ -127,7 +127,7 @@ class AlgebraBasis:
         # matrix position -> index of the E basis element that owns it:
         # the element has coefficient 1 there and no other has an entry
         self.entry_index = {(self.position[i], self.position[j]): k
-                            for k, (_, i, j) in enumerate(self.labels)}
+                            for k, (i, j) in enumerate(self.labels)}
 
     # -- construction -------------------------------------------------
 
@@ -138,9 +138,9 @@ class AlgebraBasis:
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     if i != j:
-                        self._add(("E", i, j), {(i - 1, j - 1): 1})
+                        self._add((i, j), {(i - 1, j - 1): 1})
             for i in range(1, n + 1):
-                self._add(("E", i, i), {(i - 1, i - 1): 1})
+                self._add((i, i), {(i - 1, i - 1): 1})
             return
         skew = fam is Family.SP
         for a, i in enumerate(self.indices):
@@ -149,14 +149,14 @@ class AlgebraBasis:
                 if (a, b) == (am, bm):
                     # entry position paired with itself (j == -i)
                     if skew:
-                        self._add(("E", i, j), {(a, b): 1})
+                        self._add((i, j), {(a, b): 1})
                     continue
                 if (a, b) > (am, bm):
                     continue
                 coeff = -_eps(i) * _eps(j) if skew else -1
-                self._add(("E", i, j), {(a, b): 1, (am, bm): coeff})
+                self._add((i, j), {(a, b): 1, (am, bm): coeff})
 
-    def _add(self, label: tuple, elem: Sparse):
+    def _add(self, label: tuple[int, int], elem: Sparse):
         self.labels.append(label)
         self.elements.append(elem)
 
@@ -236,7 +236,9 @@ class GradingElement:
 
     The diagonal is listed in the fixed basis order of the defining
     representation.  For sp/so the entries pair as d(v_{-i}) = -d(v_i)
-    and d(v_0) = 0.
+    and d(v_0) = 0.  A gl diagonal is stored traceless: a scalar acts
+    trivially under ad, so GradingElement(GL, d) and
+    GradingElement(GL, d + c) are equal.
     """
 
     spec: AlgebraSpec
@@ -244,15 +246,18 @@ class GradingElement:
 
     def __post_init__(self):
         diag = tuple(as_fraction(x) for x in self.diagonal)
-        object.__setattr__(self, "diagonal", diag)
         if len(diag) != self.spec.size:
             raise ValueError("diagonal length != matrix size")
-        if self.spec.family in (Family.SP, Family.SO):
+        if self.spec.family is Family.GL:
+            mean = sum(diag) / len(diag)
+            diag = tuple(d - mean for d in diag)
+        else:
             half = len(diag) // 2
             if diag[-half:] != tuple(-d for d in diag[:half]):
                 raise ValueError("diagonal not form-compatible (pairing)")
             if len(diag) % 2 and diag[half] != 0:
                 raise ValueError("middle diagonal entry must vanish")
+        object.__setattr__(self, "diagonal", diag)
 
     def is_integral(self) -> bool:
         """Whether ad H has integer eigenvalues.  They are differences of
@@ -262,28 +267,13 @@ class GradingElement:
         return all((d - first).denominator == 1 for d in self.diagonal)
 
 
-@dataclass(frozen=True)
-class GradedDecomposition:
-    """Eigenspace decomposition of g under ad H for diagonal H."""
-
-    degrees: tuple[int, ...]
-    buckets: dict  # degree -> tuple of basis indices
-    of: tuple[int, ...]  # the degree of each basis element
-
-    def piece_dim(self, degree: int) -> int:
-        # a Fraction or a float raises TypeError
-        return len(self.buckets.get(operator.index(degree), ()))
-
-    def is_even(self) -> bool:
-        return all(d % 2 == 0 for d in self.degrees)
-
-
-def graded_decomposition(g: AlgebraBasis, H: GradingElement) -> GradedDecomposition:
-    """Bucket the fixed basis of g by ad H eigenvalue, an int.
+def graded_decomposition(g: AlgebraBasis, H: GradingElement) -> tuple[int, ...]:
+    """The ad H eigenvalue of each basis element of g, an int.
 
     Every basis element is an ad H eigenvector because H is diagonal,
-    so the decomposition is exact bookkeeping, not linear algebra.
-    Raises ValueError unless H is integral.
+    so the decomposition is exact bookkeeping, not linear algebra: the
+    piece g_d holds the basis elements of degree d.  Raises ValueError
+    unless H is integral.
     """
     if H.spec != g.spec:
         raise ValueError("grading element spec does not match the algebra")
@@ -291,12 +281,7 @@ def graded_decomposition(g: AlgebraBasis, H: GradingElement) -> GradedDecomposit
         raise ValueError("not an integral grading")
     first, pos = H.diagonal[0], g.position
     diag = [int(d - first) for d in H.diagonal]
-    of = tuple(diag[pos[i]] - diag[pos[j]] for _, i, j in g.labels)
-    buckets: dict[int, list[int]] = {}
-    for k, d in enumerate(of):
-        buckets.setdefault(d, []).append(k)
-    frozen = {d: tuple(ks) for d, ks in buckets.items()}
-    return GradedDecomposition(tuple(sorted(frozen)), frozen, of)
+    return tuple(diag[pos[i]] - diag[pos[j]] for i, j in g.labels)
 
 
 def ad_coordinate_matrix(g: AlgebraBasis, e: Sparse) -> list[list[int]]:

@@ -5,7 +5,7 @@ family H = h(p) + z, with h(p) the Dynkin element of the base pyramid
 and z ranging over a small set of vectors in the center of the
 reductive part of the centralizer:
 
-* gl (sl is gl modulo scalars; outputs are normalized traceless): one
+* gl (sl is gl modulo scalars; grading elements are traceless): one
   grading per pyramid with row lengths p (shifts of the distinct parts
   below the largest, bounded by consecutive part differences);
 * sp: unit shifts of the even multiplicity-2 parts, plus a global
@@ -20,7 +20,7 @@ one; failures raise VerificationError because they would mean a bug,
 not bad input.
 
 All families share one parametrization: a grading is
-`gradings.grading_of_pyramid(spec, base, shifts)`, one shift per center
+`gradings.grading_of_pyramid(base, shifts)`, one shift per center
 part.  `center_torus(spec, p)` makes the family choice in one place; the
 enumeration builds this value (base pyramid, center parts, shift
 vectors, pyramids) once per orbit and hands it to the sweep.
@@ -46,8 +46,7 @@ from .gradings import (AdBlocks, Characteristic, VerificationError,
                        ad_blocks, characteristic_from_pyramid,
                        characteristic_of, graded_ad_ranks,
                        grading_of_pyramid, is_good, nilpotent_of_pyramid)
-from .partitions import (Partition, gl_centralizer_dim, so_centralizer_dim,
-                         sp_centralizer_dim)
+from .partitions import Partition, centralizer_dim
 from .pyramids import (Pyramid, enumerate_pyramids, orthogonal_center_parts,
                        orthogonal_pyramid, orthogonal_pyramids,
                        orthogonal_shift_vectors, symmetric_pyramid,
@@ -138,13 +137,13 @@ def _entry(H: GradingElement, blocks: AdBlocks, pyr: Pyramid, source: tuple,
         raise VerificationError(f"enumerated grading failed the goodness check "
                                 f"({H.spec.family.value}, source {source})")
     char = characteristic_of(H)
-    pyramid_char = characteristic_from_pyramid(H.spec, pyr)
+    pyramid_char = characteristic_from_pyramid(pyr)
     if pyramid_char.normalized() != char.normalized():
         raise VerificationError("column characteristic disagrees with the "
                                 "dominant-chamber characteristic")
     return GradingEntry(H=H, source=source, characteristic=char,
                         is_dynkin=is_dynkin,
-                        is_even=pair.decomposition.is_even(),
+                        is_even=all(d % 2 == 0 for d in set(pair.degrees)),
                         centralizer_degrees=pair.centralizer_degrees)
 
 
@@ -165,7 +164,7 @@ def good_gradings(spec: AlgebraSpec, p: Partition) -> GoodGradingFamily:
         else ("t", torus.parts)
     entries = []
     for shifts, pyr in zip(torus.shift_vectors, torus.pyramids):
-        H = grading_of_pyramid(spec, torus.base, shifts)
+        H = grading_of_pyramid(torus.base, shifts)
         values = tuple(shifts.get(v, 0) for v in keys)
         entries.append(_entry(H, blocks, pyr, (kind, values),
                               all(x == 0 for x in values)))
@@ -182,15 +181,14 @@ def even_good_grading_gl(p: Partition) -> GradingElement:
     parts, so all box coordinates share one parity.
     """
     _reject_zero(p)
-    spec = AlgebraSpec(Family.GL, p.n)
     base = symmetric_pyramid(p)
     values = [v for v, _ in p.distinct()]
     breaks = ((v - w) % 2 for v, w in zip(values, values[1:]))
     shifts = dict(zip(values[1:], itertools.accumulate(breaks)))
-    H = grading_of_pyramid(spec, base, shifts)
-    g = build_algebra(spec)
+    H = grading_of_pyramid(base, shifts)
+    g = build_algebra(base.spec)
     pair = is_good(H, ad_blocks(g, nilpotent_of_pyramid(g, base)))
-    if not pair.verified or not pair.decomposition.is_even():
+    if not pair.verified or any(d % 2 for d in set(pair.degrees)):
         raise VerificationError("parity-break shifts failed to give an even good grading")
     return H
 
@@ -234,16 +232,13 @@ def _centralizer_weights(fam: GoodGradingFamily):
     is a.s + b, s = 2t, for forms[k] = (a, b), read off the degrees of
     H(0) and of H at the unit vectors; weights counts the forms of a
     basis of g^e, checked against the closed form for dim g^e."""
-    spec, g, base = fam.spec, fam.blocks.g, fam.torus.base
-    of_0, *of_steps = (
-        graded_decomposition(g, grading_of_pyramid(spec, base, shifts)).of
-        for shifts in [{}] + [{v: 1} for v in fam.torus.parts])
+    g, base = fam.blocks.g, fam.torus.base
+    of_0, *of_steps = (graded_decomposition(g, grading_of_pyramid(base, shifts))
+                       for shifts in [{}] + [{v: 1} for v in fam.torus.parts])
     forms = [(tuple(of_i[k] - d for of_i in of_steps), 2 * d)
              for k, d in enumerate(of_0)]
     weights = Counter(forms) - graded_ad_ranks(fam.blocks, forms)
-    closed_form = {Family.GL: gl_centralizer_dim, Family.SP: sp_centralizer_dim,
-                   Family.SO: so_centralizer_dim}[spec.family]
-    if sum(weights.values()) != closed_form(fam.partition):
+    if sum(weights.values()) != centralizer_dim(fam.spec.family, fam.partition):
         raise VerificationError("centralizer weights disagree with dim g^e")
     return forms, weights
 
@@ -273,8 +268,7 @@ def sweep_oracle(fam: GoodGradingFamily) -> list[GradingElement]:
         raise VerificationError("the polytope is not closed under sign flips")
     found = []
     for s in points:
-        H = grading_of_pyramid(spec, base, {v: Fraction(x, 2)
-                                            for v, x in zip(parts, s)})
+        H = grading_of_pyramid(base, {v: Fraction(x, 2) for v, x in zip(parts, s)})
         if not is_good(H, blocks).verified:
             raise VerificationError("a point of the polytope is not good")
         if not folded or min(s, default=0) >= 0:

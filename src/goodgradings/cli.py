@@ -239,6 +239,8 @@ def _cmd_richardson(args):
     blocks = _parse_ints(args.composition)
     q = args.q
     type_a = _FAMILY_LETTERS.get(args.family.upper()) is Family.GL
+    if q < 0 and not type_a:  # before q sizes the algebra
+        raise InputError("N - q must be even and q >= 0")
     spec = _letter_spec(args.family,
                         sum(blocks) if type_a else 2 * sum(blocks) + q)
     try:

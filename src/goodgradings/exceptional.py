@@ -1,12 +1,13 @@
 """Static classification data for the exceptional algebras.
 
-For G2 and F4 every good grading is a Dynkin grading; the table lists
-their nonzero orbits (Collingwood-McGovern, Nilpotent Orbits in
-Semisimple Lie Algebras, 8.4), a trailing ~ marking short roots.  For
-E6, E7, E8 the table lists, per nilpotent orbit with a non-semisimple
-reductive centralizer, the printed characteristics of its good
-gradings (E6 rows are given up to the diagram symmetry and can be
-expanded on demand).
+For G2 and F4 every good grading is a Dynkin grading, which each
+orbit's `dynkin_only_stated` flag records; the table lists their nonzero
+orbits (Collingwood-McGovern, Nilpotent Orbits in Semisimple Lie
+Algebras, 8.4), a trailing ~ marking short roots.  For E6, E7, E8 the
+table lists, per nilpotent orbit with a non-semisimple reductive
+centralizer, the printed characteristics of its good gradings.  E6 rows
+are given up to the diagram symmetry, which
+`ExceptionalEntry.expanded_characteristics` applies on demand.
 Orbits that the source names but prints no row for are stored with
 table_row = false and an empty list rather than guessed.
 
@@ -23,7 +24,7 @@ import json
 import os
 from dataclasses import dataclass
 
-_DATA_SHA256 = "5724a5a4ec413231f4b7f8986926a5fc3e969d8c02da89717d9d0ab6bbbf7414"
+_DATA_SHA256 = "70c11f0e6c680028a90e1436c4a9d998a51fc35afc83ae6d443551e3f9a17d86"
 
 # (rank, number of orbits listed) per algebra
 _SHAPES = {"G2": (2, 4), "F4": (4, 15), "E6": (6, 10), "E7": (7, 6),

@@ -39,11 +39,9 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebras import (AlgebraBasis, AlgebraSpec, Family, GradedDecomposition,
-                       GradingElement, Scalar, Sparse, graded_decomposition,
-                       sparse_bracket, _signed_indices)
+from .algebras import (AlgebraBasis, Family, GradingElement, Scalar, Sparse,
+                       graded_decomposition, sparse_bracket, _signed_indices)
 from .linalg import rref
 from .partitions import Partition
 from .pyramids import Pyramid, row_shift
@@ -55,14 +53,7 @@ class VerificationError(RuntimeError):
     """An internal cross-check failed; this signals a bug, not bad input."""
 
 
-def _check_flavor(spec: AlgebraSpec, pyr: Pyramid):
-    if pyr.flavor is not spec.family:
-        raise ValueError(f"pyramid flavor {pyr.flavor} does not match {spec.family}")
-    if pyr.size() != spec.size:
-        raise ValueError("box count != matrix size")
-
-
-def fill_boxes(spec: AlgebraSpec, pyr: Pyramid) -> dict[Box, int]:
+def fill_boxes(pyr: Pyramid) -> dict[Box, int]:
     """Assign a signed basis-vector index to every box.
 
     Type A: boxes are numbered 1..n row by row from the bottom row up,
@@ -70,8 +61,7 @@ def fill_boxes(spec: AlgebraSpec, pyr: Pyramid) -> dict[Box, int]:
     x = 0 with y > 0) get positive indices top-to-bottom left-to-right,
     the middle box gets 0, and mirror boxes get the negated index.
     """
-    _check_flavor(spec, pyr)
-    if spec.family is Family.GL:
+    if pyr.flavor is Family.GL:
         boxes = [(x, r.y) for r in pyr.rows for x in r.coords()]
         return {box: k + 1 for k, box in enumerate(boxes)}
     labels: dict[Box, int] = {}
@@ -80,7 +70,7 @@ def fill_boxes(spec: AlgebraSpec, pyr: Pyramid) -> dict[Box, int]:
     for k, (x, y) in enumerate(positives):
         labels[(x, y)] = k + 1
         labels[(-x, -y)] = -(k + 1)
-    if spec.size % 2 == 1:
+    if pyr.size() % 2 == 1:
         labels[(0, 0)] = 0
     return labels
 
@@ -156,9 +146,12 @@ def nilpotent_of_pyramid(g: AlgebraBasis, pyr: Pyramid) -> Sparse:
     """The nilpotent of g along the rows of the pyramid, with int entries.
 
     Verified on construction: lies in g, and its Jordan type matches the
-    partition the pyramid encodes.
+    partition the pyramid encodes.  Raises ValueError unless the pyramid
+    encodes a nilpotent of g (`Pyramid.spec`).
     """
-    labels = fill_boxes(g.spec, pyr)
+    if pyr.spec != g.spec:
+        raise ValueError("the pyramid's family or size does not match g")
+    labels = fill_boxes(pyr)
     pos = g.position
     arrows = _arrows(pyr)
     arrow_set = set(arrows)
@@ -192,34 +185,22 @@ def nilpotent_of_pyramid(g: AlgebraBasis, pyr: Pyramid) -> Sparse:
     return e
 
 
-def grading_of_pyramid(spec: AlgebraSpec, pyr: Pyramid,
-                       shifts: dict[int, Scalar]) -> GradingElement:
+def grading_of_pyramid(pyr: Pyramid, shifts: dict[int, Scalar]) -> GradingElement:
     """h(pyr) plus the center vector shifting the given parts' rows.
 
     The entry of each basis vector is the first coordinate of its box,
     moved with the box's row by `pyramids.row_shift`; the box filling is
     pyr's, so a shift is literally h(pyr) + z on the same basis vectors.
-    The result is normalized traceless: for gl that removes the scalar,
-    which acts trivially under ad; sp/so diagonals already sum to zero.
+    A gl result is stored traceless (`GradingElement`).
     """
-    labels = fill_boxes(spec, pyr)
+    spec, labels = pyr.spec, fill_boxes(pyr)
     pos = {i: a for a, i in enumerate(_signed_indices(spec))}
     diag: list[Scalar] = [0] * spec.size
     for r in pyr.rows:
         s = row_shift(r, shifts)
         for x in r.coords():
             diag[pos[labels[(x, r.y)]]] = x + s
-    return normalize_traceless(GradingElement(spec, tuple(diag)))
-
-
-def normalize_traceless(H: GradingElement) -> GradingElement:
-    """Subtract the scalar matrix so the diagonal sums to zero.
-
-    Scalars act trivially under ad, so this does not change the grading;
-    it makes type A outputs canonical and sl-compatible.
-    """
-    mean = sum(H.diagonal, Fraction(0)) / len(H.diagonal)
-    return GradingElement(H.spec, tuple(d - mean for d in H.diagonal))
+    return GradingElement(spec, tuple(diag))
 
 
 # -- goodness ---------------------------------------------------------------
@@ -229,13 +210,14 @@ def normalize_traceless(H: GradingElement) -> GradingElement:
 class GoodPair:
     """Verdict of the goodness check for a homogeneous nilpotent.
 
-    Carries the graded decomposition the check built, so callers read
-    the grading's pieces (evenness, g_{-1}) without rebuilding it.
+    Carries the degree of each basis element that the check read, so
+    callers read the grading's pieces (evenness, g_{-1}) without
+    rebuilding them.
     """
 
     verified: bool
     centralizer_degrees: tuple[int, ...]
-    decomposition: GradedDecomposition
+    degrees: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -309,7 +291,7 @@ def ad_blocks(g: AlgebraBasis, e: Sparse) -> AdBlocks:
 
 def graded_ad_ranks(blocks: AdBlocks, degree: Sequence[Hashable]) -> Counter:
     """The rank of ad e leaving each degree, from one degree per basis
-    element: `GradedDecomposition.of` for one grading, or the sweep
+    element: `graded_decomposition` for one grading, or the sweep
     oracle's affine forms for all of them at once.
 
     Sums the block ranks under their columns' degree; degree d of g^e
@@ -349,17 +331,18 @@ def is_good(H: GradingElement, blocks: AdBlocks) -> GoodPair:
     # [H, e] = 2e entrywise: (H_i - H_j) e_ij = 2 e_ij
     if any(diag[i] - diag[j] != 2 for i, j in blocks.e):
         raise ValueError("element is not homogeneous of degree 2 under H")
-    dec = graded_decomposition(g, H)
-    ranks = graded_ad_ranks(blocks, dec.of)
-    centralizer_degs = tuple(d for d in dec.degrees
-                             for _ in range(len(dec.buckets[d]) - ranks[d]))
-    dim_identity = len(centralizer_degs) == dec.piece_dim(0) + dec.piece_dim(-1)
+    degrees = graded_decomposition(g, H)
+    ranks = graded_ad_ranks(blocks, degrees)
+    sizes = Counter(degrees)
+    centralizer_degs = tuple(d for d in sorted(sizes)
+                             for _ in range(sizes[d] - ranks[d]))
+    dim_identity = len(centralizer_degs) == sizes[0] + sizes[-1]
     injective_negative = not centralizer_degs or centralizer_degs[0] >= 0
     if dim_identity != injective_negative:
         raise VerificationError(
             "dimension identity and negative-degree injectivity disagree")
     return GoodPair(verified=dim_identity, centralizer_degrees=centralizer_degs,
-                    decomposition=dec)
+                    degrees=degrees)
 
 
 # -- characteristics ---------------------------------------------------------
@@ -420,7 +403,7 @@ def characteristic_of(H: GradingElement) -> Characteristic:
     return Characteristic(spec.diagram, spec.rank, tuple(int(x) for x in labels))
 
 
-def characteristic_from_pyramid(spec: AlgebraSpec, pyr: Pyramid) -> Characteristic:
+def characteristic_from_pyramid(pyr: Pyramid) -> Characteristic:
     """Characteristic via column heights of the pyramid.
 
     Scan columns from the right edge inward; each nonempty column emits
@@ -434,7 +417,7 @@ def characteristic_from_pyramid(spec: AlgebraSpec, pyr: Pyramid) -> Characterist
     it holds just one box (the dominant-chamber computation forces the
     larger label there).
     """
-    _check_flavor(spec, pyr)
+    spec = pyr.spec
     heights = Counter(x for x, _ in pyr.boxes())
     gl = spec.family is Family.GL
     # sp/so stop at 0, or at 1/2 in a half-integer pyramid
@@ -471,10 +454,9 @@ def check_duality_form(H: GradingElement, blocks: AdBlocks) -> bool:
     pair = is_good(H, blocks)
     if not pair.verified:
         raise ValueError("pair is not good")
-    idxs = pair.decomposition.buckets.get(-1, ())
-    if not idxs:
+    elems = [b for b, d in zip(blocks.g.elements, pair.degrees) if d == -1]
+    if not elems:
         return True
-    elems = [blocks.g.elements[k] for k in idxs]
     gram = []
     for a in elems:
         row = []
@@ -483,7 +465,7 @@ def check_duality_form(H: GradingElement, blocks: AdBlocks) -> bool:
             row.append(sum(v * br.get((c, r), 0)
                            for (r, c), v in blocks.e.items()))
         gram.append(row)
-    return len(rref(gram)[1]) == len(idxs)
+    return len(rref(gram)[1]) == len(elems)
 
 
 def check_torus_weights(H: GradingElement, blocks: AdBlocks) -> bool:
@@ -513,8 +495,5 @@ def check_torus_weights(H: GradingElement, blocks: AdBlocks) -> bool:
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[ri] = rj
-    for k in pair.decomposition.buckets.get(1, ()):
-        _, i, j = g.labels[k]
-        if find(i - 1) == find(j - 1):
-            return False
-    return True
+    return not any(d == 1 and find(i - 1) == find(j - 1)
+                   for (i, j), d in zip(g.labels, pair.degrees))

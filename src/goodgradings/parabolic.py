@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import operator
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .algebras import (AlgebraBasis, AlgebraSpec, Family, GradingElement,
                        build_algebra, graded_decomposition)
-from .gradings import ad_blocks, graded_ad_ranks, normalize_traceless
+from .gradings import ad_blocks, graded_ad_ranks
 from .pyramids import is_unimodal
 
 SAMPLES, SEED = 16, 0  # elements of g_2 the generic oracle draws, and its seed
@@ -77,7 +78,7 @@ def parabolic_grading(par: ParabolicSpec) -> GradingElement:
         diag: list[int] = []
         for i, a in enumerate(par.blocks, start=1):
             diag.extend([m + 1 - 2 * i] * a)
-        return normalize_traceless(GradingElement(par.spec, tuple(diag)))
+        return GradingElement(par.spec, tuple(diag))
     t = len(par.blocks)
     n = par.spec.size
     half = n // 2
@@ -218,11 +219,12 @@ def grading_is_good_generic(g: AlgebraBasis, H: GradingElement) -> bool:
     H grades its ad e blocks; `graded_ad_ranks` checks that they are
     homogeneous.
     """
-    dec = graded_decomposition(g, H)
-    idxs = dec.buckets.get(2, ())
+    degrees = graded_decomposition(g, H)
+    idxs = [k for k, d in enumerate(degrees) if d == 2]
     if not idxs:
         raise ValueError("the degree-2 piece is zero")
-    target = dec.piece_dim(0) + dec.piece_dim(-1)
+    sizes = Counter(degrees)
+    target = sizes[0] + sizes[-1]
     rng = random.Random(SEED)
     for _ in range(SAMPLES):
         coords = [0] * g.dim
@@ -231,7 +233,7 @@ def grading_is_good_generic(g: AlgebraBasis, H: GradingElement) -> bool:
         e = g.from_coordinates(coords)
         if not e:
             continue
-        ranks = graded_ad_ranks(ad_blocks(g, e), dec.of)
+        ranks = graded_ad_ranks(ad_blocks(g, e), degrees)
         if g.dim - sum(ranks.values()) == target:
             return True
     return False

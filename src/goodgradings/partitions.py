@@ -11,6 +11,8 @@ import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
+from .algebras import Family
+
 
 @dataclass(frozen=True, order=True)
 class Partition:
@@ -77,25 +79,18 @@ class Partition:
 
 def orbit_dimension(p: Partition) -> int:
     """Dimension of the nilpotent orbit of Jordan type p in gl_n."""
-    n = p.n
-    return n * n - sum(d * d for d in p.dual().parts)
+    return p.n * p.n - centralizer_dim(Family.GL, p)
 
 
-def gl_centralizer_dim(p: Partition) -> int:
-    """dim of the centralizer of e(p) in gl_n: sum of squared dual parts."""
-    return sum(d * d for d in p.dual().parts)
-
-
-def sp_centralizer_dim(p: Partition) -> int:
+def centralizer_dim(family: Family, p: Partition) -> int:
+    """dim of the centralizer of e(p) in the family's algebra: the sum s
+    of the squared dual parts for gl, and (s + odd) / 2 for sp and
+    (s - odd) / 2 for so, with odd the number of odd parts."""
     s = sum(d * d for d in p.dual().parts)
-    odd = sum(1 for q in p.parts if q % 2 == 1)
-    return (s + odd) // 2
-
-
-def so_centralizer_dim(p: Partition) -> int:
-    s = sum(d * d for d in p.dual().parts)
-    odd = sum(1 for q in p.parts if q % 2 == 1)
-    return (s - odd) // 2
+    if family is Family.GL:
+        return s
+    odd = sum(q % 2 for q in p.parts)
+    return (s + odd) // 2 if family is Family.SP else (s - odd) // 2
 
 
 def partitions(n: int) -> Iterator[Partition]:

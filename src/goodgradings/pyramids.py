@@ -35,7 +35,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebras import Family, Scalar, as_fraction
+from .algebras import AlgebraSpec, Family, Scalar, as_fraction
 from .partitions import Partition
 from .series import pyramid_count_formula
 
@@ -105,6 +105,11 @@ class Pyramid:
 
     def size(self) -> int:
         return sum(r.count for r in self.rows)
+
+    @property
+    def spec(self) -> AlgebraSpec:
+        """The algebra whose nilpotent and gradings the pyramid encodes."""
+        return AlgebraSpec(self.flavor, self.size())
 
     def boxes(self) -> list[tuple[Scalar, int]]:
         """All box centers as (x, y), row by row."""

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,11 @@ from goodgradings.algebras import (AlgebraSpec, Family, GradingElement,
                                    ad_coordinate_matrix, build_algebra,
                                    graded_decomposition, sparse_bracket)
 from goodgradings.gradings import ad_blocks, nilpotent_of_pyramid
-from goodgradings.partitions import Partition, gl_centralizer_dim
-from goodgradings.pyramids import symmetric_pyramid
+from goodgradings.partitions import (Partition, centralizer_dim,
+                                     orthogonal_partitions, partitions,
+                                     symplectic_partitions)
+from goodgradings.pyramids import (orthogonal_pyramid, symmetric_pyramid,
+                                   symplectic_pyramid)
 
 
 def dense_coordinates(g, x):
@@ -19,7 +23,7 @@ def dense_coordinates(g, x):
     return tuple(coords.get(k, 0) for k in range(g.dim))
 
 
-def centralizer_dim(g, e):
+def dense_centralizer_dim(g, e):
     """dim g^e from the dense ad e: dim g minus its rank."""
     return g.dim - rank(Matrix(ad_coordinate_matrix(g, e)))
 
@@ -110,26 +114,39 @@ def test_sl2_relations_in_gl2():
 def test_centralizer_dimensions():
     spec = AlgebraSpec(Family.GL, 3)
     g = build_algebra(spec)
-    assert centralizer_dim(g, {}) == 9
+    assert dense_centralizer_dim(g, {}) == 9
     for n in range(2, 6):
         gn = build_algebra(AlgebraSpec(Family.GL, n))
         e = nilpotent_of_pyramid(gn,
                                  symmetric_pyramid(Partition((n,))))
-        assert centralizer_dim(gn, e) == n
+        assert dense_centralizer_dim(gn, e) == n
     e = nilpotent_of_pyramid(g, symmetric_pyramid(Partition((2, 1))))
-    assert centralizer_dim(g, e) == 5
+    assert dense_centralizer_dim(g, e) == 5
 
 
 def test_centralizer_matches_dual_square_sum():
-    for n in range(2, 7):
-        spec = AlgebraSpec(Family.GL, n)
-        g = build_algebra(spec)
-        from goodgradings.partitions import partitions
-        for p in partitions(n):
-            if p.is_zero_orbit():
-                continue
-            e = nilpotent_of_pyramid(g, symmetric_pyramid(p))
-            assert centralizer_dim(g, e) == gl_centralizer_dim(p)
+    # the closed form against dim g minus the block ranks of ad e on every
+    # nonzero orbit of gl_n (n <= 6, and the dense rank too), sp_N and
+    # so_N (N <= 10)
+    families = [(Family.GL, range(2, 7), partitions, symmetric_pyramid),
+                (Family.SP, range(2, 11, 2), symplectic_partitions,
+                 symplectic_pyramid),
+                (Family.SO, range(3, 11), orthogonal_partitions,
+                 orthogonal_pyramid)]
+    seen = Counter()
+    for family, sizes, walk, pyramid in families:
+        for n in sizes:
+            g = build_algebra(AlgebraSpec(family, n))
+            for p in walk(n):
+                if p.is_zero_orbit():
+                    continue
+                e = nilpotent_of_pyramid(g, pyramid(p))
+                ranks = sum(rk for *_, rk in ad_blocks(g, e).blocks)
+                assert centralizer_dim(family, p) == g.dim - ranks, (n, p)
+                if family is Family.GL:
+                    assert dense_centralizer_dim(g, e) == g.dim - ranks
+                seen[family] += 1
+    assert seen == {Family.GL: 23, Family.SP: 47, Family.SO: 52}
 
 
 def test_centralizer_requires_membership():
@@ -144,40 +161,64 @@ def test_graded_decomposition_gl2():
     spec = AlgebraSpec(Family.GL, 2)
     g = build_algebra(spec)
     H = GradingElement(spec, (Fraction(1), Fraction(-1)))
-    dec = graded_decomposition(g, H)
-    assert dec.degrees == (Fraction(-2), Fraction(0), Fraction(2))
-    assert [dec.piece_dim(d) for d in dec.degrees] == [1, 2, 1]
+    degrees = graded_decomposition(g, H)
+    assert degrees == (2, -2, 0, 0)  # E_12, E_21, E_11, E_22
+    assert Counter(degrees) == {-2: 1, 0: 2, 2: 1}
 
 
 def test_graded_decomposition_sp4():
     spec = AlgebraSpec(Family.SP, 4)
     g = build_algebra(spec)
     H = GradingElement(spec, (1, 1, -1, -1))
-    dec = graded_decomposition(g, H)
-    assert dec.degrees == (Fraction(-2), Fraction(0), Fraction(2))
-    assert [dec.piece_dim(d) for d in dec.degrees] == [3, 4, 3]
-    assert sum(dec.piece_dim(d) for d in dec.degrees) == g.dim
+    degrees = graded_decomposition(g, H)
+    assert len(degrees) == g.dim
+    assert Counter(degrees) == {-2: 3, 0: 4, 2: 3}
 
 
 def test_trivial_grading():
     spec = AlgebraSpec(Family.GL, 3)
     g = build_algebra(spec)
-    dec = graded_decomposition(g, GradingElement(spec, (0, 0, 0)))
-    assert dec.degrees == (Fraction(0),)
-    assert dec.piece_dim(0) == 9
+    assert graded_decomposition(g, GradingElement(spec, (0, 0, 0))) == (0,) * 9
 
 
-def test_piece_dim_rejects_floats():
-    # the degrees are int keys, where 0.0 or Fraction(0) would find the
-    # piece of 0: a degree is an int
-    spec = AlgebraSpec(Family.GL, 3)
-    g = build_algebra(spec)
-    dec = graded_decomposition(g, GradingElement(spec, (2, 0, -2)))
-    for x in (0.0, 0.5, Fraction(0), Fraction(1, 2)):
-        with pytest.raises(TypeError):
-            dec.piece_dim(x)
-    assert dec.piece_dim(0) == 3
-    assert dec.piece_dim(1) == 0
+def test_degrees_are_ints():
+    # the diagonal holds Fractions, half-integers included; the degrees
+    # are exact ints, so a piece g_d is counted under the int d only
+    gl = {0: 3, 2: 2, -2: 2, 4: 1, -4: 1}
+    for spec, diag, sizes in [
+            (AlgebraSpec(Family.GL, 3), (2, 0, -2), gl),
+            (AlgebraSpec(Family.GL, 3),
+             (Fraction(5, 2), Fraction(1, 2), Fraction(-3, 2)), gl),
+            (AlgebraSpec(Family.SP, 4),
+             (Fraction(3, 2), Fraction(1, 2), Fraction(-3, 2), Fraction(-1, 2)),
+             {0: 2, 1: 2, -1: 2, 2: 1, -2: 1, 3: 1, -3: 1})]:
+        degrees = graded_decomposition(build_algebra(spec),
+                                       GradingElement(spec, diag))
+        assert all(type(d) is int for d in degrees), diag
+        assert Counter(degrees) == sizes, diag
+
+
+def test_gl_grading_elements_are_stored_traceless():
+    # a scalar acts trivially under ad, so d and d + c are one grading
+    spec = AlgebraSpec(Family.GL, 4)
+    for diag in [(3, 1, 0, -2), (Fraction(5, 2), Fraction(1, 2),
+                                 Fraction(-1, 2), Fraction(3, 2))]:
+        H = GradingElement(spec, diag)
+        assert sum(H.diagonal) == 0
+        assert all(type(d) is Fraction for d in H.diagonal)
+        assert [a - b for a, b in zip(H.diagonal, H.diagonal[1:])] \
+            == [a - b for a, b in zip(diag, diag[1:])]
+        for c in (1, -3, Fraction(1, 2), Fraction(-7, 3)):
+            shifted = GradingElement(spec, tuple(d + c for d in diag))
+            assert shifted == H and shifted.diagonal == H.diagonal
+            assert hash(shifted) == hash(H)
+    assert GradingElement(AlgebraSpec(Family.GL, 1), (5,)).diagonal == (0,)
+    # sp/so diagonals sum to zero by their pairing and are stored as given
+    for spec, diag in [(AlgebraSpec(Family.SP, 4), (2, 1, -2, -1)),
+                       (AlgebraSpec(Family.SO, 5),
+                        (Fraction(3, 2), Fraction(1, 2), 0,
+                         Fraction(-3, 2), Fraction(-1, 2)))]:
+        assert GradingElement(spec, diag).diagonal == diag
 
 
 def test_grading_element_validation():
@@ -204,16 +245,16 @@ def check_integral_decomposition(g, H):
     decomposition refuses exactly the other H, and otherwise returns
     them as ints.  Returns the verdict."""
     pos, diag = g.position, H.diagonal
-    reference = [diag[pos[i]] - diag[pos[j]] for _, i, j in g.labels]
+    reference = [diag[pos[i]] - diag[pos[j]] for i, j in g.labels]
     verdict = H.is_integral()
     assert verdict == all(d.denominator == 1 for d in reference), H
     if not verdict:
         with pytest.raises(ValueError, match="not an integral grading"):
             graded_decomposition(g, H)
         return verdict
-    dec = graded_decomposition(g, H)
-    assert dec.of == tuple(reference), H
-    assert all(type(d) is int for d in dec.of + dec.degrees), H
+    degrees = graded_decomposition(g, H)
+    assert degrees == tuple(reference), H
+    assert all(type(d) is int for d in degrees), H
     return verdict
 
 
@@ -247,17 +288,14 @@ def test_bracket_degree_additivity():
     spec = AlgebraSpec(Family.SP, 6)
     g = build_algebra(spec)
     H = GradingElement(spec, tuple(map(Fraction, (2, 1, 0, -2, -1, 0))))
-    dec = graded_decomposition(g, H)
+    degrees = graded_decomposition(g, H)
     rng = random.Random(11)
     for _ in range(40):
         a = rng.randrange(g.dim)
         b = rng.randrange(g.dim)
-        da = next(d for d, ks in dec.buckets.items() if a in ks)
-        db = next(d for d, ks in dec.buckets.items() if b in ks)
         m = sparse_bracket(g.elements[a], g.elements[b])
         for k in g.sparse_coordinates(m):
-            dk = next(d for d, ks in dec.buckets.items() if k in ks)
-            assert dk == da + db
+            assert degrees[k] == degrees[a] + degrees[b]
 
 
 def test_piece_dims_symmetric_under_negation():
@@ -268,9 +306,10 @@ def test_piece_dims_symmetric_under_negation():
                                      Fraction(-3, 2), Fraction(-1, 2))),
     ]:
         g = build_algebra(spec)
-        dec = graded_decomposition(g, GradingElement(spec, tuple(map(Fraction, diag))))
-        for d in dec.degrees:
-            assert dec.piece_dim(d) == dec.piece_dim(-d)
+        sizes = Counter(graded_decomposition(
+            g, GradingElement(spec, tuple(map(Fraction, diag)))))
+        for d in sizes:
+            assert sizes[d] == sizes[-d]
 
 
 def test_sparse_roundtrip():

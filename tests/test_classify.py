@@ -6,13 +6,13 @@ import pytest
 
 from goodgradings.algebras import AlgebraSpec, Family, GradingElement, \
     build_algebra, graded_decomposition
-from goodgradings.classify import (_centralizer_weights, _lattice_points,
-                                   center_torus, even_good_grading_gl,
-                                   good_gradings, sweep_oracle)
+from goodgradings.classify import (_centralizer_weights, _entry,
+                                   _lattice_points, center_torus,
+                                   even_good_grading_gl, good_gradings,
+                                   sweep_oracle)
 from goodgradings.gradings import (AdBlocks, VerificationError, ad_blocks,
                                    characteristic_of, grading_of_pyramid,
-                                   is_good, nilpotent_of_pyramid,
-                                   normalize_traceless)
+                                   is_good, nilpotent_of_pyramid)
 from goodgradings.parabolic import ParabolicSpec, parabolic_grading
 from goodgradings.partitions import (Partition, orthogonal_partitions,
                                      partitions, symplectic_partitions)
@@ -40,11 +40,11 @@ def grid_sweep(fam):
     base, cparts = fam.torus.base, fam.torus.parts
     found = {}
     for t in itertools.product(grid_axis(p), repeat=len(cparts)):
-        H = grading_of_pyramid(spec, base, dict(zip(cparts, t)))
+        H = grading_of_pyramid(base, dict(zip(cparts, t)))
         if not H.is_integral() or not is_good(H, blocks).verified:
             continue
         ct = t if spec.family is Family.GL else tuple(abs(x) for x in t)
-        found.setdefault(ct, grading_of_pyramid(spec, base, dict(zip(cparts, ct))))
+        found.setdefault(ct, grading_of_pyramid(base, dict(zip(cparts, ct))))
     return [found[ct] for ct in sorted(found)]
 
 
@@ -137,7 +137,7 @@ def test_even_good_grading_gl():
         spec = AlgebraSpec(Family.GL, p.n)
         g = build_algebra(spec)
         e = nilpotent_of_pyramid(g, symmetric_pyramid(p))
-        assert graded_decomposition(g, H).is_even()
+        assert all(d % 2 == 0 for d in graded_decomposition(g, H))
         assert is_good(H, ad_blocks(g, e)).verified
 
 
@@ -189,10 +189,25 @@ def test_gl_block_system_matches_pyramids():
         for a in itertools.product(*ranges):
             shifts = {blocks[i + 1][0]: Fraction(sum(a[:i + 1]))
                       for i in range(len(a))}
-            H = grading_of_pyramid(spec, base, shifts)
-            assert normalize_traceless(H) == H
+            H = grading_of_pyramid(base, shifts)
+            assert sum(H.diagonal) == 0
             system.add(H.diagonal)
         assert system == good_gradings(spec, p).diagonals()
+
+
+def test_entry_refuses_a_pyramid_of_another_algebra():
+    # the column characteristic is read off the pyramid alone, so a
+    # pyramid of another family or size carries another diagram or rank,
+    # and the cross-check with the dominant-chamber one refuses it
+    fam = gradings_of(Family.SP, (2, 2))
+    ent = dynkin_entry(fam)
+    p = Partition((2, 2))
+    for other in (symmetric_pyramid(p), orthogonal_pyramid(p),
+                  symplectic_pyramid(Partition((2, 2, 2)))):
+        assert other.spec != fam.spec
+        with pytest.raises(VerificationError):
+            _entry(ent.H, fam.blocks, other, ent.source, True)
+    assert _entry(ent.H, fam.blocks, fam.torus.base, ent.source, True) == ent
 
 
 def test_sign_symmetry_of_goodness():
@@ -212,7 +227,7 @@ def test_sign_symmetry_of_goodness():
             else orthogonal_center_parts(p)
         for ent in family.entries:
             t = ent.source[1]
-            flipped = grading_of_pyramid(spec, base,
+            flipped = grading_of_pyramid(base,
                                          {v: -x for v, x in zip(cparts, t)})
             assert is_good(flipped, blocks).verified
 
@@ -325,16 +340,16 @@ def test_is_integral_matches_decomposition_on_sweep_candidates():
         base, cparts = torus.base, torus.parts
         verdicts = set()
         for t in itertools.product(grid_axis(p), repeat=len(cparts)):
-            H = grading_of_pyramid(spec, base, dict(zip(cparts, t)))
+            H = grading_of_pyramid(base, dict(zip(cparts, t)))
             reference = [H.diagonal[g.position[i]] - H.diagonal[g.position[j]]
-                         for _, i, j in g.labels]
+                         for i, j in g.labels]
             verdict = H.is_integral()
             assert verdict == all(d.denominator == 1 for d in reference), \
                 (family, parts, t)
             if verdict:
-                of = graded_decomposition(g, H).of
-                assert of == tuple(reference), (family, parts, t)
-                assert all(type(d) is int for d in of)
+                degrees = graded_decomposition(g, H)
+                assert degrees == tuple(reference), (family, parts, t)
+                assert all(type(d) is int for d in degrees)
             else:
                 with pytest.raises(ValueError, match="not an integral"):
                     graded_decomposition(g, H)
@@ -363,8 +378,7 @@ def test_every_degree_is_an_int():
         p = Partition(tuple(map(int, parts.split(","))))
         fam = good_gradings(AlgebraSpec(LETTERS[letter], p.n), p)
         for ent in fam.entries:
-            dec = is_good(ent.H, fam.blocks).decomposition
-            assert ints(dec.of) and ints(dec.degrees), (orbit, ent.source)
+            assert ints(is_good(ent.H, fam.blocks).degrees), (orbit, ent.source)
             assert ints(ent.centralizer_degrees), (orbit, ent.source)
         forms, _ = _centralizer_weights(fam)
         assert all(ints(a) and type(b) is int for a, b in forms), orbit
@@ -376,8 +390,8 @@ def test_every_degree_is_an_int():
                                     (Family.SO, 10, (2, 1, 2), 0)):
         spec = AlgebraSpec(family, size)
         H = parabolic_grading(ParabolicSpec(spec, blocks, q))
-        dec = graded_decomposition(build_algebra(spec), H)
-        assert ints(dec.of) and ints(dec.degrees), (spec, blocks, q)
+        assert ints(graded_decomposition(build_algebra(spec), H)), \
+            (spec, blocks, q)
 
 
 def test_verify_builds_the_orbit_once(monkeypatch, capsys):

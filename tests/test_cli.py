@@ -304,6 +304,22 @@ def test_richardson_rejects_a_family_parity_mismatch(capsys):
     assert code == 2 and out == "" and "even" in err
 
 
+def test_richardson_refuses_a_negative_q_before_sizing(capsys):
+    # N = 2 * sum + q: a negative q must not reach the size checks, which
+    # would report a size of 0 or 1 instead of the q
+    for family, composition, q in (("C", "1", "-2"), ("B", "1", "-1"),
+                                   ("C", "2", "-2"), ("D", "3,1", "-4")):
+        code, out, err = run_cli(capsys, "richardson", "--family", family,
+                                 "--composition", composition, "--q", q)
+        assert code == 2 and out == "", (family, composition, q)
+        assert err == "error: N - q must be even and q >= 0\n", \
+            (family, composition, q)
+    # type A has no middle jump, so it names q itself
+    code, out, err = run_cli(capsys, "richardson", "--family", "A",
+                             "--composition", "1,1", "--q", "-1")
+    assert code == 2 and "type A parabolics have q = 0" in err
+
+
 def test_richardson_refuses_a_single_type_a_block(capsys):
     # the parabolic is all of gl_n and its Richardson element is zero
     for n in range(1, 9):

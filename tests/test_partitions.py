@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goodgradings.partitions import (Partition, gl_centralizer_dim,
+from goodgradings.algebras import Family
+from goodgradings.partitions import (Partition, centralizer_dim,
                                      orbit_dimension, orthogonal_partitions,
-                                     partitions, so_centralizer_dim,
-                                     sp_centralizer_dim, symplectic_partitions)
+                                     partitions, symplectic_partitions)
 
 
 def test_validation():
@@ -144,7 +144,13 @@ def test_dual_involution_property(parts):
 
 
 def test_centralizer_dim_formulas():
-    # cross-checked against dim g minus the dense rank of ad e in test_algebras
-    assert gl_centralizer_dim(Partition((2, 1))) == 5
-    assert sp_centralizer_dim(Partition((2, 2))) == 4
-    assert so_centralizer_dim(Partition((3, 3, 1, 1))) == 10
+    # cross-checked against dim g minus the block ranks of ad e on every
+    # nonzero orbit of gl_n (n <= 6) and sp/so_N (N <= 10) in test_algebras
+    assert centralizer_dim(Family.GL, Partition((2, 1))) == 5
+    assert centralizer_dim(Family.SP, Partition((2, 2))) == 4
+    assert centralizer_dim(Family.SO, Partition((3, 3, 1, 1))) == 10
+    # the principal orbit's centralizer is a Cartan's worth: n, n, N // 2
+    for n in range(1, 9):
+        assert centralizer_dim(Family.GL, Partition((n,))) == n
+        assert centralizer_dim(Family.SP, Partition((2 * n,))) == n
+        assert centralizer_dim(Family.SO, Partition((2 * n + 1,))) == n
