@@ -149,7 +149,8 @@ def test_centralizer_dim_formulas():
     assert centralizer_dim(Family.GL, Partition((2, 1))) == 5
     assert centralizer_dim(Family.SP, Partition((2, 2))) == 4
     assert centralizer_dim(Family.SO, Partition((3, 3, 1, 1))) == 10
-    # the principal orbit's centralizer is a Cartan's worth: n, n, N // 2
+    # the regular orbit of gl_n, sp_2n and so_2n+1 has a centralizer of
+    # dimension n
     for n in range(1, 9):
         assert centralizer_dim(Family.GL, Partition((n,))) == n
         assert centralizer_dim(Family.SP, Partition((2 * n,))) == n
