@@ -16,7 +16,7 @@ from .exceptional import ExceptionalEntry, exceptional_lookup, orbit_labels
 from .gradings import (Characteristic, GoodPair, VerificationError,
                        characteristic_from_pyramid, characteristic_of,
                        check_duality_form, check_torus_weights,
-                       grading_of_pyramid, is_good, jordan_type,
+                       grading_writer, is_good, jordan_type,
                        nilpotent_of_pyramid)
 from .parabolic import (ParabolicSpec, generic_richardson_oracle,
                         grading_is_good_generic, parabolic_grading,

@@ -14,16 +14,18 @@ then one eigenvalue per basis element, an int: these are Z-gradings,
 and `graded_decomposition` refuses any other H.
 
 Type A is realized as gl_n only: a grading of sl_n is a grading of gl_n
-modulo scalars, so `GradingElement` stores a type A diagonal traceless.
+modulo scalars, so `GradingElement` stores one representative of a type
+A diagonal modulo scalars.
 
 Every element of the algebra is kept sparse, as `Sparse`
 ({(row, col): int} with no zero entries): basis elements have at most
 two nonzero entries, each the int 1 or -1, and every element the
 library builds is an integer combination of them, so brackets stay
 integers.  Coordinates are ints too, read through `operator.index`, so
-a Fraction or a float raises TypeError.  `Fraction` appears only in the
-diagonal of a grading element (`as_fraction` coerces it once) and, in
-`pyramids`, in half-integer box coordinates.  The dense rows of ad e
+a Fraction or a float raises TypeError.  A grading element's diagonal
+has integer or half-integer entries (the box coordinates of a pyramid),
+so it is stored doubled, as ints, and every degree is an int difference
+and one halving; only `cli` prints it as a fraction.  The dense rows of ad e
 from `ad_coordinate_matrix` are the test reference for the block engine
 in `gradings`; no runtime path builds them.
 """
@@ -34,20 +36,8 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
-Scalar = int | Fraction
 Sparse = dict[tuple[int, int], int]
-
-
-def as_fraction(x: Scalar) -> Fraction:
-    """Coerce an int or a Fraction to Fraction.  Floats and strings are
-    deliberately rejected."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
 
 
 class Family(str, Enum):
@@ -126,8 +116,9 @@ class AlgebraBasis:
             raise AssertionError("basis size does not match the dimension formula")
         # matrix position -> index of the E basis element that owns it:
         # the element has coefficient 1 there and no other has an entry
-        self.entry_index = {(self.position[i], self.position[j]): k
-                            for k, (i, j) in enumerate(self.labels)}
+        self.label_positions = [(self.position[i], self.position[j])
+                                for i, j in self.labels]
+        self.entry_index = {key: k for k, key in enumerate(self.label_positions)}
 
     # -- construction -------------------------------------------------
 
@@ -234,37 +225,41 @@ def sparse_bracket(a: Sparse, b: Sparse) -> Sparse:
 class GradingElement:
     """A diagonal matrix H in g; ad H defines the grading.
 
-    The diagonal is listed in the fixed basis order of the defining
-    representation.  For sp/so the entries pair as d(v_{-i}) = -d(v_i)
-    and d(v_0) = 0.  A gl diagonal is stored traceless: a scalar acts
+    `doubled` lists 2H, the diagonal times two, in the fixed basis order
+    of the defining representation: the entries of H are integers or
+    half-integers, so 2H is exact in ints.  Each entry goes through
+    `operator.index`, so a Fraction or a float raises TypeError.  For
+    sp/so the entries pair as d(v_{-i}) = -d(v_i) and d(v_0) = 0.  A gl
+    diagonal is stored as 2(d - d_0), d_0 its first entry: a scalar acts
     trivially under ad, so GradingElement(GL, d) and
     GradingElement(GL, d + c) are equal.
     """
 
     spec: AlgebraSpec
-    diagonal: tuple[Fraction, ...]
+    doubled: tuple[int, ...]
 
     def __post_init__(self):
-        diag = tuple(as_fraction(x) for x in self.diagonal)
+        diag = tuple(map(operator.index, self.doubled))
         if len(diag) != self.spec.size:
             raise ValueError("diagonal length != matrix size")
         if self.spec.family is Family.GL:
-            mean = sum(diag) / len(diag)
-            diag = tuple(d - mean for d in diag)
+            first = diag[0]
+            diag = tuple(d - first for d in diag)
         else:
             half = len(diag) // 2
             if diag[-half:] != tuple(-d for d in diag[:half]):
                 raise ValueError("diagonal not form-compatible (pairing)")
             if len(diag) % 2 and diag[half] != 0:
                 raise ValueError("middle diagonal entry must vanish")
-        object.__setattr__(self, "diagonal", diag)
+        object.__setattr__(self, "doubled", diag)
 
     def is_integral(self) -> bool:
         """Whether ad H has integer eigenvalues.  They are differences of
         diagonal entries, and in gl, sp and so_N (N >= 3) every such
-        difference is a sum of them: all entries agree modulo 1."""
-        first = self.diagonal[0]
-        return all((d - first).denominator == 1 for d in self.diagonal)
+        difference is a sum of them: all entries agree modulo 1, so all
+        doubled entries share one parity."""
+        parity = self.doubled[0] % 2
+        return all(d % 2 == parity for d in self.doubled)
 
 
 def graded_decomposition(g: AlgebraBasis, H: GradingElement) -> tuple[int, ...]:
@@ -279,9 +274,9 @@ def graded_decomposition(g: AlgebraBasis, H: GradingElement) -> tuple[int, ...]:
         raise ValueError("grading element spec does not match the algebra")
     if not H.is_integral():
         raise ValueError("not an integral grading")
-    first, pos = H.diagonal[0], g.position
-    diag = [int(d - first) for d in H.diagonal]
-    return tuple(diag[pos[i]] - diag[pos[j]] for i, j in g.labels)
+    # doubled entries of one parity: floor halving keeps their differences
+    diag = [d >> 1 for d in H.doubled]
+    return tuple(diag[a] - diag[b] for a, b in g.label_positions)
 
 
 def ad_coordinate_matrix(g: AlgebraBasis, e: Sparse) -> list[list[int]]:

@@ -19,9 +19,10 @@ column characteristic is cross-checked against the dominant-chamber
 one; failures raise VerificationError because they would mean a bug,
 not bad input.
 
-All families share one parametrization: a grading is
-`gradings.grading_of_pyramid(base, shifts)`, one shift per center
-part.  `center_torus(spec, p)` makes the family choice in one place; the
+All families share one parametrization: a grading is written by
+`gradings.grading_writer(base)` from one doubled shift per center
+part, with the base pyramid's boxes filled once per orbit.
+`center_torus(spec, p)` makes the family choice in one place; the
 enumeration builds this value (base pyramid, center parts, shift
 vectors, pyramids) once per orbit and hands it to the sweep.
 
@@ -30,7 +31,7 @@ enumeration built, it finds the good gradings h(p) + z(t) as the
 integral points of a polytope.  Its bounds come from the weights of the
 centralizer of e by Fourier-Motzkin elimination, not from the
 classification, so equality with the enumeration is a genuine
-completeness check.  It builds its gradings with `grading_of_pyramid` too.
+completeness check.  It builds its gradings with `grading_writer` too.
 """
 
 from __future__ import annotations
@@ -38,14 +39,13 @@ from __future__ import annotations
 import itertools
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .algebras import (AlgebraSpec, Family, GradingElement, build_algebra,
                        graded_decomposition)
 from .gradings import (AdBlocks, Characteristic, VerificationError,
                        ad_blocks, characteristic_from_pyramid,
                        characteristic_of, graded_ad_ranks,
-                       grading_of_pyramid, is_good, nilpotent_of_pyramid)
+                       grading_writer, is_good, nilpotent_of_pyramid)
 from .partitions import Partition, centralizer_dim
 from .pyramids import (Pyramid, enumerate_pyramids, orthogonal_center_parts,
                        orthogonal_pyramid, orthogonal_pyramids,
@@ -65,7 +65,7 @@ class CenterTorus(namedtuple("CenterTorus",
     pyramids, in the same order.
 
     Fields: `base` (a Pyramid), `parts` (a tuple of ints),
-    `shift_vectors` (a list of {center part: shift} dicts) and
+    `shift_vectors` (a list of {center part: doubled shift} dicts) and
     `pyramids` (a list of Pyramids).
     """
 
@@ -115,11 +115,11 @@ class GoodGradingFamily:
     def __post_init__(self):
         if sum(1 for ent in self.entries if ent.is_dynkin) != 1:
             raise VerificationError("expected exactly one Dynkin entry")
-        if len(self.diagonals()) != len(self.entries):
+        if len(self.gradings()) != len(self.entries):
             raise VerificationError("duplicate gradings emitted")
 
-    def diagonals(self) -> set[tuple[Fraction, ...]]:
-        return {ent.H.diagonal for ent in self.entries}
+    def gradings(self) -> set[GradingElement]:
+        return {ent.H for ent in self.entries}
 
     def __len__(self):
         return len(self.entries)
@@ -151,8 +151,8 @@ def good_gradings(spec: AlgebraSpec, p: Partition) -> GoodGradingFamily:
     """All good gradings for the nilpotent of Jordan type p in the algebra.
 
     One per pyramid of p.  The source holds the grading's center
-    coordinates: one shift per row for gl ("shifts"), one per center
-    part for sp/so ("t").
+    coordinates, doubled: one shift per row for gl ("shifts"), one per
+    center part for sp/so ("t").
     """
     _reject_zero(p)
     if p.n != spec.size:
@@ -162,9 +162,10 @@ def good_gradings(spec: AlgebraSpec, p: Partition) -> GoodGradingFamily:
     blocks = ad_blocks(g, nilpotent_of_pyramid(g, torus.base))
     kind, keys = ("shifts", p.parts) if spec.family is Family.GL \
         else ("t", torus.parts)
+    write = grading_writer(torus.base)
     entries = []
     for shifts, pyr in zip(torus.shift_vectors, torus.pyramids):
-        H = grading_of_pyramid(torus.base, shifts)
+        H = write(shifts)
         values = tuple(shifts.get(v, 0) for v in keys)
         entries.append(_entry(H, blocks, pyr, (kind, values),
                               all(x == 0 for x in values)))
@@ -183,9 +184,9 @@ def even_good_grading_gl(p: Partition) -> GradingElement:
     _reject_zero(p)
     base = symmetric_pyramid(p)
     values = [v for v, _ in p.distinct()]
-    breaks = ((v - w) % 2 for v, w in zip(values, values[1:]))
+    breaks = (2 * ((v - w) % 2) for v, w in zip(values, values[1:]))
     shifts = dict(zip(values[1:], itertools.accumulate(breaks)))
-    H = grading_of_pyramid(base, shifts)
+    H = grading_writer(base)(shifts)
     g = build_algebra(base.spec)
     pair = is_good(H, ad_blocks(g, nilpotent_of_pyramid(g, base)))
     if not pair.verified or any(d % 2 for d in set(pair.degrees)):
@@ -227,14 +228,15 @@ def _lattice_points(rows: list[tuple[tuple[int, ...], int]], parity: set,
     return [s for s in points if all(value(a, b, s) % 2 == 0 for a, b in parity)]
 
 
-def _centralizer_weights(fam: GoodGradingFamily):
+def _centralizer_weights(fam: GoodGradingFamily, write):
     """(forms, weights): twice the degree of basis element k under H(t)
     is a.s + b, s = 2t, for forms[k] = (a, b), read off the degrees of
-    H(0) and of H at the unit vectors; weights counts the forms of a
-    basis of g^e, checked against the closed form for dim g^e."""
-    g, base = fam.blocks.g, fam.torus.base
-    of_0, *of_steps = (graded_decomposition(g, grading_of_pyramid(base, shifts))
-                       for shifts in [{}] + [{v: 1} for v in fam.torus.parts])
+    H(0) and of H at the unit vectors (s = 2), as `write` writes them;
+    weights counts the forms of a basis of g^e, checked against the
+    closed form for dim g^e."""
+    g = fam.blocks.g
+    of_0, *of_steps = (graded_decomposition(g, write(shifts))
+                       for shifts in [{}] + [{v: 2} for v in fam.torus.parts])
     forms = [(tuple(of_i[k] - d for of_i in of_steps), 2 * d)
              for k, d in enumerate(of_0)]
     weights = Counter(forms) - graded_ad_ranks(fam.blocks, forms)
@@ -257,10 +259,13 @@ def sweep_oracle(fam: GoodGradingFamily) -> list[GradingElement]:
     classification.  `is_good` confirms every point once.  For sp/so the
     sign-folded copy |t| of every point must be a point too, and only
     the points with nonnegative coordinates are kept.  Sorted by
-    coordinate vector.
+    coordinate vector; a grading found twice raises VerificationError.
+    The base pyramid's boxes are filled once, and H(t) is written from
+    the doubled shifts s.
     """
     spec, blocks, (base, parts, _, _) = fam.spec, fam.blocks, fam.torus
-    forms, weights = _centralizer_weights(fam)
+    write = grading_writer(base)
+    forms, weights = _centralizer_weights(fam, write)
     parity = {(tuple(x % 2 for x in a), b % 2) for a, b in forms}
     points = _lattice_points(list(weights), parity, len(parts))
     folded = spec.family is not Family.GL
@@ -268,9 +273,11 @@ def sweep_oracle(fam: GoodGradingFamily) -> list[GradingElement]:
         raise VerificationError("the polytope is not closed under sign flips")
     found = []
     for s in points:
-        H = grading_of_pyramid(base, {v: Fraction(x, 2) for v, x in zip(parts, s)})
+        H = write(dict(zip(parts, s)))
         if not is_good(H, blocks).verified:
             raise VerificationError("a point of the polytope is not good")
         if not folded or min(s, default=0) >= 0:
             found.append((s, H))
+    if len({H for _, H in found}) != len(found):
+        raise VerificationError("the sweep found one grading twice")
     return [H for _, H in sorted(found)]

@@ -2,8 +2,9 @@
 
 Output is plain text for terminals or canonical JSON for programs.
 All rational values are serialized as exact fraction strings
-("3/2", "-1"); floats never appear.  Exit codes: 0 success, 2 invalid
-input, 1 internal verification failure (a bug, never valid input).
+("3/2", "-1"), written here from the library's doubled ints; floats
+never appear.  Exit codes: 0 success, 2 invalid input, 1 internal
+verification failure (a bug, never valid input).
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import argparse
 import json
 import sys
 import time
+from math import gcd
 
-from .algebras import AlgebraSpec, Family
+from .algebras import AlgebraSpec, Family, GradingElement
 from .classify import (GoodGradingFamily, center_torus, good_gradings,
                        sweep_oracle)
 from .exceptional import ExceptionalDataError, exceptional_lookup
@@ -110,10 +112,27 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def fraction_str(p: int, q: int) -> str:
+    """p/q in lowest terms for q > 0, as "p/q", or "p" when q divides p."""
+    d = gcd(p, q)
+    p, q = p // d, q // d
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
+def _diagonal(H: GradingElement) -> list[str]:
+    """The diagonal of H: half the doubled entries for sp/so, and for gl
+    the traceless representative, (n x_i - sum x) / 2n of doubled x."""
+    x = H.doubled
+    if H.spec.family is not Family.GL:
+        return [fraction_str(d, 2) for d in x]
+    n, total = len(x), sum(x)
+    return [fraction_str(n * d - total, 2 * n) for d in x]
+
+
 def _entry_payload(ent) -> dict:
     kind, values = ent.source
     return {
-        "diagonal": [str(x) for x in ent.H.diagonal],
+        "diagonal": _diagonal(ent.H),
         "characteristic": {
             "diagram": ent.characteristic.diagram,
             "rank": ent.characteristic.rank,
@@ -122,7 +141,8 @@ def _entry_payload(ent) -> dict:
         },
         "is_dynkin": ent.is_dynkin,
         "is_even": ent.is_even,
-        "source": {"kind": kind, "values": [str(v) for v in values]},
+        "source": {"kind": kind,
+                   "values": [fraction_str(v, 2) for v in values]},
         "verification": "verified",
     }
 
@@ -163,16 +183,17 @@ def _cmd_classify(args):
         tags = [t for t, flag in (("dynkin", ent.is_dynkin),
                                   ("even", ent.is_even)) if flag]
         tag = f"  [{', '.join(tags)}]" if tags else ""
-        lines.append(f"  diag({', '.join(str(x) for x in ent.H.diagonal)})"
+        lines.append(f"  diag({', '.join(_diagonal(ent.H))})"
                      f"  characteristic {ent.characteristic}{tag}")
     return _family_payload(fam), lines
 
 
 def _cmd_verify(args):
     fam = _good_gradings(args)
-    # the sweep runs on a validated orbit: any error it raises is a bug
-    brute = {H.diagonal for H in sweep_oracle(fam)}
-    enumerated = fam.diagonals()
+    # the sweep runs on a validated orbit: any error it raises is a bug,
+    # a grading found twice included
+    brute = set(sweep_oracle(fam))
+    enumerated = fam.gradings()
     match = enumerated == brute
     results = {
         "enumerated": len(enumerated),
@@ -193,8 +214,8 @@ def _cmd_pyramids(args):
     results = {
         "count": len(pyrs),
         "pyramids": [{
-            "rows": [{"y": r.y, "first": str(r.first), "count": r.count,
-                      "role": r.role} for r in pyr.rows],
+            "rows": [{"y": r.y, "first": fraction_str(r.first, 2),
+                      "count": r.count, "role": r.role} for r in pyr.rows],
         } for pyr in pyrs],
     }
     lines = [f"{len(pyrs)} pyramid(s) for partition {p} (family {args.family.upper()})"]

@@ -3,8 +3,9 @@
 A pyramid yields a nilpotent e (arrows along rows, with the flavor's
 exceptional arrows), kept sparse with int entries like every element
 of the algebra, and a diagonal grading element h (box first
-coordinates).  A pair (H, e) with homogeneous e of degree 2 is good iff
-ad e is injective on every negative-degree piece; equivalently iff
+coordinates, doubled like the pyramid's, so h is stored as 2h in
+ints).  A pair (H, e) with homogeneous e of degree 2 is good iff ad e
+is injective on every negative-degree piece; equivalently iff
 
     dim g^e = dim g_0 + dim g_{-1}.
 
@@ -37,16 +38,17 @@ gamma(a') = -gamma(a) for so.  One representative per pair gets +1.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Hashable, Sequence
+from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass
 
-from .algebras import (AlgebraBasis, Family, GradingElement, Scalar, Sparse,
+from .algebras import (AlgebraBasis, Family, GradingElement, Sparse,
                        graded_decomposition, sparse_bracket, _signed_indices)
 from .linalg import rref
 from .partitions import Partition
 from .pyramids import Pyramid, row_shift
 
-Box = tuple[Scalar, int]
+# a box center (doubled x, y), as `Pyramid.boxes` lists them
+Box = tuple[int, int]
 
 
 class VerificationError(RuntimeError):
@@ -83,17 +85,17 @@ def _arrows(pyr: Pyramid) -> list[tuple[Box, Box]]:
     if pyr.flavor is Family.SP:
         for r in pyr.rows:
             if r.role == "half" and r.y > 0:
-                out.append(((-1, -r.y), (1, r.y)))
+                out.append(((-2, -r.y), (2, r.y)))
     if pyr.flavor is Family.SO:
         for r in pyr.rows:
             if r.y <= 0:
                 continue
             if r.role == "joint":
-                out.append(((0, -r.y), (2, r.y)))
-                out.append(((-2, -r.y), (0, r.y)))
+                out.append(((0, -r.y), (4, r.y)))
+                out.append(((-4, -r.y), (0, r.y)))
             if r.role == "v0half":
-                out.append(((-2, -r.y), (0, 0)))
-                out.append(((0, 0), (2, r.y)))
+                out.append(((-4, -r.y), (0, 0)))
+                out.append(((0, 0), (4, r.y)))
     return out
 
 
@@ -185,22 +187,29 @@ def nilpotent_of_pyramid(g: AlgebraBasis, pyr: Pyramid) -> Sparse:
     return e
 
 
-def grading_of_pyramid(pyr: Pyramid, shifts: dict[int, Scalar]) -> GradingElement:
-    """h(pyr) plus the center vector shifting the given parts' rows.
+def grading_writer(pyr: Pyramid) -> Callable[[dict[int, int]], GradingElement]:
+    """The writer of h(pyr) plus the center vector shifting the given
+    parts' rows, from a doubled shift per part.
 
-    The entry of each basis vector is the first coordinate of its box,
-    moved with the box's row by `pyramids.row_shift`; the box filling is
-    pyr's, so a shift is literally h(pyr) + z on the same basis vectors.
-    A gl result is stored traceless (`GradingElement`).
+    Fills the boxes once: each row keeps the (matrix position, doubled
+    coordinate) of its boxes.  A grading then moves each box with its
+    row by `pyramids.row_shift`, so a shift is literally h(pyr) + z on
+    the same basis vectors, written with int additions only.
     """
     spec, labels = pyr.spec, fill_boxes(pyr)
     pos = {i: a for a, i in enumerate(_signed_indices(spec))}
-    diag: list[Scalar] = [0] * spec.size
-    for r in pyr.rows:
-        s = row_shift(r, shifts)
-        for x in r.coords():
-            diag[pos[labels[(x, r.y)]]] = x + s
-    return GradingElement(spec, tuple(diag))
+    rows = [(r, [(pos[labels[(x, r.y)]], x) for x in r.coords()])
+            for r in pyr.rows]
+
+    def grading(shifts: dict[int, int]) -> GradingElement:
+        diag = [0] * spec.size
+        for r, boxes in rows:
+            s = row_shift(r, shifts)
+            for a, x in boxes:
+                diag[a] = x + s
+        return GradingElement(spec, tuple(diag))
+
+    return grading
 
 
 # -- goodness ---------------------------------------------------------------
@@ -327,9 +336,9 @@ def is_good(H: GradingElement, blocks: AdBlocks) -> GoodPair:
         raise ValueError("grading element spec does not match the algebra")
     if not blocks.e:
         raise ValueError("a good element is a nonzero nilpotent")
-    diag = H.diagonal
-    # [H, e] = 2e entrywise: (H_i - H_j) e_ij = 2 e_ij
-    if any(diag[i] - diag[j] != 2 for i, j in blocks.e):
+    diag = H.doubled
+    # [H, e] = 2e entrywise: (H_i - H_j) e_ij = 2 e_ij, doubled
+    if any(diag[i] - diag[j] != 4 for i, j in blocks.e):
         raise ValueError("element is not homogeneous of degree 2 under H")
     degrees = graded_decomposition(g, H)
     ranks = graded_ad_ranks(blocks, degrees)
@@ -379,15 +388,16 @@ def characteristic_of(H: GradingElement) -> Characteristic:
     group and take the degrees of the simple root vectors: consecutive
     differences, then for B/C/D the last simple root (d_n, 2 d_n or
     d_{n-1} + d_n).  This is the uniform definition; the pyramid column
-    algorithm is checked against it.
+    algorithm is checked against it.  The doubled diagonal gives twice
+    each label, an even int for an integral H.
     """
     if not H.is_integral():
         raise ValueError("characteristics are defined for integral gradings")
     spec = H.spec
     if spec.family is Family.GL:
-        d = sorted(H.diagonal, reverse=True)
+        d = sorted(H.doubled, reverse=True)
     else:
-        entries = H.diagonal[:spec.size // 2]
+        entries = H.doubled[:spec.size // 2]
         d = sorted((abs(x) for x in entries), reverse=True)
         # D's Weyl group flips signs in pairs: an odd count of negative
         # entries leaves the smallest one negative
@@ -400,15 +410,16 @@ def characteristic_of(H: GradingElement) -> Characteristic:
         labels.append(2 * d[-1])
     elif spec.diagram == "D":
         labels.append(d[-2] + d[-1])
-    return Characteristic(spec.diagram, spec.rank, tuple(int(x) for x in labels))
+    return Characteristic(spec.diagram, spec.rank, tuple(x // 2 for x in labels))
 
 
 def characteristic_from_pyramid(pyr: Pyramid) -> Characteristic:
     """Characteristic via column heights of the pyramid.
 
-    Scan columns from the right edge inward; each nonempty column emits
-    (height-1) zeros and then a separator: 2 if the next column inward
-    is empty, 1 if not.  The scan ends at gl's leftmost column, which
+    Scan columns from the right edge inward, one unit (two doubled
+    units) at a time; each nonempty column emits (height-1) zeros and
+    then a separator: 2 if the next column inward is empty, 1 if not.
+    The scan ends at gl's leftmost column, which
     emits only its zeros, or at sp/so's middle column.  At 0 that
     column contributes one zero per mirror pair, except that a single
     pair in D makes the fork partner of the zero entry repeat the
@@ -420,21 +431,21 @@ def characteristic_from_pyramid(pyr: Pyramid) -> Characteristic:
     spec = pyr.spec
     heights = Counter(x for x, _ in pyr.boxes())
     gl = spec.family is Family.GL
-    # sp/so stop at 0, or at 1/2 in a half-integer pyramid
-    low = min(heights) if gl else min(abs(x) for x in heights) % 1
+    # sp/so stop at 0, or at 1/2 (doubled: 1) in a half-integer pyramid
+    low = min(heights) if gl else min(abs(x) for x in heights) % 2
     labels: list[int] = []
     x = max(heights)
     while x > low:
         if heights[x]:
-            labels += [0] * (heights[x] - 1) + [1 if heights[x - 1] else 2]
-        x -= 1
+            labels += [0] * (heights[x] - 1) + [1 if heights[x - 2] else 2]
+        x -= 2
     h = heights[low]
     if gl:
         labels += [0] * (h - 1)
     elif low:
         labels += [0] * (h - 1) + [1 if spec.diagram == "C" or h >= 2 else 2]
     elif spec.diagram == "D" and h == 2:
-        labels.append(min(c for c in heights if c > 0))
+        labels.append(min(c for c in heights if c > 0) // 2)
     else:
         labels += [0] * (h // 2)
     if len(labels) != spec.rank:

@@ -70,14 +70,14 @@ def parabolic_grading(par: ParabolicSpec) -> GradingElement:
     degree 2), except for an even orthogonal Lagrangian flag whose last
     jump is 1: there both fork roots lie outside the Levi, which pins
     the final vector to degree 0 and the remaining blocks to even
-    values.
+    values.  Each eigenvalue is written doubled (`GradingElement`).
     """
     fam = par.spec.family
     if fam is Family.GL:
         m = len(par.blocks)
         diag: list[int] = []
         for i, a in enumerate(par.blocks, start=1):
-            diag.extend([m + 1 - 2 * i] * a)
+            diag.extend([2 * (m + 1 - 2 * i)] * a)
         return GradingElement(par.spec, tuple(diag))
     t = len(par.blocks)
     n = par.spec.size
@@ -92,7 +92,7 @@ def parabolic_grading(par: ParabolicSpec) -> GradingElement:
             y = 2 * (t - i)
         else:
             y = 2 * (t - i) + 1
-        values.extend([y] * a)
+        values.extend([2 * y] * a)
     values.extend([0] * (half - len(values)))
     mid = (0,) if n % 2 else ()
     diag = tuple(values) + mid + tuple(-v for v in values)

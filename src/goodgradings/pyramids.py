@@ -2,12 +2,12 @@
 
 A pyramid is a finite set of unit boxes with integer or half-integer
 center coordinates organized in rows; within a row the first
-coordinates form an arithmetic progression with difference 2.  An
-integral coordinate is an exact int and a half-integer a `Fraction`
-with denominator 2, so integer pyramids are built, validated and read
-without any `Fraction` arithmetic.  Row lengths encode the Jordan
-blocks of a nilpotent, first coordinates encode the diagonal of a
-grading element.
+coordinates form an arithmetic progression with difference 2.  Every
+first coordinate is stored doubled, as an int (a box at x = -3/2 has
+the coordinate -3), so a row steps by 4 and pyramids are built,
+shifted, validated and read with int arithmetic only.  Row lengths
+encode the Jordan blocks of a nilpotent, doubled first coordinates the
+doubled diagonal of a grading element (`algebras.GradingElement`).
 
 Three flavors, one per algebra `Family` (GL, SP, SO):
 
@@ -33,43 +33,38 @@ import operator
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebras import AlgebraSpec, Family, Scalar, as_fraction
+from .algebras import AlgebraSpec, Family
 from .partitions import Partition
 from .series import pyramid_count_formula
 
 
 @dataclass(frozen=True)
 class Row:
-    """One pyramid row: y index, first coordinate, box count.
+    """One pyramid row: y index, doubled first coordinate, box count.
 
-    `first` is stored as an int when integral and as a `Fraction` with
-    denominator 2 otherwise; every coordinate of the row has its type.
-    A float is rejected.
+    `first` is twice the first box's x coordinate, an int read through
+    `operator.index`, so a Fraction or a float raises TypeError; the
+    doubled coordinates of the row step by 4.
     """
 
     y: int
-    first: Scalar
+    first: int
     count: int
     parts: tuple[int, ...] = ()
     role: str = "full"
 
     def __post_init__(self):
-        first = as_fraction(self.first)
+        object.__setattr__(self, "first", operator.index(self.first))
         if self.count < 1:
             raise ValueError("empty row")
-        if first.denominator not in (1, 2):
-            raise ValueError("coordinates must be integers or half-integers")
-        object.__setattr__(self, "first",
-                           first.numerator if first.denominator == 1 else first)
 
     @property
-    def last(self) -> Scalar:
-        return self.first + 2 * (self.count - 1)
+    def last(self) -> int:
+        return self.first + 4 * (self.count - 1)
 
-    def coords(self) -> tuple[Scalar, ...]:
-        return tuple(self.first + 2 * i for i in range(self.count))
+    def coords(self) -> tuple[int, ...]:
+        return tuple(range(self.first, self.last + 1, 4))
 
 
 @dataclass(frozen=True)
@@ -111,8 +106,8 @@ class Pyramid:
         """The algebra whose nilpotent and gradings the pyramid encodes."""
         return AlgebraSpec(self.flavor, self.size())
 
-    def boxes(self) -> list[tuple[Scalar, int]]:
-        """All box centers as (x, y), row by row."""
+    def boxes(self) -> list[tuple[int, int]]:
+        """All box centers as (doubled x, y), row by row."""
         return [(x, r.y) for r in self.rows for x in r.coords()]
 
 
@@ -121,7 +116,7 @@ class Pyramid:
 
 def symmetric_pyramid(p: Partition) -> Pyramid:
     """The centered pyramid of a partition: row j holds p_j boxes."""
-    rows = [Row(y=j + 1, first=-pj + 1, count=pj, parts=(pj,))
+    rows = [Row(y=j + 1, first=2 - 2 * pj, count=pj, parts=(pj,))
             for j, pj in enumerate(p.parts)]
     return Pyramid(Family.GL, tuple(rows))
 
@@ -136,16 +131,18 @@ def type_a_center_parts(p: Partition) -> tuple[int, ...]:
     return tuple(v for v, _ in p.distinct()[1:])
 
 
-def type_a_shift_vectors(p: Partition) -> list[dict[int, Scalar]]:
-    """Shift amounts per center part for every type A pyramid of p.
+def type_a_shift_vectors(p: Partition) -> list[dict[int, int]]:
+    """Doubled shift amounts per center part for every type A pyramid of p.
 
     All rows of one part slide together.  The relative shift between
-    consecutive distinct parts v > w ranges over [-(v - w), v - w], and
-    a part's shift is the sum of the relative shifts from the largest
-    part down to it.  Order: lexicographic in the relative shifts.
+    consecutive distinct parts v > w ranges over the integers in
+    [-(v - w), v - w], and a part's shift is the sum of the relative
+    shifts from the largest part down to it.  Order: lexicographic in
+    the relative shifts.
     """
     values = [v for v, _ in p.distinct()]
-    ranges = [range(w - v, v - w + 1) for v, w in zip(values, values[1:])]
+    ranges = [range(2 * (w - v), 2 * (v - w) + 1, 2)
+              for v, w in zip(values, values[1:])]
     return [dict(zip(values[1:], itertools.accumulate(rel)))
             for rel in itertools.product(*ranges)]
 
@@ -181,13 +178,13 @@ def symplectic_pyramid(p: Partition) -> Pyramid:
     for pos, (v, m) in enumerate(p.distinct()):
         if m % 2 == 1:
             if pos == 0:
-                zero.append(Row(y=0, first=-v + 1, count=v, parts=(v,)))
+                zero.append(Row(y=0, first=2 - 2 * v, count=v, parts=(v,)))
             else:
-                upper.append(Row(y=y, first=1, count=v // 2,
+                upper.append(Row(y=y, first=2, count=v // 2,
                                  parts=(v,), role="half"))
                 y += 1
         for _ in range(m // 2):
-            upper.append(Row(y=y, first=-v + 1, count=v, parts=(v,)))
+            upper.append(Row(y=y, first=2 - 2 * v, count=v, parts=(v,)))
             y += 1
     return Pyramid(Family.SP, tuple(zero + upper + [_mirror(r) for r in upper]))
 
@@ -196,8 +193,8 @@ def _mirror(r: Row) -> Row:
     return Row(y=-r.y, first=-r.last, count=r.count, parts=r.parts, role=r.role)
 
 
-def row_shift(r: Row, shifts: dict[int, Scalar]) -> Scalar:
-    """How far a row moves under a shift per part: the full rows of a
+def row_shift(r: Row, shifts: dict[int, int]) -> int:
+    """How far a row moves under a doubled shift per part: the full rows of a
     part move by +s in the upper half-plane and -s in the lower one;
     other rows stay.  In sp/so only parts of multiplicity 2 are ever
     shifted, so the row pair of a part is unambiguous; in type A (every
@@ -208,7 +205,7 @@ def row_shift(r: Row, shifts: dict[int, Scalar]) -> Scalar:
     return s if r.y > 0 else -s
 
 
-def _shift_parts(pyr: Pyramid, shifts: dict[int, Scalar]) -> Pyramid:
+def _shift_parts(pyr: Pyramid, shifts: dict[int, int]) -> Pyramid:
     """The pyramid with every row moved by `row_shift`."""
     rows = []
     for r in pyr.rows:
@@ -224,19 +221,19 @@ def symplectic_center_parts(p: Partition) -> tuple[int, ...]:
 
 
 def _subset_shifts(p: Partition,
-                   cparts: tuple[int, ...]) -> list[dict[int, Scalar]]:
-    """The sp/so shift vectors without a part-1 parameter: every subset
-    of the center parts, then the half shift when all parts are center
-    parts and the size is even."""
+                   cparts: tuple[int, ...]) -> list[dict[int, int]]:
+    """The sp/so doubled shift vectors without a part-1 parameter: every
+    subset of the center parts, then the half shift when all parts are
+    center parts and the size is even."""
     out = [dict(zip(cparts, bits))
-           for bits in itertools.product((0, 1), repeat=len(cparts))]
+           for bits in itertools.product((0, 2), repeat=len(cparts))]
     if cparts and len(cparts) == len(p.distinct()) and p.n % 2 == 0:
-        out.append({v: Fraction(1, 2) for v in cparts})
+        out.append({v: 1 for v in cparts})
     return out
 
 
-def symplectic_shift_vectors(p: Partition) -> list[dict[int, Scalar]]:
-    """Shift amounts per center part for every symplectic pyramid of p.
+def symplectic_shift_vectors(p: Partition) -> list[dict[int, int]]:
+    """Doubled shift amounts per center part for every symplectic pyramid of p.
 
     One vector per subset of the even multiplicity-2 parts (unit shift
     outward); when every part is even of multiplicity 2 there is one
@@ -273,7 +270,7 @@ def orthogonal_pyramid(p: Partition) -> Pyramid:
     if n % 2 == 1:
         if items and items[0][1] % 2 == 1:
             v = items[0][0]
-            zero.append(Row(y=0, first=-v + 1, count=v, parts=(v,)))
+            zero.append(Row(y=0, first=2 - 2 * v, count=v, parts=(v,)))
             items[0][1] -= 1
     upper: list[Row] = []
     y = 1
@@ -281,7 +278,7 @@ def orthogonal_pyramid(p: Partition) -> Pyramid:
     for i in range(len(items)):
         v, m = items[i]
         for _ in range(m // 2):
-            upper.append(Row(y=y, first=-v + 1, count=v, parts=(v,)))
+            upper.append(Row(y=y, first=2 - 2 * v, count=v, parts=(v,)))
             y += 1
         if m % 2 == 1:
             j = i + 1
@@ -290,13 +287,13 @@ def orthogonal_pyramid(p: Partition) -> Pyramid:
             if j < len(items):
                 w = items[j][0]
                 items[j][1] -= 1
-                upper.append(Row(y=y, first=-w + 1, count=(v + w) // 2,
+                upper.append(Row(y=y, first=2 - 2 * w, count=(v + w) // 2,
                                  parts=(v, w), role="joint"))
                 y += 1
             else:
                 center_part = v
                 if v > 1:
-                    upper.append(Row(y=y, first=2, count=(v - 1) // 2,
+                    upper.append(Row(y=y, first=4, count=(v - 1) // 2,
                                      parts=(v,), role="v0half"))
                     y += 1
     if n % 2 == 1 and not zero:
@@ -312,8 +309,8 @@ def orthogonal_center_parts(p: Partition) -> tuple[int, ...]:
     return tuple(v for v, m in p.distinct() if v % 2 == 1 and m == 2)
 
 
-def orthogonal_shift_vectors(p: Partition) -> list[dict[int, Scalar]]:
-    """Shift amounts per center part for every orthogonal pyramid of p.
+def orthogonal_shift_vectors(p: Partition) -> list[dict[int, int]]:
+    """Doubled shift amounts per center part for every orthogonal pyramid of p.
 
     Subsets of the odd multiplicity-2 parts shift by one unit; when the
     part 1 is among them it instead carries an integer parameter t
@@ -330,28 +327,27 @@ def orthogonal_shift_vectors(p: Partition) -> list[dict[int, Scalar]]:
     if all(v == 1 for v in p.parts):
         # (1,1): the zero orbit of so_2; no parameter to range over
         return [{}]
-    out: list[dict[int, Scalar]] = []
+    out: list[dict[int, int]] = []
     q = min(v for v in p.parts if v > 1)
     if c >= 2 and cparts[-2] == q:
         rest = cparts[:-2]
-        for bits in itertools.product((0, 1), repeat=len(rest)):
-            for tq in (0, 1):
-                for t in range(0, q - tq):
+        for bits in itertools.product((0, 2), repeat=len(rest)):
+            for tq in (0, 2):
+                for t in range(0, 2 * q - tq, 2):
                     shifts = dict(zip(rest, bits))
                     shifts[q] = tq
                     shifts[1] = t
                     out.append(shifts)
         if n % 2 == 0 and c == len(p.distinct()):
-            t = Fraction(1, 2)
-            while t <= q - Fraction(3, 2):
-                shifts = {v: Fraction(1, 2) for v in cparts[:-1]}
+            # t = 1/2, 3/2, ..., q - 3/2
+            for t in range(1, 2 * q - 2, 2):
+                shifts = {v: 1 for v in cparts[:-1]}
                 shifts[1] = t
                 out.append(shifts)
-                t += 1
     else:
         rest = cparts[:-1]
-        for bits in itertools.product((0, 1), repeat=len(rest)):
-            for t in range(0, q):
+        for bits in itertools.product((0, 2), repeat=len(rest)):
+            for t in range(0, 2 * q, 2):
                 shifts = dict(zip(rest, bits))
                 shifts[1] = t
                 out.append(shifts)
@@ -410,7 +406,7 @@ def unimodal_to_pyramid(u: Sequence[int]) -> Pyramid:
     rows = []
     for j in range(1, max(u) + 1):
         support = [i for i, h in enumerate(u) if h >= j]
-        rows.append(Row(y=j, first=-k + 1 + 2 * support[0], count=len(support),
+        rows.append(Row(y=j, first=2 - 2 * k + 4 * support[0], count=len(support),
                         parts=(len(support),)))
     return Pyramid(Family.GL, tuple(rows))
 
@@ -419,7 +415,7 @@ def pyramid_to_unimodal(pyr: Pyramid) -> tuple[int, ...]:
     """Nonzero column heights of an even-type pyramid, left to right."""
     if pyr.flavor is not Family.GL:
         raise ValueError("column reading is defined for type A pyramids")
-    parities = {(x - pyr.rows[0].first) % 2 for x, _ in pyr.boxes()}
+    parities = {(x - pyr.rows[0].first) % 4 for x, _ in pyr.boxes()}
     if parities != {0}:
         raise ValueError("pyramid has mixed column parities (grading is odd)")
     columns = Counter(x for x, _ in pyr.boxes())
@@ -435,8 +431,9 @@ def pyramid_to_unimodal(pyr: Pyramid) -> tuple[int, ...]:
 def render_pyramid(pyr: Pyramid) -> str:
     """ASCII picture, one 4-character cell per box, top row first.
 
-    Cells start at character column 2*(x - xmin), so a half-integer
-    shift shows up as a one-character offset.
+    Cells start at character column 2*(x - xmin), the difference of the
+    doubled coordinates, so a half-integer shift shows up as a
+    one-character offset.
     """
     boxes = pyr.boxes()
     xmin = min(x for x, _ in boxes)
@@ -444,7 +441,7 @@ def render_pyramid(pyr: Pyramid) -> str:
     for r in sorted(pyr.rows, key=lambda r: -r.y):
         chars: list[str] = []
         for x in r.coords():
-            col = int(2 * (x - xmin))
+            col = x - xmin
             if col > len(chars):
                 chars.extend(" " * (col - len(chars)))
             chars.extend("[__]")

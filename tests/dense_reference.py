@@ -8,13 +8,45 @@ of them calls the library's elimination:
 * `Matrix`, a dense matrix of Fractions, with `bracket` and `rank`;
 * `dense`, the Matrix of a sparse element;
 * `reference_rref`, Gauss-Jordan elimination over Fraction;
-* `reference_jordan_type`, Jordan block sizes from ranks of dense powers.
+* `reference_jordan_type`, Jordan block sizes from ranks of dense powers;
+* `grading_element` and `fraction_diagonal`, a grading element from a
+  rational diagonal and back, by Fraction arithmetic instead of the
+  library's doubled ints.
 """
 
 from fractions import Fraction
 
-from goodgradings.algebras import as_fraction
+from goodgradings.algebras import Family, GradingElement
 from goodgradings.partitions import Partition
+
+
+def as_fraction(x):
+    """Coerce an int or a Fraction to Fraction.  Floats and strings are
+    deliberately rejected."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"not an exact rational: {x!r}")
+
+
+def grading_element(spec, diagonal):
+    """The GradingElement of a diagonal of ints and Fractions, each an
+    integer or a half-integer."""
+    doubled = [2 * as_fraction(x) for x in diagonal]
+    if any(d.denominator != 1 for d in doubled):
+        raise ValueError("entries must be integers or half-integers")
+    return GradingElement(spec, tuple(int(d) for d in doubled))
+
+
+def fraction_diagonal(H):
+    """The diagonal of H as Fractions: half the doubled entries, and for
+    gl the traceless representative, the one the reports print."""
+    diag = [Fraction(d, 2) for d in H.doubled]
+    if H.spec.family is Family.GL:
+        mean = sum(diag) / len(diag)
+        diag = [d - mean for d in diag]
+    return tuple(diag)
 
 
 class Matrix:

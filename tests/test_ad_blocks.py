@@ -162,7 +162,7 @@ def test_blocks_are_disjoint_and_cover_the_nonzero_columns():
 def test_inhomogeneous_element_is_rejected_not_ranked():
     spec = AlgebraSpec(GL, 3)
     g = build_algebra(spec)
-    H = GradingElement(spec, (Fraction(2), Fraction(0), Fraction(0)))
+    H = GradingElement(spec, (4, 0, 0))  # 2H for H = diag(2, 0, 0)
     e12 = {(0, 1): 1}  # degree 2
     e23 = {(1, 2): 1}  # degree 0
     e13 = {(0, 2): 1}  # degree 2
@@ -192,7 +192,7 @@ def test_inhomogeneous_element_is_rejected_not_ranked():
     assert {("columns",), ("rows",)} <= kinds
     # homogeneous, but of degree 4: the blocks are homogeneous too, so
     # only is_good's entrywise [H, e] = 2e check refuses it
-    H4 = GradingElement(spec, (Fraction(4), Fraction(0), Fraction(0)))
+    H4 = GradingElement(spec, (8, 0, 0))
     with pytest.raises(ValueError):
         is_good(H4, ad_blocks(g, e12))
 

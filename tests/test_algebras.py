@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from dense_reference import Matrix, bracket, dense, rank
+from dense_reference import (Matrix, bracket, dense, fraction_diagonal,
+                             grading_element, rank)
 from goodgradings.algebras import (AlgebraSpec, Family, GradingElement,
                                    ad_coordinate_matrix, build_algebra,
                                    graded_decomposition, sparse_bracket)
@@ -160,7 +161,7 @@ def test_centralizer_requires_membership():
 def test_graded_decomposition_gl2():
     spec = AlgebraSpec(Family.GL, 2)
     g = build_algebra(spec)
-    H = GradingElement(spec, (Fraction(1), Fraction(-1)))
+    H = GradingElement(spec, (2, -2))  # 2H for H = diag(1, -1)
     degrees = graded_decomposition(g, H)
     assert degrees == (2, -2, 0, 0)  # E_12, E_21, E_11, E_22
     assert Counter(degrees) == {-2: 1, 0: 2, 2: 1}
@@ -169,7 +170,7 @@ def test_graded_decomposition_gl2():
 def test_graded_decomposition_sp4():
     spec = AlgebraSpec(Family.SP, 4)
     g = build_algebra(spec)
-    H = GradingElement(spec, (1, 1, -1, -1))
+    H = GradingElement(spec, (2, 2, -2, -2))
     degrees = graded_decomposition(g, H)
     assert len(degrees) == g.dim
     assert Counter(degrees) == {-2: 3, 0: 4, 2: 3}
@@ -182,8 +183,8 @@ def test_trivial_grading():
 
 
 def test_degrees_are_ints():
-    # the diagonal holds Fractions, half-integers included; the degrees
-    # are exact ints, so a piece g_d is counted under the int d only
+    # the diagonal holds half-integers too; the degrees are exact ints,
+    # so a piece g_d is counted under the int d only
     gl = {0: 3, 2: 2, -2: 2, 4: 1, -4: 1}
     for spec, diag, sizes in [
             (AlgebraSpec(Family.GL, 3), (2, 0, -2), gl),
@@ -193,32 +194,45 @@ def test_degrees_are_ints():
              (Fraction(3, 2), Fraction(1, 2), Fraction(-3, 2), Fraction(-1, 2)),
              {0: 2, 1: 2, -1: 2, 2: 1, -2: 1, 3: 1, -3: 1})]:
         degrees = graded_decomposition(build_algebra(spec),
-                                       GradingElement(spec, diag))
+                                       grading_element(spec, diag))
         assert all(type(d) is int for d in degrees), diag
         assert Counter(degrees) == sizes, diag
 
 
 def test_gl_grading_elements_are_stored_traceless():
-    # a scalar acts trivially under ad, so d and d + c are one grading
+    # a scalar acts trivially under ad, so d and d + c are one grading:
+    # 2(d - d_0) is stored, and the traceless diagonal is read off it
     spec = AlgebraSpec(Family.GL, 4)
     for diag in [(3, 1, 0, -2), (Fraction(5, 2), Fraction(1, 2),
                                  Fraction(-1, 2), Fraction(3, 2))]:
-        H = GradingElement(spec, diag)
-        assert sum(H.diagonal) == 0
-        assert all(type(d) is Fraction for d in H.diagonal)
-        assert [a - b for a, b in zip(H.diagonal, H.diagonal[1:])] \
+        H = grading_element(spec, diag)
+        assert H.doubled[0] == 0
+        assert all(type(d) is int for d in H.doubled)
+        traceless = fraction_diagonal(H)
+        assert sum(traceless) == 0
+        assert [a - b for a, b in zip(traceless, traceless[1:])] \
             == [a - b for a, b in zip(diag, diag[1:])]
-        for c in (1, -3, Fraction(1, 2), Fraction(-7, 3)):
-            shifted = GradingElement(spec, tuple(d + c for d in diag))
-            assert shifted == H and shifted.diagonal == H.diagonal
+        for c in (1, -3, Fraction(1, 2), Fraction(-7, 2)):
+            shifted = grading_element(spec, tuple(d + c for d in diag))
+            assert shifted == H and shifted.doubled == H.doubled
             assert hash(shifted) == hash(H)
-    assert GradingElement(AlgebraSpec(Family.GL, 1), (5,)).diagonal == (0,)
+    assert GradingElement(AlgebraSpec(Family.GL, 1), (5,)).doubled == (0,)
     # sp/so diagonals sum to zero by their pairing and are stored as given
-    for spec, diag in [(AlgebraSpec(Family.SP, 4), (2, 1, -2, -1)),
-                       (AlgebraSpec(Family.SO, 5),
-                        (Fraction(3, 2), Fraction(1, 2), 0,
-                         Fraction(-3, 2), Fraction(-1, 2)))]:
-        assert GradingElement(spec, diag).diagonal == diag
+    for spec, doubled in [(AlgebraSpec(Family.SP, 4), (4, 2, -4, -2)),
+                          (AlgebraSpec(Family.SO, 5), (3, 1, 0, -3, -1))]:
+        assert GradingElement(spec, doubled).doubled == doubled
+
+
+def test_grading_element_refuses_entries_that_are_not_ints():
+    # the doubled diagonal is read through operator.index, as rref reads
+    # its rows: an integral Fraction is refused too
+    for spec, diag in [(AlgebraSpec(Family.GL, 2), [2, -2]),
+                       (AlgebraSpec(Family.SP, 2), [1, -1]),
+                       (AlgebraSpec(Family.SO, 3), [2, 0, -2])]:
+        GradingElement(spec, tuple(diag))
+        for bad in (Fraction(1, 2), Fraction(2), 2.0, 0.5):
+            with pytest.raises(TypeError):
+                GradingElement(spec, (bad,) + tuple(diag[1:]))
 
 
 def test_grading_element_validation():
@@ -240,11 +254,11 @@ def test_grading_element_validation():
 
 def check_integral_decomposition(g, H):
     """The reference for `is_integral` and `graded_decomposition`: the
-    ad H degrees, computed here as differences of diagonal entries over
-    the basis.  H is integral iff they are all integers; the
-    decomposition refuses exactly the other H, and otherwise returns
+    ad H degrees, computed here as differences of the Fraction diagonal
+    entries over the basis.  H is integral iff they are all integers;
+    the decomposition refuses exactly the other H, and otherwise returns
     them as ints.  Returns the verdict."""
-    pos, diag = g.position, H.diagonal
+    pos, diag = g.position, fraction_diagonal(H)
     reference = [diag[pos[i]] - diag[pos[j]] for i, j in g.labels]
     verdict = H.is_integral()
     assert verdict == all(d.denominator == 1 for d in reference), H
@@ -259,8 +273,11 @@ def check_integral_decomposition(g, H):
 
 
 def test_is_integral_matches_decomposition_on_seeded_diagonals():
-    # entries share a random residue mod 1, then half the time one of
-    # them is redrawn, so both verdicts occur in every family
+    # doubled entries share a random parity, then half the time one of
+    # them is redrawn with either parity, so both verdicts occur in
+    # every family; the odd so middle entry 0 makes an odd parity
+    # nonintegral there.  gl_1 and sp_2 (one root, 2 d_1) have only
+    # integral half-integer diagonals
     rng = random.Random(5)
     specs = [AlgebraSpec(Family.GL, n) for n in range(1, 8)] \
         + [AlgebraSpec(Family.SP, N) for N in range(2, 11, 2)] \
@@ -270,24 +287,26 @@ def test_is_integral_matches_decomposition_on_seeded_diagonals():
         width = spec.size if spec.family is Family.GL else spec.size // 2
         verdicts = set()
         for _ in range(100):
-            q = rng.randint(1, 4)
-            offset = Fraction(rng.randrange(q), q)
-            free = [offset + rng.randint(-4, 4) for _ in range(width)]
+            parity = rng.randrange(2)
+            free = [2 * rng.randint(-4, 4) + parity for _ in range(width)]
             if rng.random() < 0.5:
-                free[rng.randrange(width)] = Fraction(rng.randint(-8, 8), q)
+                free[rng.randrange(width)] = rng.randint(-8, 8)
             if spec.family is Family.GL:
-                diag = free
+                doubled = free
             else:
-                diag = free + [0] * (spec.size % 2) + [-x for x in free]
+                doubled = free + [0] * (spec.size % 2) + [-x for x in free]
             verdicts.add(check_integral_decomposition(
-                g, GradingElement(spec, tuple(diag))))
-        assert verdicts == {True, False} or spec == AlgebraSpec(Family.GL, 1)
+                g, GradingElement(spec, tuple(doubled))))
+        if spec in (AlgebraSpec(Family.GL, 1), AlgebraSpec(Family.SP, 2)):
+            assert verdicts == {True}
+        else:
+            assert verdicts == {True, False}, spec
 
 
 def test_bracket_degree_additivity():
     spec = AlgebraSpec(Family.SP, 6)
     g = build_algebra(spec)
-    H = GradingElement(spec, tuple(map(Fraction, (2, 1, 0, -2, -1, 0))))
+    H = GradingElement(spec, (4, 2, 0, -4, -2, 0))
     degrees = graded_decomposition(g, H)
     rng = random.Random(11)
     for _ in range(40):
@@ -306,8 +325,7 @@ def test_piece_dims_symmetric_under_negation():
                                      Fraction(-3, 2), Fraction(-1, 2))),
     ]:
         g = build_algebra(spec)
-        sizes = Counter(graded_decomposition(
-            g, GradingElement(spec, tuple(map(Fraction, diag)))))
+        sizes = Counter(graded_decomposition(g, grading_element(spec, diag)))
         for d in sizes:
             assert sizes[d] == sizes[-d]
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dense_reference import fraction_diagonal
 from goodgradings.algebras import AlgebraSpec, Family, GradingElement, \
     build_algebra, graded_decomposition
 from goodgradings.classify import (_centralizer_weights, _entry,
@@ -11,7 +12,7 @@ from goodgradings.classify import (_centralizer_weights, _entry,
                                    even_good_grading_gl, good_gradings,
                                    sweep_oracle)
 from goodgradings.gradings import (AdBlocks, VerificationError, ad_blocks,
-                                   characteristic_of, grading_of_pyramid,
+                                   characteristic_of, grading_writer,
                                    is_good, nilpotent_of_pyramid)
 from goodgradings.parabolic import ParabolicSpec, parabolic_grading
 from goodgradings.partitions import (Partition, orthogonal_partitions,
@@ -26,11 +27,11 @@ from goodgradings.series import pyramid_count_series
 
 
 def grid_axis(p):
-    """Every half-integer in [-B, B], B = max(3, p_1): one axis of the
-    grid, which holds every center coordinate of a good grading (checked
-    below) but rests on that classification for its bound."""
+    """Every half-integer in [-B, B], B = max(3, p_1), doubled: one axis
+    of the grid, which holds every center coordinate of a good grading
+    (checked below) but rests on that classification for its bound."""
     bound = max(3, p.parts[0])
-    return [Fraction(k, 2) for k in range(-2 * bound, 2 * bound + 1)]
+    return list(range(-2 * bound, 2 * bound + 1))
 
 
 def grid_sweep(fam):
@@ -40,11 +41,11 @@ def grid_sweep(fam):
     base, cparts = fam.torus.base, fam.torus.parts
     found = {}
     for t in itertools.product(grid_axis(p), repeat=len(cparts)):
-        H = grading_of_pyramid(base, dict(zip(cparts, t)))
+        H = grading_writer(base)(dict(zip(cparts, t)))
         if not H.is_integral() or not is_good(H, blocks).verified:
             continue
         ct = t if spec.family is Family.GL else tuple(abs(x) for x in t)
-        found.setdefault(ct, grading_of_pyramid(base, dict(zip(cparts, ct))))
+        found.setdefault(ct, grading_writer(base)(dict(zip(cparts, ct))))
     return [found[ct] for ct in sorted(found)]
 
 
@@ -111,7 +112,7 @@ def test_exactly_one_dynkin():
                 gradings_of(Family.SO, (3, 3, 1, 1))):
         assert sum(1 for ent in fam.entries if ent.is_dynkin) == 1
         source = dynkin_entry(fam).source[1]
-        assert source == tuple(Fraction(0) for _ in source)
+        assert source == (0,) * len(source)
 
 
 def test_zero_orbit_rejected():
@@ -145,7 +146,7 @@ def test_even_good_grading_gl_even_nilpotent_is_dynkin():
     p = Partition((3, 1))
     H = even_good_grading_gl(p)
     fam = good_gradings(AlgebraSpec(Family.GL, p.n), p)
-    assert H.diagonal == dynkin_entry(fam).H.diagonal
+    assert H == dynkin_entry(fam).H
 
 
 def test_even_counts_sp():
@@ -153,11 +154,10 @@ def test_even_counts_sp():
     assert even_count(gradings_of(Family.SP, (3, 3))) == 1
     assert even_count(gradings_of(Family.SP, (2, 1, 1))) == 0
     assert even_count(gradings_of(Family.SP, (2, 2, 1, 1))) == 1
-    # the two even gradings are t = (0,..) and t = (1,..)
+    # the two even gradings are t = (0,..) and t = (1,..), doubled
     fam = gradings_of(Family.SP, (2, 2))
     evens = [ent for ent in fam.entries if ent.is_even]
-    assert sorted(ent.source[1] for ent in evens) == \
-        [(Fraction(0),), (Fraction(1),)]
+    assert sorted(ent.source[1] for ent in evens) == [(0,), (2,)]
 
 
 def test_even_counts_sp_match_closed_conditions():
@@ -187,12 +187,12 @@ def test_gl_block_system_matches_pyramids():
                   for i in range(len(blocks) - 1)]
         system = set()
         for a in itertools.product(*ranges):
-            shifts = {blocks[i + 1][0]: Fraction(sum(a[:i + 1]))
+            shifts = {blocks[i + 1][0]: 2 * sum(a[:i + 1])
                       for i in range(len(a))}
-            H = grading_of_pyramid(base, shifts)
-            assert sum(H.diagonal) == 0
-            system.add(H.diagonal)
-        assert system == good_gradings(spec, p).diagonals()
+            H = grading_writer(base)(shifts)
+            assert sum(fraction_diagonal(H)) == 0
+            system.add(H)
+        assert system == good_gradings(spec, p).gradings()
 
 
 def test_entry_refuses_a_pyramid_of_another_algebra():
@@ -227,8 +227,7 @@ def test_sign_symmetry_of_goodness():
             else orthogonal_center_parts(p)
         for ent in family.entries:
             t = ent.source[1]
-            flipped = grading_of_pyramid(base,
-                                         {v: -x for v, x in zip(cparts, t)})
+            flipped = grading_writer(base)({v: -x for v, x in zip(cparts, t)})
             assert is_good(flipped, blocks).verified
 
 
@@ -248,16 +247,16 @@ def test_sweep_counts_tie_to_the_pyramid_series():
 
 def test_sweep_matches_enumeration_spot_checks():
     fam = gradings_of(Family.SP, (2, 2))
-    assert {H.diagonal for H in sweep_oracle(fam)} == fam.diagonals()
+    assert set(sweep_oracle(fam)) == fam.gradings()
     fam = gradings_of(Family.SO, (3, 3, 1))
-    assert {H.diagonal for H in sweep_oracle(fam)} == fam.diagonals()
+    assert set(sweep_oracle(fam)) == fam.gradings()
 
 
 def test_sweep_trivial_center():
     fam = gradings_of(Family.SP, (4, 2))
     swept = sweep_oracle(fam)
     assert len(swept) == 1
-    assert swept[0].diagonal == dynkin_entry(fam).H.diagonal
+    assert swept[0] == dynkin_entry(fam).H
 
 
 def test_sweep_guards():
@@ -314,6 +313,25 @@ def test_sweep_refuses_a_polytope_without_a_sign_copy(monkeypatch, parts,
         sweep_oracle(fam)
 
 
+@pytest.mark.parametrize("family, parts", [(Family.GL, (3, 2, 1)),
+                                           (Family.SO, (3, 3, 1, 1))])
+def test_sweep_refuses_a_grading_found_twice(monkeypatch, family, parts):
+    # verify compares the sweep's gradings as a set, so the sweep itself
+    # must refuse a duplicate rather than let the set merge it
+    import goodgradings.classify as classify
+    real = classify._lattice_points
+
+    def doubled(*args):
+        points = real(*args)
+        return points + points[-1:]
+
+    fam = gradings_of(family, parts)
+    assert len(sweep_oracle(fam)) == len(fam) > 1
+    monkeypatch.setattr(classify, "_lattice_points", doubled)
+    with pytest.raises(VerificationError, match="twice"):
+        sweep_oracle(fam)
+
+
 def test_family_equality_ignores_the_orbit_build():
     p = Partition((3, 3, 1, 1))
     spec = AlgebraSpec(Family.SO, p.n)
@@ -340,8 +358,9 @@ def test_is_integral_matches_decomposition_on_sweep_candidates():
         base, cparts = torus.base, torus.parts
         verdicts = set()
         for t in itertools.product(grid_axis(p), repeat=len(cparts)):
-            H = grading_of_pyramid(base, dict(zip(cparts, t)))
-            reference = [H.diagonal[g.position[i]] - H.diagonal[g.position[j]]
+            H = grading_writer(base)(dict(zip(cparts, t)))
+            diag = fraction_diagonal(H)
+            reference = [diag[g.position[i]] - diag[g.position[j]]
                          for i, j in g.labels]
             verdict = H.is_integral()
             assert verdict == all(d.denominator == 1 for d in reference), \
@@ -380,7 +399,7 @@ def test_every_degree_is_an_int():
         for ent in fam.entries:
             assert ints(is_good(ent.H, fam.blocks).degrees), (orbit, ent.source)
             assert ints(ent.centralizer_degrees), (orbit, ent.source)
-        forms, _ = _centralizer_weights(fam)
+        forms, _ = _centralizer_weights(fam, grading_writer(fam.torus.base))
         assert all(ints(a) and type(b) is int for a, b in forms), orbit
     for family, size, blocks, q in ((Family.GL, 5, (2, 1, 2), 0),
                                     (Family.GL, 6, (1, 3, 2), 0),
@@ -488,13 +507,14 @@ def test_sweep_weights_are_the_centralizer_degrees():
     orbits = gradings = 0
     for spec, p in small_orbits(7, 10):
         fam = good_gradings(spec, p)
-        _, weights = _centralizer_weights(fam)
+        _, weights = _centralizer_weights(fam, grading_writer(fam.torus.base))
         cparts = fam.torus.parts
         keys = p.parts if spec.family is Family.GL else cparts
         for ent in fam.entries:
+            # the source holds s = 2t
             shifts = dict(zip(keys, ent.source[1]))
-            t = [shifts[v] for v in cparts]
-            degrees = sorted((b + sum(2 * x * y for x, y in zip(t, a))) / 2
+            s = [shifts[v] for v in cparts]
+            degrees = sorted(Fraction(b + sum(x * y for x, y in zip(s, a)), 2)
                              for (a, b), m in weights.items() for _ in range(m))
             assert tuple(degrees) == ent.centralizer_degrees, (spec, p, ent.source)
             gradings += 1
@@ -524,8 +544,7 @@ def test_entries_report_verified_data():
     for ent in fam.entries:
         assert all(x in (0, 1, 2) for x in ent.characteristic.labels)
         assert all(d >= 0 for d in ent.centralizer_degrees)
-    halfs = [ent for ent in fam.entries
-             if any(x.denominator == 2 for x in ent.H.diagonal)]
+    halfs = [ent for ent in fam.entries if any(x % 2 for x in ent.H.doubled)]
     assert len(halfs) == 1 and not halfs[0].is_even
 
 
@@ -544,7 +563,7 @@ def test_very_even_orbits_report_the_pyramid_orbit():
         labels = dynkin_entry(fam).characteristic.labels
         assert len(fam) == 1 and labels[-2:] == (0, 2), p
         swap = {half - 1: N - 1, N - 1: half - 1}
-        diag = list(dynkin_entry(fam).H.diagonal)
+        diag = list(dynkin_entry(fam).H.doubled)
         diag[half - 1], diag[N - 1] = diag[N - 1], diag[half - 1]
         H = GradingElement(fam.spec, tuple(diag))
         e = {(swap.get(a, a), swap.get(b, b)): v

@@ -2,17 +2,20 @@ import itertools
 import json
 import shlex
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from dense_reference import fraction_diagonal
 from goodgradings import cli
 from goodgradings.cli import (MAX_ALGEBRA_DIM, MAX_PYRAMIDS, MAX_SERIES_ORDER,
-                              _family_spec, canonical_json, main)
+                              _diagonal, _family_spec, canonical_json,
+                              fraction_str, main)
 from goodgradings.algebras import AlgebraSpec, Family
-from goodgradings.classify import center_torus
+from goodgradings.classify import center_torus, good_gradings
 from goodgradings.partitions import (Partition, orthogonal_partitions,
-                                     symplectic_partitions)
+                                     partitions, symplectic_partitions)
 from goodgradings.pyramids import (orthogonal_center_parts,
                                    orthogonal_shift_vectors,
                                    symplectic_center_parts,
@@ -23,6 +26,31 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_fraction_str_prints_what_fraction_prints():
+    # reports keep the strings str(Fraction) printed before the library
+    # held doubled ints
+    for q in range(1, 101):
+        for p in range(-300, 301):
+            assert fraction_str(p, q) == str(Fraction(p, q)), (p, q)
+
+
+def test_reported_diagonals_are_the_fraction_diagonals():
+    # half the doubled entries for sp/so, the traceless representative
+    # for gl, against the Fraction reference
+    orbits = [(Family.GL, p) for n in range(2, 8) for p in partitions(n)] \
+        + [(Family.SP, p) for p in symplectic_partitions(8)] \
+        + [(Family.SO, p) for N in (7, 8) for p in orthogonal_partitions(N)]
+    checked = 0
+    for family, p in orbits:
+        if p.is_zero_orbit():
+            continue
+        for ent in good_gradings(AlgebraSpec(family, p.n), p).entries:
+            assert _diagonal(ent.H) \
+                == [str(x) for x in fraction_diagonal(ent.H)], (family, p)
+            checked += 1
+    assert checked > 150
 
 
 def test_classify_json(capsys):

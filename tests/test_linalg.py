@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import Matrix, bracket, rank, reference_rref
-from goodgradings.algebras import as_fraction
+from dense_reference import Matrix, as_fraction, bracket, rank, reference_rref
 from goodgradings.linalg import rref
 
 
@@ -24,8 +23,8 @@ def test_echelon_idempotent():
 
 
 def test_floats_rejected():
-    # as_fraction takes ints and Fractions only: a float or a string
-    # raises TypeError
+    # the dense reference takes ints and Fractions only: a float or a
+    # string raises TypeError
     for x in (0.5, "1/2", "3"):
         with pytest.raises(TypeError):
             as_fraction(x)

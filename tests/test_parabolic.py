@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from dense_reference import fraction_diagonal
 from goodgradings.algebras import AlgebraSpec, Family, build_algebra, \
     graded_decomposition
 from goodgradings.parabolic import (ParabolicSpec, generic_richardson_oracle,
@@ -92,15 +93,16 @@ def test_so_even_criterion():
 
 
 def test_parabolic_grading_shapes():
+    # the elements hold 2H; a gl one modulo scalars
     H = parabolic_grading(par(A, 4, (1, 2, 1)))
-    assert H.diagonal == (Fraction(2), Fraction(0), Fraction(0), Fraction(-2))
+    assert fraction_diagonal(H) == (2, 0, 0, -2)
     H = parabolic_grading(par(C, 4, (1,), q=2))
-    assert H.diagonal == (Fraction(2), Fraction(0), Fraction(-2), Fraction(0))
+    assert H.doubled == (4, 0, -4, 0)
     # Lagrangian flag ending in a 1-jump pins the last vector to degree 0
     H = parabolic_grading(par(SO, 8, (1, 2, 1)))
-    assert H.diagonal[:4] == (Fraction(4), Fraction(2), Fraction(2), Fraction(0))
+    assert H.doubled[:4] == (8, 4, 4, 0)
     H = parabolic_grading(par(SO, 8, (2, 2)))
-    assert H.diagonal[:4] == (Fraction(3), Fraction(3), Fraction(1), Fraction(1))
+    assert H.doubled[:4] == (6, 6, 2, 2)
 
 
 def test_parabolic_gradings_are_even():

@@ -21,12 +21,13 @@ def coords(pyr):
 
 
 def test_symmetric_pyramid_examples():
+    # box centers are (doubled x, y)
     p3 = symmetric_pyramid(Partition((3,)))
-    assert [x for x, _ in p3.boxes()] == [-2, 0, 2]
+    assert [x for x, _ in p3.boxes()] == [-4, 0, 4]
     p21 = symmetric_pyramid(Partition((2, 1)))
-    assert coords(p21) == [(-1, 1), (0, 2), (1, 1)]
+    assert coords(p21) == [(-2, 1), (0, 2), (2, 1)]
     p22 = symmetric_pyramid(Partition((2, 2)))
-    assert coords(p22) == [(-1, 1), (-1, 2), (1, 1), (1, 2)]
+    assert coords(p22) == [(-2, 1), (-2, 2), (2, 1), (2, 2)]
 
 
 def test_flavor_is_the_algebra_family():
@@ -36,17 +37,17 @@ def test_flavor_is_the_algebra_family():
     assert orthogonal_pyramid(Partition((3, 1))).flavor is Family.SO
     # a string equal to a family member is not a flavor
     with pytest.raises(ValueError, match="unknown flavor"):
-        Pyramid("GL", (Row(y=1, first=-1, count=2),))
+        Pyramid("GL", (Row(y=1, first=-2, count=2),))
 
 
 def test_type_a_validation():
     with pytest.raises(ValueError):
         # bottom row not centered
-        Pyramid(Family.GL, (Row(y=1, first=Fraction(0), count=2),))
+        Pyramid(Family.GL, (Row(y=1, first=0, count=2),))
     with pytest.raises(ValueError):
         # second row sticks out
-        Pyramid(Family.GL, (Row(y=1, first=Fraction(-1), count=2),
-                            Row(y=2, first=Fraction(-3), count=2)))
+        Pyramid(Family.GL, (Row(y=1, first=-2, count=2),
+                            Row(y=2, first=-6, count=2)))
     # composition parts are ints: neither truncated nor rounded
     for u in [(1.7, 2.2), (Fraction(3, 2), 2)]:
         with pytest.raises(TypeError):
@@ -62,7 +63,7 @@ def test_enumeration_counts_to_ten():
 def test_enumeration_examples():
     assert len(enumerate_pyramids(Partition((4,)))) == 1
     pyrs = enumerate_pyramids(Partition((2, 1)))
-    assert [pyr.rows[1].first for pyr in pyrs] == [-1, 0, 1]
+    assert [pyr.rows[1].first for pyr in pyrs] == [-2, 0, 2]
 
 
 def test_symplectic_pyramid_counts():
@@ -84,19 +85,20 @@ def test_orthogonal_pyramid_counts():
 
 def test_half_shift_pyramids_have_half_coordinates():
     pyrs = symplectic_pyramids(Partition((2, 2)))
-    halves = [pyr for pyr in pyrs
-              if any(x.denominator == 2 for x, _ in pyr.boxes())]
+    # a half-integer x has an odd doubled coordinate
+    halves = [pyr for pyr in pyrs if any(x % 2 for x, _ in pyr.boxes())]
     assert len(halves) == 1
-    assert sorted(x for x, _ in halves[0].boxes()) == \
-        [Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)]
+    assert sorted(x for x, _ in halves[0].boxes()) == [-3, -1, 1, 3]
 
 
 def test_box_coordinates_are_exact_ints_or_halves():
-    # an integral coordinate is an int, never an integral Fraction, so
-    # integer pyramids are hashed, sorted and added as ints
+    # every coordinate is doubled, an int, so pyramids are hashed,
+    # sorted and added as ints; a row steps by 4 (by 2 undoubled), and
+    # its coordinates share one parity
     def exact(pyr):
-        return all(type(x) is int or (type(x) is Fraction and x.denominator == 2)
-                   for x, _ in pyr.boxes())
+        return all(type(x) is int for x, _ in pyr.boxes()) and all(
+            {b - a for a, b in zip(r.coords(), r.coords()[1:])} <= {4}
+            for r in pyr.rows)
 
     specs = [(AlgebraSpec(Family.GL, n), partitions) for n in range(1, 10)] \
         + [(AlgebraSpec(Family.SP, N), symplectic_partitions)
@@ -109,17 +111,18 @@ def test_box_coordinates_are_exact_ints_or_halves():
                 (spec, p)
     for n in range(1, 9):
         assert all(exact(unimodal_to_pyramid(u)) for u in unimodal_compositions(n))
-    first = Row(y=1, first=Fraction(4, 2), count=1).first
-    assert type(first) is int and first == 2
-    with pytest.raises(TypeError):
-        Row(y=1, first=0.5, count=1)
+    assert Row(y=1, first=-3, count=3).coords() == (-3, 1, 5)
+    # a Fraction is refused, integral or not, as rref refuses it
+    for bad in (Fraction(4, 2), Fraction(1, 2), 0.5, 2.0):
+        with pytest.raises(TypeError):
+            Row(y=1, first=bad, count=1)
 
 
 def test_joint_row_structure():
     pyr = orthogonal_pyramid(Partition((5, 3)))
     joint = [r for r in pyr.rows if r.role == "joint" and r.y > 0]
     assert len(joint) == 1
-    assert joint[0].coords() == (Fraction(-2), Fraction(0), Fraction(2), Fraction(4))
+    assert joint[0].coords() == (-4, 0, 4, 8)
 
 
 def test_middle_box_routing_rows():
@@ -127,7 +130,7 @@ def test_middle_box_routing_rows():
     roles = {r.role for r in pyr.rows}
     assert "center" in roles and "v0half" in roles
     half = next(r for r in pyr.rows if r.role == "v0half" and r.y > 0)
-    assert half.coords() == (Fraction(2),)
+    assert half.coords() == (4,)
 
 
 def test_central_symmetry_everywhere():

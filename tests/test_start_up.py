@@ -10,6 +10,7 @@ the package itself imports.  The benchmark's set-up probe uses -S for
 the same reason.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -18,10 +19,30 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# modules no runtime path needs: `typing` (annotations are strings) and
-# what `importlib.resources` brings along to read one small JSON file
+# modules no runtime path needs: `typing` (annotations are strings),
+# what `importlib.resources` brings along to read one small JSON file,
+# and `fractions` with the `decimal` it imports (grading elements and
+# pyramid coordinates are doubled ints; `cli` prints them as fractions
+# by integer arithmetic)
 UNUSED = ("typing", "importlib.resources", "importlib.readers", "tempfile",
-          "shutil", "zipfile")
+          "shutil", "zipfile", "fractions", "decimal")
+
+
+def test_no_library_module_imports_fractions():
+    # the import can hide inside a function, where the cold-start probe
+    # would not see it until the function runs
+    found = []
+    for path in sorted((SRC / "goodgradings").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "fractions" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"fractions imported at {found}"
 
 
 def _python(path, *args):
