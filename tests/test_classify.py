@@ -38,14 +38,14 @@ def grid_sweep(fam):
     """The good gradings h(p) + z(t) for t on the grid, as `sweep_oracle`
     returns them: deduplicated by sign for sp/so, sorted by coordinates."""
     spec, p, blocks = fam.spec, fam.partition, fam.blocks
-    base, cparts = fam.torus.base, fam.torus.parts
+    write, cparts = grading_writer(fam.torus.base), fam.torus.parts
     found = {}
     for t in itertools.product(grid_axis(p), repeat=len(cparts)):
-        H = grading_writer(base)(dict(zip(cparts, t)))
+        H = write(dict(zip(cparts, t)))
         if not H.is_integral() or not is_good(H, blocks).verified:
             continue
         ct = t if spec.family is Family.GL else tuple(abs(x) for x in t)
-        found.setdefault(ct, grading_writer(base)(dict(zip(cparts, ct))))
+        found.setdefault(ct, write(dict(zip(cparts, ct))))
     return [found[ct] for ct in sorted(found)]
 
 
@@ -355,10 +355,10 @@ def test_is_integral_matches_decomposition_on_sweep_candidates():
         spec = AlgebraSpec(family, p.n)
         g = build_algebra(spec)
         torus = center_torus(spec, p)
-        base, cparts = torus.base, torus.parts
+        write, cparts = grading_writer(torus.base), torus.parts
         verdicts = set()
         for t in itertools.product(grid_axis(p), repeat=len(cparts)):
-            H = grading_writer(base)(dict(zip(cparts, t)))
+            H = write(dict(zip(cparts, t)))
             diag = fraction_diagonal(H)
             reference = [diag[g.position[i]] - diag[g.position[j]]
                          for i, j in g.labels]

@@ -5,8 +5,8 @@ A function counts as used when its name is read, as a plain name or as
 an attribute, anywhere in the library, the tests or the benchmark; a
 method counts only when read as an attribute, and a classmethod only
 when read off its class by name (`Matrix.zeros`), so that an instance
-attribute of the same name (`H.diagonal`) does not vouch for a
-classmethod `Matrix.diagonal`.  Definitions, assignment
+attribute of the same name (`H.doubled`) does not vouch for a
+classmethod `Matrix.doubled`.  Definitions, assignment
 targets and imports do not count: a local variable that shares a
 method's name does not vouch for it, and a name that is only
 re-exported is still dead.  A class counts as used when its name is
