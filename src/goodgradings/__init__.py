@@ -10,8 +10,8 @@ tests, and the static exceptional tables.
 
 from .algebras import (AlgebraBasis, AlgebraSpec, Family, GradingElement,
                        build_algebra, graded_decomposition)
-from .classify import (GoodGradingFamily, GradingEntry, even_good_grading_gl,
-                       good_gradings, sweep_oracle)
+from .classify import (GoodGradingFamily, GradingEntry, good_gradings,
+                       sweep_oracle)
 from .exceptional import ExceptionalEntry, exceptional_lookup, orbit_labels
 from .gradings import (Characteristic, GoodPair, VerificationError,
                        characteristic_from_pyramid, characteristic_of,
@@ -21,9 +21,8 @@ from .gradings import (Characteristic, GoodPair, VerificationError,
 from .parabolic import (ParabolicSpec, generic_richardson_oracle,
                         grading_is_good_generic, parabolic_grading,
                         richardson_is_good)
-from .partitions import (Partition, centralizer_dim, orbit_dimension,
-                         orthogonal_partitions, partitions,
-                         symplectic_partitions)
+from .partitions import (Partition, centralizer_dim, orthogonal_partitions,
+                         partitions, symplectic_partitions)
 from .pyramids import (Pyramid, Row, enumerate_pyramids, is_unimodal,
                        orthogonal_pyramid, orthogonal_pyramids,
                        pyramid_to_unimodal, render_pyramid, symmetric_pyramid,

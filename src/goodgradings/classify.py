@@ -172,28 +172,6 @@ def good_gradings(spec: AlgebraSpec, p: Partition) -> GoodGradingFamily:
     return GoodGradingFamily(spec, p, tuple(entries), blocks, torus)
 
 
-# -- even gradings ------------------------------------------------------------
-
-
-def even_good_grading_gl(p: Partition) -> GradingElement:
-    """An even good grading for any nilpotent of gl_n.
-
-    Slide rows one step at every parity break between consecutive
-    parts, so all box coordinates share one parity.
-    """
-    _reject_zero(p)
-    base = symmetric_pyramid(p)
-    values = [v for v, _ in p.distinct()]
-    breaks = (2 * ((v - w) % 2) for v, w in zip(values, values[1:]))
-    shifts = dict(zip(values[1:], itertools.accumulate(breaks)))
-    H = grading_writer(base)(shifts)
-    g = build_algebra(base.spec)
-    pair = is_good(H, ad_blocks(g, nilpotent_of_pyramid(g, base)))
-    if not pair.verified or any(d % 2 for d in set(pair.degrees)):
-        raise VerificationError("parity-break shifts failed to give an even good grading")
-    return H
-
-
 # -- the sweep oracle ----------------------------------------------------------
 
 

@@ -315,8 +315,8 @@ def _cmd_render(args):
 
 def build_parser() -> argparse.ArgumentParser:
     """Each subcommand sets `func`, which returns the report's results
-    and text lines (verify also its exit code), and `inputs`, the
-    arguments the report echoes."""
+    and text lines (verify also its exit code).  Every other argument
+    but `--format` is an input the report echoes."""
     parser = argparse.ArgumentParser(
         prog="goodgradings",
         description="Good Z-gradings of classical Lie algebras: "
@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--partition", required=True,
                         help="comma-separated parts, e.g. 2,2")
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.set_defaults(func=func, inputs=("family", "partition"))
+        sp.set_defaults(func=func)
         return sp
 
     orbit_command("classify", _cmd_classify, "enumerate all good gradings")
@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("series", help="pyramid and unimodal counting series")
     sp.add_argument("--order", type=int, required=True)
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.set_defaults(func=_cmd_series, inputs=("order",))
+    sp.set_defaults(func=_cmd_series)
 
     sp = sub.add_parser("richardson",
                         help="closed-form Richardson goodness test")
@@ -350,8 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated flag jumps, order matters")
     sp.add_argument("--q", type=int, default=0, help="middle flag jump")
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.set_defaults(func=_cmd_richardson,
-                    inputs=("family", "composition", "q"))
+    sp.set_defaults(func=_cmd_richardson)
 
     sp = sub.add_parser("exceptional", help="query the exceptional tables")
     sp.add_argument("--algebra", required=True, help="G2, F4, E6, E7, E8")
@@ -359,11 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--expand-symmetry", action="store_true",
                     help="include diagram-symmetry mirrors (E6)")
     sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.set_defaults(func=_cmd_exceptional, inputs=("algebra", "orbit"))
+    sp.set_defaults(func=_cmd_exceptional)
 
     sp = orbit_command("render", _cmd_render, "ASCII picture of one pyramid")
     sp.add_argument("--index", type=int, default=0)
-    sp.set_defaults(inputs=("family", "partition", "index"))
 
     return parser
 
@@ -383,7 +381,8 @@ def main(argv=None) -> int:
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": args.subcommand,
-        "input": {key: getattr(args, key) for key in args.inputs},
+        "input": {key: value for key, value in vars(args).items()
+                  if key not in ("subcommand", "func", "format")},
         "results": results,
         "timing_ms": int((time.monotonic() - started) * 1000),
     }

@@ -64,8 +64,7 @@ def fill_boxes(pyr: Pyramid) -> dict[Box, int]:
     the middle box gets 0, and mirror boxes get the negated index.
     """
     if pyr.flavor is Family.GL:
-        boxes = [(x, r.y) for r in pyr.rows for x in r.coords()]
-        return {box: k + 1 for k, box in enumerate(boxes)}
+        return {box: k + 1 for k, box in enumerate(pyr.boxes())}
     labels: dict[Box, int] = {}
     positives = [b for b in pyr.boxes() if b[0] > 0 or (b[0] == 0 and b[1] > 0)]
     positives.sort(key=lambda b: (-b[1], b[0]))

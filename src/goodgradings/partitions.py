@@ -77,11 +77,6 @@ class Partition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-def orbit_dimension(p: Partition) -> int:
-    """Dimension of the nilpotent orbit of Jordan type p in gl_n."""
-    return p.n * p.n - centralizer_dim(Family.GL, p)
-
-
 def centralizer_dim(family: Family, p: Partition) -> int:
     """dim of the centralizer of e(p) in the family's algebra: the sum s
     of the squared dual parts for gl, and (s + odd) / 2 for sp and

@@ -9,8 +9,7 @@ from goodgradings.algebras import AlgebraSpec, Family, GradingElement, \
     build_algebra, graded_decomposition
 from goodgradings.classify import (_centralizer_weights, _entry,
                                    _lattice_points, center_torus,
-                                   even_good_grading_gl, good_gradings,
-                                   sweep_oracle)
+                                   good_gradings, sweep_oracle)
 from goodgradings.gradings import (AdBlocks, VerificationError, ad_blocks,
                                    characteristic_of, grading_writer,
                                    is_good, nilpotent_of_pyramid)
@@ -131,22 +130,25 @@ def test_family_mismatch_rejected():
         good_gradings(AlgebraSpec(Family.SP, 6), Partition((2, 2)))
 
 
-def test_even_good_grading_gl():
-    for parts in [(3, 1), (2, 1), (3, 2, 2, 1), (4, 3, 1)]:
-        p = Partition(parts)
-        H = even_good_grading_gl(p)
-        spec = AlgebraSpec(Family.GL, p.n)
-        g = build_algebra(spec)
-        e = nilpotent_of_pyramid(g, symmetric_pyramid(p))
-        assert all(d % 2 == 0 for d in graded_decomposition(g, H))
-        assert is_good(H, ad_blocks(g, e)).verified
-
-
-def test_even_good_grading_gl_even_nilpotent_is_dynkin():
-    p = Partition((3, 1))
-    H = even_good_grading_gl(p)
-    fam = good_gradings(AlgebraSpec(Family.GL, p.n), p)
-    assert H == dynkin_entry(fam).H
+def test_every_gl_orbit_has_an_even_good_grading():
+    # the even entry is good (every entry is checked on the spot) and has
+    # only even degrees; the Dynkin grading is the even one exactly when
+    # all parts share one parity
+    orbits = 0
+    for n in range(2, 10):
+        for p in partitions(n):
+            if p.is_zero_orbit():
+                continue
+            fam = good_gradings(AlgebraSpec(Family.GL, n), p)
+            even = [ent for ent in fam.entries if ent.is_even]
+            assert even, p
+            for ent in even:
+                assert all(d % 2 == 0
+                           for d in graded_decomposition(fam.blocks.g, ent.H))
+            one_parity = len({q % 2 for q in p.parts}) == 1
+            assert dynkin_entry(fam).is_even == one_parity, p
+            orbits += 1
+    assert orbits == 87
 
 
 def test_even_counts_sp():

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import shlex
@@ -376,6 +377,34 @@ def test_exceptional_subcommand(capsys):
     code, _, err = run_cli(capsys, "exceptional", "--algebra", "E6",
                            "--orbit", "nope")
     assert code == 2
+
+
+# every option of every subcommand but --format
+EVERY_OPTION = {
+    "classify": ["--family", "C", "--partition", "2,2"],
+    "verify": ["--family", "C", "--partition", "2,2"],
+    "pyramids": ["--family", "C", "--partition", "2,2"],
+    "render": ["--family", "C", "--partition", "2,2", "--index", "2"],
+    "series": ["--order", "5"],
+    "richardson": ["--family", "B", "--composition", "1,1", "--q", "1"],
+    "exceptional": ["--algebra", "E6", "--orbit", "A4", "--expand-symmetry"],
+}
+
+
+def test_reports_echo_every_option_but_format(capsys):
+    [sub] = [a for a in cli.build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    assert set(EVERY_OPTION) == set(sub.choices)
+    for command, argv in EVERY_OPTION.items():
+        given = {a for a in argv if a.startswith("--")}
+        accepted = {o for a in sub.choices[command]._actions
+                    for o in a.option_strings} - {"-h", "--help", "--format"}
+        assert given == accepted, command
+        code, out, _ = run_cli(capsys, command, *argv, "--format", "json")
+        assert code == 0, command
+        echoed = json.loads(out)["input"]
+        assert set(echoed) == {o[2:].replace("-", "_") for o in given}, command
+    assert echoed["expand_symmetry"] is True
 
 
 def test_render_subcommand(capsys):

@@ -40,11 +40,6 @@ RUNTIME = tuple(path for top in (ROOT / "src", ROOT / "perfbench")
                 if not path.name.startswith("test_"))
 # public names that no runtime path reaches, kept for what needs them
 PAPER_CONTENT = {
-    "classify.py:even_good_grading_gl":
-        "paper content: an even good grading for every gl orbit "
-        "(test_classify)",
-    "partitions.py:orbit_dimension":
-        "ROADMAP item 3: candidate orbits of the exact Richardson oracle",
     "partitions.py:partitions":
         "lists the gl orbits for criteria 1, 4 and 9 and the equivalence "
         "fixture",

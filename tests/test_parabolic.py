@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -5,9 +6,14 @@ import pytest
 from dense_reference import fraction_diagonal
 from goodgradings.algebras import AlgebraSpec, Family, build_algebra, \
     graded_decomposition
+from goodgradings.classify import good_gradings
+from goodgradings.gradings import characteristic_of
 from goodgradings.parabolic import (ParabolicSpec, generic_richardson_oracle,
                                     grading_is_good_generic, parabolic_grading,
                                     richardson_is_good)
+from goodgradings.partitions import (centralizer_dim, orthogonal_partitions,
+                                     partitions, symplectic_partitions)
+from goodgradings.pyramids import compositions
 
 A = Family.GL
 C = Family.SP
@@ -139,3 +145,48 @@ def test_grading_is_good_generic_rejects_empty():
     from goodgradings.algebras import GradingElement
     with pytest.raises(ValueError):
         grading_is_good_generic(g, GradingElement(spec, (0, 0)))
+
+
+# -- an exact decider for the closed form ---------------------------------------
+
+
+@functools.cache
+def good_characteristics(spec):
+    """{dim g^e: the fork-normalized characteristics of the good
+    gradings of e}, over the nonzero orbits of the algebra."""
+    walk = {A: partitions, C: symplectic_partitions,
+            SO: orthogonal_partitions}[spec.family]
+    found = {}
+    for p in walk(spec.size):
+        if not p.is_zero_orbit():
+            found.setdefault(centralizer_dim(spec.family, p), set()).update(
+                ent.characteristic.normalized()
+                for ent in good_gradings(spec, p).entries)
+    return found
+
+
+def exact_richardson_is_good(p):
+    """The parabolic's even grading H is good iff it is, up to
+    conjugacy, a good grading of an orbit with dim g^e = dim g_0.  A good
+    element of an even grading has dim g^e = dim g_0, so its G_0-orbit is
+    open in g_2: it is the Richardson element."""
+    H = parabolic_grading(p)
+    dim_g0 = graded_decomposition(build_algebra(p.spec), H).count(0)
+    return characteristic_of(H).normalized() \
+        in good_characteristics(p.spec).get(dim_g0, ())
+
+
+def test_closed_form_equals_the_exact_decider():
+    # the 512 parabolic classes of the equivalence fixture: A n <= 8 and
+    # B/C/D N <= 12
+    classes = [par(A, n, c) for n in range(2, 9) for c in compositions(n)
+               if len(c) >= 2]
+    for fam, sizes in ((C, range(2, 13, 2)), (SO, range(3, 13))):
+        for N in sizes:
+            for q in range(N % 2, N, 2):
+                if not (fam is SO and N % 2 == 0 and q == 2):
+                    classes += [par(fam, N, c, q)
+                                for c in compositions((N - q) // 2)]
+    assert len(classes) == 512
+    for p in classes:
+        assert richardson_is_good(p) == exact_richardson_is_good(p), p

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from goodgradings.algebras import Family
 from goodgradings.partitions import (Partition, centralizer_dim,
-                                     orbit_dimension, orthogonal_partitions,
-                                     partitions, symplectic_partitions)
+                                     orthogonal_partitions, partitions,
+                                     symplectic_partitions)
 
 
 def test_validation():
@@ -50,13 +50,6 @@ def test_multiplicity_weight_identity():
     for n in range(1, 13):
         for p in partitions(n):
             assert sum(j * m for j, m in p.distinct()) == n
-
-
-def test_orbit_dimension():
-    assert orbit_dimension(Partition((1, 1, 1, 1))) == 0
-    for n in range(2, 7):
-        assert orbit_dimension(Partition((n,))) == n * n - n
-    assert orbit_dimension(Partition((2, 1))) == 4
 
 
 def test_symplectic_orthogonal_membership():
