@@ -130,25 +130,32 @@ def test_family_mismatch_rejected():
         good_gradings(AlgebraSpec(Family.SP, 6), Partition((2, 2)))
 
 
-def test_every_gl_orbit_has_an_even_good_grading():
-    # the even entry is good (every entry is checked on the spot) and has
-    # only even degrees; the Dynkin grading is the even one exactly when
-    # all parts share one parity
-    orbits = 0
-    for n in range(2, 10):
+def _nonzero_gl_families(max_n=9):
+    for n in range(2, max_n + 1):
         for p in partitions(n):
-            if p.is_zero_orbit():
-                continue
-            fam = good_gradings(AlgebraSpec(Family.GL, n), p)
-            even = [ent for ent in fam.entries if ent.is_even]
-            assert even, p
-            for ent in even:
-                assert all(d % 2 == 0
-                           for d in graded_decomposition(fam.blocks.g, ent.H))
-            one_parity = len({q % 2 for q in p.parts}) == 1
-            assert dynkin_entry(fam).is_even == one_parity, p
-            orbits += 1
+            if not p.is_zero_orbit():
+                yield p, good_gradings(AlgebraSpec(Family.GL, n), p)
+
+
+def test_even_good_grading_gl():
+    # every nonzero gl orbit has an even good grading among its entries
+    # (every entry is checked good on the spot), with only even degrees
+    orbits = 0
+    for p, fam in _nonzero_gl_families():
+        even = [ent for ent in fam.entries if ent.is_even]
+        assert even, p
+        for ent in even:
+            assert all(d % 2 == 0
+                       for d in graded_decomposition(fam.blocks.g, ent.H))
+        orbits += 1
     assert orbits == 87
+
+
+def test_even_good_grading_gl_even_nilpotent_is_dynkin():
+    # the Dynkin grading is even exactly when all parts share one parity
+    for p, fam in _nonzero_gl_families():
+        one_parity = len({q % 2 for q in p.parts}) == 1
+        assert dynkin_entry(fam).is_even == one_parity, p
 
 
 def test_even_counts_sp():
