@@ -154,24 +154,15 @@ class AlgebraBasis:
     # -- membership and coordinates -------------------------------------
 
     def contains(self, x: Sparse) -> bool:
-        """Form-compatibility of an element: its keys are positions of an
-        n x n matrix, and for sp/so each entry has its mirror entry."""
+        """Membership: the keys of x are positions of an n x n matrix, and
+        x is the combination of basis elements its owned entries give.
+        Basis elements have disjoint supports, so nothing is summed."""
         n = self.n
         if any(not (0 <= a < n and 0 <= b < n) for a, b in x):
             return False
-        fam = self.spec.family
-        if fam is Family.GL:
-            return True
-        pos, idx = self.position, self.indices
-        skew = fam is Family.SP
-        for (a, b), v in x.items():
-            if not v:
-                continue  # a nonzero mirror entry fails its own check
-            i, j = idx[a], idx[b]
-            sign = _eps(i) * _eps(j) if skew else 1
-            if x.get((pos[-j], pos[-i]), 0) != -sign * v:
-                return False
-        return True
+        spanned = {key: c * v for k, c in self.sparse_coordinates(x).items()
+                   for key, v in self.elements[k].items()}
+        return spanned == {key: v for key, v in x.items() if v}
 
     def sparse_coordinates(self, x: Sparse) -> dict[int, int]:
         """Nonzero coordinates {basis index: value} of a member.

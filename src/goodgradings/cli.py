@@ -329,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="A, B, C, D, or GL")
         sp.add_argument("--partition", required=True,
                         help="comma-separated parts, e.g. 2,2")
-        sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.set_defaults(func=func)
         return sp
 
@@ -340,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("series", help="pyramid and unimodal counting series")
     sp.add_argument("--order", type=int, required=True)
-    sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(func=_cmd_series)
 
     sp = sub.add_parser("richardson",
@@ -349,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--composition", required=True,
                     help="comma-separated flag jumps, order matters")
     sp.add_argument("--q", type=int, default=0, help="middle flag jump")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(func=_cmd_richardson)
 
     sp = sub.add_parser("exceptional", help="query the exceptional tables")
@@ -357,12 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--orbit", required=True)
     sp.add_argument("--expand-symmetry", action="store_true",
                     help="include diagram-symmetry mirrors (E6)")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(func=_cmd_exceptional)
 
     sp = orbit_command("render", _cmd_render, "ASCII picture of one pyramid")
     sp.add_argument("--index", type=int, default=0)
 
+    for sp in sub.choices.values():
+        sp.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 

@@ -28,11 +28,9 @@ The tests compare the block ranks with the dense rows of ad e from
 `algebras.ad_coordinate_matrix`, ranked by the dense `Matrix` reference
 in ``tests/dense_reference.py``; no runtime path builds either.
 
-Signs in the nilpotent: the prose picture "send each box to its right
-neighbor" needs coefficients +-1 to land inside sp/so.  Arrows come in
-mirror pairs a: s->d versus a': -d->-s, and membership forces
-gamma(a') = -eps(s)eps(d) gamma(a) for sp (eps = sign of the index) and
-gamma(a') = -gamma(a) for so.  One representative per pair gets +1.
+The nilpotent is the sum of the basis elements of g that own its
+arrows' places, so `algebras.AlgebraBasis` alone knows how the sp/so
+form pairs an entry with its mirror entry.
 """
 
 from __future__ import annotations
@@ -146,39 +144,24 @@ def jordan_type(e: Sparse, n: int) -> Partition:
 def nilpotent_of_pyramid(g: AlgebraBasis, pyr: Pyramid) -> Sparse:
     """The nilpotent of g along the rows of the pyramid, with int entries.
 
-    Verified on construction: lies in g, and its Jordan type matches the
-    partition the pyramid encodes.  Raises ValueError unless the pyramid
+    e is the sum of the basis elements of g that own an arrow's place.
+    Verified on construction: their entries fill exactly the arrows'
+    places, e lies in g, and its Jordan type matches the partition the
+    pyramid encodes.  Raises ValueError unless the pyramid
     encodes a nilpotent of g (`Pyramid.spec`).
     """
     if pyr.spec != g.spec:
         raise ValueError("the pyramid's family or size does not match g")
     labels = fill_boxes(pyr)
     pos = g.position
-    arrows = _arrows(pyr)
-    arrow_set = set(arrows)
-    entries: Sparse = {}
-    fam = g.spec.family
-
-    def put(src: Box, dst: Box, coeff: int):
-        key = (pos[labels[dst]], pos[labels[src]])
-        entries[key] = entries.get(key, 0) + coeff
-
-    if fam is Family.GL:
-        for src, dst in arrows:
-            put(src, dst, 1)
-    elif fam is Family.SP:
-        for src, dst in arrows:
-            ls, ld = labels[src], labels[dst]
-            put(src, dst, -1 if ls < 0 and ld < 0 else 1)
-    else:
-        for src, dst in arrows:
-            mirror = ((-dst[0], -dst[1]), (-src[0], -src[1]))
-            if mirror == (src, dst):
-                raise VerificationError("self-mirrored arrow cannot lie in so")
-            if mirror not in arrow_set:
-                raise VerificationError("arrow set is not mirror-closed")
-            put(src, dst, 1 if (src, dst) > mirror else -1)
-    e = {key: v for key, v in entries.items() if v}
+    places = {(pos[labels[dst]], pos[labels[src]]) for src, dst in _arrows(pyr)}
+    e: Sparse = {}
+    for key in places:
+        if key in g.entry_index:
+            e.update(g.elements[g.entry_index[key]])
+    if set(e) != places:
+        raise VerificationError("the arrows are not the support of a sum "
+                                "of basis elements")
     if not g.contains(e):
         raise VerificationError("constructed nilpotent fails form compatibility")
     if jordan_type(e, g.n) != _expected_jordan_type(pyr):

@@ -191,11 +191,7 @@ def richardson_is_good(par: ParabolicSpec) -> bool:
             return False
         return True
     # so: odd size has q odd, even size q even != 2
-    if par.spec.size % 2 == 1:
-        if _weakly_increasing(c) and c[-1] <= q:
-            return True
-        return _plus_one_pattern(c, q)
-    if q > 0:
+    if par.spec.size % 2 == 1 or q > 0:
         if _weakly_increasing(c) and c[-1] <= q:
             return True
         return _plus_one_pattern(c, q)

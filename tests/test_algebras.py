@@ -76,6 +76,18 @@ def test_contains_matches_coordinate_roundtrip():
                  AlgebraSpec(Family.SO, 6), AlgebraSpec(Family.GL, 3)]:
         g = build_algebra(spec)
         n = spec.size
+        # fixed cases: the entry at (v_1, v_{-1}) is its own mirror, so it
+        # lies in sp but not in so; a two-entry basis element with its
+        # mirror entry negated, or either half alone, lies in neither
+        if spec.family is not Family.GL:
+            corner = (g.position[1], g.position[-1])
+            assert g.contains({corner: 1}) == (spec.family is Family.SP)
+        for elem in g.elements:
+            if len(elem) == 2:
+                (k1, v1), (k2, v2) = elem.items()
+                assert not g.contains({k1: v1, k2: -v2})
+                assert not g.contains({k1: v1})
+                assert not g.contains({k2: v2})
         seen = set()
         for _ in range(300):
             m = g.from_coordinates([rng.choice((0, 0, 1, -2))

@@ -9,18 +9,18 @@ from dense_reference import (Matrix, bracket, dense, fraction_diagonal, rank,
 from goodgradings.algebras import (AlgebraSpec, Family, GradingElement,
                                    build_algebra, graded_decomposition)
 from goodgradings.classify import center_torus, good_gradings
-from goodgradings.gradings import (_expected_jordan_type, ad_blocks,
-                                   characteristic_from_pyramid,
+from goodgradings.gradings import (VerificationError, _expected_jordan_type,
+                                   ad_blocks, characteristic_from_pyramid,
                                    characteristic_of, check_duality_form,
                                    check_torus_weights, fill_boxes,
                                    grading_writer, is_good, jordan_type,
                                    nilpotent_of_pyramid)
 from goodgradings.partitions import (Partition, orthogonal_partitions,
                                      partitions, symplectic_partitions)
-from goodgradings.pyramids import (_shift_parts, enumerate_pyramids,
-                                   orthogonal_pyramid, orthogonal_pyramids,
-                                   symmetric_pyramid, symplectic_pyramid,
-                                   symplectic_pyramids)
+from goodgradings.pyramids import (Pyramid, Row, _shift_parts,
+                                   enumerate_pyramids, orthogonal_pyramid,
+                                   orthogonal_pyramids, symmetric_pyramid,
+                                   symplectic_pyramid, symplectic_pyramids)
 
 GL = Family.GL
 SP = Family.SP
@@ -43,6 +43,13 @@ NILPOTENT_CASES = [
     (SO, 8, (5, 3)), (SO, 8, (3, 3, 1, 1)), (SO, 9, (5, 3, 1)),
     (SO, 13, (5, 5, 3)), (SO, 7, (5, 1, 1)),
 ]
+# then every other nonzero B/C/D orbit with N <= 12, appended so that the
+# ids of the cases above stay put
+NILPOTENT_CASES += [
+    case for case in
+    [(SP, N, p.parts) for N in range(2, 13, 2) for p in symplectic_partitions(N)]
+    + [(SO, N, p.parts) for N in range(3, 13) for p in orthogonal_partitions(N)]
+    if case[2][0] > 1 and case not in NILPOTENT_CASES]
 
 
 @pytest.mark.parametrize("fam,n,parts", NILPOTENT_CASES)
@@ -135,6 +142,14 @@ def test_single_block_nilpotent():
                                    symmetric_pyramid(Partition((2,)))), 2)
     assert (e @ e).is_zero()
     assert rank(e) == 1
+
+
+def test_self_mirrored_so_arrow_is_refused():
+    # the centered even row of this so_4 pyramid has one arrow, and it is
+    # its own mirror: no element of so_4 has an entry there
+    pyr = Pyramid(SO, (Row(0, -2, 2), Row(1, 0, 1), Row(-1, 0, 1)))
+    with pytest.raises(VerificationError):
+        nilpotent_of_pyramid(build_algebra(pyr.spec), pyr)
 
 
 def test_grading_examples():
