@@ -211,12 +211,17 @@ def _centralizer_weights(fam: GoodGradingFamily, write):
     is a.s + b, s = 2t, for forms[k] = (a, b), read off the degrees of
     H(0) and of H at the unit vectors (s = 2), as `write` writes them;
     weights counts the forms of a basis of g^e, checked against the
-    closed form for dim g^e."""
+    closed form for dim g^e.  Checks once that e has degree 2 under every
+    H(t), as `graded_ad_ranks` needs: each basis element in e's support
+    has the form ((0, ..., 0), 4)."""
     g = fam.blocks.g
     of_0, *of_steps = (graded_decomposition(g, write(shifts))
                        for shifts in [{}] + [{v: 2} for v in fam.torus.parts])
     forms = [(tuple(of_i[k] - d for of_i in of_steps), 2 * d)
              for k, d in enumerate(of_0)]
+    degree_2 = ((0,) * len(of_steps), 4)
+    if any(forms[k] != degree_2 for k in g.sparse_coordinates(fam.blocks.e)):
+        raise VerificationError("e does not have degree 2 on the whole torus")
     weights = Counter(forms) - graded_ad_ranks(fam.blocks, forms)
     if sum(weights.values()) != centralizer_dim(fam.spec.family, fam.partition):
         raise VerificationError("centralizer weights disagree with dim g^e")

@@ -10,19 +10,18 @@ eigenvalues decreasing by 2, centered at zero.  The Richardson element
 of the parabolic is good for that grading exactly when the composition
 matches a family-specific closed-form pattern; the generic-element
 oracle checks the same statement from first principles by sampling
-degree-2 elements and comparing centralizer dimension with dim g_0.
+degree-2 elements and asking `gradings.is_good` of each.
 """
 
 from __future__ import annotations
 
 import operator
 import random
-from collections import Counter
 from dataclasses import dataclass
 
 from .algebras import (AlgebraBasis, AlgebraSpec, Family, GradingElement,
                        build_algebra, graded_decomposition)
-from .gradings import ad_blocks, graded_ad_ranks
+from .gradings import ad_blocks, is_good
 from .pyramids import is_unimodal
 
 SAMPLES, SEED = 16, 0  # elements of g_2 the generic oracle draws, and its seed
@@ -206,31 +205,23 @@ def richardson_is_good(par: ParabolicSpec) -> bool:
 
 
 def grading_is_good_generic(g: AlgebraBasis, H: GradingElement) -> bool:
-    """Sample random integral elements of g_2 and test the centralizer
-    dimension identity dim g^e = dim g_0 + dim g_{-1}.
+    """Sample random integral elements of g_2 and ask `is_good` of each.
 
-    The dimension is always >= the right side, with equality exactly on
-    the (dense) good locus, so one sample that reaches it certifies True;
-    False means no sample did.  A sample lies in g_2 by construction, so
-    H grades its ad e blocks; `graded_ad_ranks` checks that they are
-    homogeneous.
+    dim g^e >= dim g_0 + dim g_{-1} for every e in g_2, with equality
+    exactly on the (dense) good locus, so one good sample certifies
+    True; False means no sample was good.  A sample lies in g_2 by
+    construction, and `is_good` checks that again, entrywise.
     """
-    degrees = graded_decomposition(g, H)
-    idxs = [k for k, d in enumerate(degrees) if d == 2]
+    idxs = [k for k, d in enumerate(graded_decomposition(g, H)) if d == 2]
     if not idxs:
         raise ValueError("the degree-2 piece is zero")
-    sizes = Counter(degrees)
-    target = sizes[0] + sizes[-1]
     rng = random.Random(SEED)
     for _ in range(SAMPLES):
         coords = [0] * g.dim
         for k in idxs:
             coords[k] = rng.randint(-3, 3)
         e = g.from_coordinates(coords)
-        if not e:
-            continue
-        ranks = graded_ad_ranks(ad_blocks(g, e), degrees)
-        if g.dim - sum(ranks.values()) == target:
+        if e and is_good(H, ad_blocks(g, e)).verified:
             return True
     return False
 

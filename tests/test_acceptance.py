@@ -5,10 +5,12 @@ The zero orbit (all parts 1) is skipped throughout: the zero matrix is
 never a good element, and the library rejects it by contract.
 """
 
+import json
 import random
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 from dense_reference import grading_element
 from goodgradings.algebras import (AlgebraSpec, Family, GradingElement,
@@ -31,6 +33,10 @@ from goodgradings.series import (pyramid_count_formula, pyramid_count_series,
                                  pyramid_counts_by_partition,
                                  pyramid_series_identity_check,
                                  unimodal_count_series)
+
+# the benchmark's reference answers, one per parabolic class for criterion 7
+REFERENCE = (Path(__file__).resolve().parent.parent / "perfbench"
+             / "reference.json")
 
 
 def report(number, budget, started, detail):
@@ -152,41 +158,40 @@ def test_criterion_06_types_b_d():
            f"enumeration equals the sweep, half-integer family included")
 
 
+def _parabolic_classes():
+    """(reference key, class) for every parabolic class of A n <= 8 and
+    B/C/D N <= 12, the range of the equivalence fixture and of the
+    benchmark's reference answers."""
+    for n in range(2, 9):
+        for c in compositions(n):
+            if len(c) >= 2:  # one block is the whole algebra: g_2 = 0
+                yield f"A {n} {','.join(map(str, c))} 0", \
+                    ParabolicSpec(AlgebraSpec(Family.GL, n), c)
+    for family, sizes in ((Family.SP, range(2, 13, 2)),
+                          (Family.SO, range(3, 13))):
+        for N in sizes:
+            letter = "C" if family is Family.SP else "BD"[N % 2 == 0]
+            for q in range(N % 2, N, 2):
+                if family is Family.SO and N % 2 == 0 and q == 2:
+                    continue
+                for c in compositions((N - q) // 2):
+                    yield f"{letter} {N} {','.join(map(str, c))} {q}", \
+                        ParabolicSpec(AlgebraSpec(family, N), c, q)
+
+
 def test_criterion_07_richardson_agreement():
     started = time.monotonic()
-    checked = 0
-    for n in range(2, 7):
-        for c in compositions(n):
-            if len(c) < 2:
-                continue  # the whole algebra: no degree-2 piece to sample
-            par = ParabolicSpec(AlgebraSpec(Family.GL, n), c)
-            assert richardson_is_good(par) == generic_richardson_oracle(par), par
-            checked += 1
-    for N in range(2, 9, 2):
-        for q in range(0, N, 2):
-            m = (N - q) // 2
-            if m == 0:
-                continue
-            for c in compositions(m):
-                par = ParabolicSpec(AlgebraSpec(Family.SP, N), c, q)
-                assert richardson_is_good(par) == \
-                    generic_richardson_oracle(par), par
-                checked += 1
-    for N in range(3, 9):
-        for q in range(N % 2, N, 2):
-            if N % 2 == 0 and q == 2:
-                continue
-            m = (N - q) // 2
-            if m == 0:
-                continue
-            for c in compositions(m):
-                par = ParabolicSpec(AlgebraSpec(Family.SO, N), c, q)
-                assert richardson_is_good(par) == \
-                    generic_richardson_oracle(par), par
-                checked += 1
+    reference = json.loads(REFERENCE.read_text())["richardson"]
+    checked = {}
+    for key, par in _parabolic_classes():
+        good = richardson_is_good(par)
+        assert good == generic_richardson_oracle(par), par
+        checked[key] = good
+    assert checked == reference
     report(7, 300, started,
-           f"closed-form criteria agree with the 16-sample oracle on all "
-           f"{checked} parabolic classes (A: n<=6, B/C/D: N<=8)")
+           f"closed-form criteria agree with the 16-sample oracle and the "
+           f"benchmark's reference answers on all {len(checked)} parabolic "
+           f"classes (A: n<=8, B/C/D: N<=12)")
 
 
 def _single_node_even_gradings(spec):

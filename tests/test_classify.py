@@ -510,6 +510,26 @@ def test_sweep_counts_the_centralizer_weights():
         sweep_oracle(dataclasses.replace(fam, blocks=torn))
 
 
+def test_sweep_refuses_a_torus_that_moves_e_off_degree_2():
+    # the writer moves the head of one arrow of e at the unit vector, so
+    # e has degree 2 under H(0) but not on the whole torus; the sweep
+    # checks that once per orbit, before it ranks anything
+    fam = gradings_of(Family.GL, (3, 2))
+    write = grading_writer(fam.torus.base)
+    head, _ = next(iter(fam.blocks.e))
+
+    def moved(shifts):
+        H = write(shifts)
+        if not shifts:
+            return H
+        diag = list(H.doubled)
+        diag[head] += 2
+        return GradingElement(H.spec, tuple(diag))
+
+    with pytest.raises(VerificationError, match="degree 2"):
+        _centralizer_weights(fam, moved)
+
+
 def test_sweep_weights_are_the_centralizer_degrees():
     # the sweep's weights of g^e, evaluated at the t of each enumerated
     # grading, are the degrees of g^e that is_good reported for it
