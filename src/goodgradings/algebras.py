@@ -21,19 +21,22 @@ Every element of the algebra is kept sparse, as `Sparse`
 ({(row, col): int} with no zero entries): basis elements have at most
 two nonzero entries, each the int 1 or -1, and every element the
 library builds is an integer combination of them, so brackets stay
-integers.  Coordinates are ints too, read through `operator.index`, so
-a Fraction or a float raises TypeError.  A grading element's diagonal
-has integer or half-integer entries (the box coordinates of a pyramid),
-so it is stored doubled, as ints, and every degree is an int difference
-and one halving; only `cli` prints it as a fraction.  The dense rows of ad e
-from `ad_coordinate_matrix` are the test reference for the block engine
-in `gradings`; no runtime path builds them.
+integers.  `ad(a)` is the one bracket: it indexes a by row and by
+column once, and each [a, b] then reads only the entries of a that
+meet an entry of b.  Coordinates are ints too, read through
+`operator.index`, so a Fraction or a float raises TypeError.  A grading
+element's diagonal has integer or half-integer entries (the box
+coordinates of a pyramid), so it is stored doubled, as ints, and every
+degree is an int difference and one halving; only `cli` prints it as a
+fraction.  The dense rows of ad e from `ad_coordinate_matrix` are the
+test reference for the block engine in `gradings`; no runtime path
+builds them.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -195,19 +198,28 @@ def build_algebra(spec: AlgebraSpec) -> AlgebraBasis:
     return AlgebraBasis(spec)
 
 
-# -- sparse helpers -----------------------------------------------------
+# -- the bracket ----------------------------------------------------------
 
-def sparse_bracket(a: Sparse, b: Sparse) -> Sparse:
-    out: Sparse = {}
-    for (r1, c1), v1 in a.items():
-        for (r2, c2), v2 in b.items():
-            if c1 == r2:
-                key = (r1, c2)
-                out[key] = out.get(key, 0) + v1 * v2
-            if c2 == r1:
-                key = (r2, c1)
-                out[key] = out.get(key, 0) - v2 * v1
-    return {k: v for k, v in out.items() if v != 0}
+def ad(a: Sparse) -> Callable[[Sparse], Sparse]:
+    """The map b -> [a, b] = ab - ba, with a indexed by row and by column
+    once.  An entry (r, c) of b meets only the entries of a in column r
+    (ab) and in row c (ba), so each bracket reads just those."""
+    by_row: dict[int, list[tuple[int, int]]] = {}
+    by_col: dict[int, list[tuple[int, int]]] = {}
+    for (i, j), v in a.items():
+        by_row.setdefault(i, []).append((j, v))
+        by_col.setdefault(j, []).append((i, v))
+
+    def bracket(b: Sparse) -> Sparse:
+        out: Sparse = {}
+        for (r, c), w in b.items():
+            for i, v in by_col.get(r, ()):
+                out[i, c] = out.get((i, c), 0) + v * w
+            for j, v in by_row.get(c, ()):
+                out[r, j] = out.get((r, j), 0) - w * v
+        return {key: x for key, x in out.items() if x}
+
+    return bracket
 
 
 # -- grading elements ----------------------------------------------------
@@ -274,6 +286,6 @@ def ad_coordinate_matrix(g: AlgebraBasis, e: Sparse) -> list[list[int]]:
     """Dense rows of ad e on g in basis coordinates: column k holds the
     coordinates of [e, b_k].  The test reference for the block engine in
     `gradings`, which never builds it."""
-    cols = [g.sparse_coordinates(sparse_bracket(e, elem))
-            for elem in g.elements]
+    ad_e = ad(e)
+    cols = [g.sparse_coordinates(ad_e(elem)) for elem in g.elements]
     return [[col.get(k, 0) for col in cols] for k in range(g.dim)]

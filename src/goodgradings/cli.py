@@ -57,8 +57,10 @@ _FAMILY_LETTERS = {"A": Family.GL, "GL": Family.GL, "B": Family.SO,
 
 # Input limits of classify, verify, pyramids and render, checked before
 # the algebra is built; richardson has the dimension limit.  They admit
-# so_50 (dim 1225), the largest orbit the tests verify; verify of
-# (28,5,3) in gl_36 takes 1.8 s on a 2-CPU Xeon.
+# so_50 (dim 1225), the largest orbit the tests verify.  In-process on a
+# 2-CPU Xeon, verify of (28,5,3) in gl_36 takes 0.13-0.15 s and of
+# (9,9,7,7,5,5,3,3,1,1) in so_50 0.13 s (best of 3), at the host speed
+# at which perfbench's `calibration` takes 2.4 ms: about 60 calibrations.
 MAX_ALGEBRA_DIM = 1300
 MAX_PYRAMIDS = 242
 # `series` walks every partition up to its order, 646,192 at order 46

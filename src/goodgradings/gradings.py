@@ -16,8 +16,10 @@ The ranks come from a block engine built once per nilpotent, the one
 per-orbit object every verdict takes (`AdBlocks`: the algebra, e and
 the blocks).  ad e is assembled column by column as the sparse int
 coordinates of [e, b_k] (`ad_blocks` refuses an e whose entries are not
-all ints), split into connected blocks (columns that reach a common
-row), and each block is ranked once by fraction-free integer
+all ints).  The map is `algebras.ad(e)`, which indexes e by row and by
+column once, so each column reads only the entries of e that meet b_k.
+The columns are split into connected blocks (columns that reach a
+common row), and each block is ranked once by fraction-free integer
 elimination (`linalg.rref`).
 Every diagonal H with [H, e] = 2e maps each block from one degree d
 into degree d + 2, so g^e has dim g_d minus a sum of block ranks
@@ -41,7 +43,7 @@ from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass
 
 from .algebras import (AlgebraBasis, Family, GradingElement, Sparse,
-                       graded_decomposition, sparse_bracket, _signed_indices)
+                       ad, graded_decomposition, _signed_indices)
 from .linalg import rref
 from .partitions import Partition
 from .pyramids import Pyramid, row_shift
@@ -129,7 +131,9 @@ def jordan_type(e: Sparse, n: int) -> Partition:
             if out:
                 nxt.append(out)
         images = nxt
-        ranks.append(len(rref([[vec.get(i, 0) for i in range(n)]
+        # a column no image reaches is zero and leaves the rank alone
+        reached = sorted({i for vec in images for i in vec})
+        ranks.append(len(rref([[vec.get(i, 0) for i in reached]
                                for vec in images])[1]))
     if ranks[-1] != 0:
         raise ValueError("matrix is not nilpotent")
@@ -243,9 +247,10 @@ def ad_blocks(g: AlgebraBasis, e: Sparse) -> AdBlocks:
         raise TypeError("ad e is built for int entries of e only")
     if not g.contains(e):
         raise ValueError("element does not lie in the algebra")
+    ad_e = ad(e)
     cols = {}
     for k, elem in enumerate(g.elements):
-        col = g.sparse_coordinates(sparse_bracket(e, elem))
+        col = g.sparse_coordinates(ad_e(elem))
         if col:
             cols[k] = col
     parent = {k: k for k in cols}
@@ -443,9 +448,10 @@ def check_duality_form(H: GradingElement, blocks: AdBlocks) -> bool:
         return True
     gram = []
     for a in elems:
+        ad_a = ad(a)
         row = []
         for b in elems:
-            br = sparse_bracket(a, b)
+            br = ad_a(b)
             row.append(sum(v * br.get((c, r), 0)
                            for (r, c), v in blocks.e.items()))
         gram.append(row)

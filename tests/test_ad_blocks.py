@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from dense_reference import Matrix, rank
+from dense_reference import Matrix, bracket, dense, rank
 from goodgradings import algebras, cli, gradings, parabolic
 from goodgradings.algebras import (AlgebraSpec, Family, GradingElement,
                                    ad_coordinate_matrix, build_algebra,
@@ -140,6 +140,38 @@ def test_block_ranks_equal_dense_slices_on_generic_samples(monkeypatch):
         current.update(g=g, degrees=graded_decomposition(g, H))
         assert grading_is_good_generic(g, H) is good
     assert len(seen) >= 3 * 16
+
+
+def test_ad_coordinate_matrix_equals_the_dense_bracket_on_generic_samples(
+        monkeypatch):
+    # ad_blocks and ad_coordinate_matrix share algebras.ad, so the dense
+    # product of matrices is the independent witness for both: column k
+    # holds the entries of e b_k - b_k e at the places the basis owns,
+    # and those coordinates rebuild the whole dense bracket
+    samples = []
+
+    def recorded(g, e):
+        samples.append((g, e))
+        return ad_blocks(g, e)
+
+    monkeypatch.setattr(parabolic, "ad_blocks", recorded)
+    for spec, composition, q in [(AlgebraSpec(GL, 4), (1, 2, 1), 0),
+                                 (AlgebraSpec(GL, 5), (2, 1, 2), 0),
+                                 (AlgebraSpec(SP, 6), (2, 1), 0),
+                                 (AlgebraSpec(SO, 7), (1, 1), 3),
+                                 (AlgebraSpec(SO, 8), (2, 1, 1), 0)]:
+        generic_richardson_oracle(ParabolicSpec(spec, composition, q))
+    assert len(samples) >= 3 * 16
+    for g, e in samples:
+        n = g.n
+        products = [bracket(dense(e, n), dense(elem, n))
+                    for elem in g.elements]
+        expected = [[m.data[a][b] for m in products]
+                    for a, b in g.label_positions]
+        assert ad_coordinate_matrix(g, e) == expected
+        for k, m in enumerate(products):
+            column = g.from_coordinates([int(row[k]) for row in expected])
+            assert dense(column, n) == m
 
 
 def test_blocks_are_disjoint_and_cover_the_nonzero_columns():

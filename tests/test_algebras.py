@@ -9,7 +9,7 @@ from dense_reference import (Matrix, bracket, dense, fraction_diagonal,
                              grading_element, rank)
 from goodgradings.algebras import (AlgebraSpec, Family, GradingElement,
                                    ad_coordinate_matrix, build_algebra,
-                                   graded_decomposition, sparse_bracket)
+                                   ad, graded_decomposition)
 from goodgradings.gradings import ad_blocks, nilpotent_of_pyramid
 from goodgradings.partitions import (Partition, centralizer_dim,
                                      orthogonal_partitions, partitions,
@@ -60,12 +60,41 @@ def test_bracket_closure_and_coordinates():
         for _ in range(25):
             a = rng.randrange(g.dim)
             b = rng.randrange(g.dim)
-            m = sparse_bracket(g.elements[a], g.elements[b])
+            m = ad(g.elements[a])(g.elements[b])
             n = spec.size
             assert dense(m, n) == bracket(dense(g.elements[a], n),
                                           dense(g.elements[b], n))
             assert g.contains(m)
             assert g.from_coordinates(dense_coordinates(g, m)) == m
+
+
+def test_ad_equals_the_dense_bracket_on_elements_with_many_entries():
+    # basis elements have at most two entries, which never share a row
+    # or a column; pyramid nilpotents and dense random combinations do,
+    # so the row and column index of ad(x) meets several entries of y
+    rng = random.Random(17)
+    cases = [(AlgebraSpec(Family.GL, 5), partitions, symmetric_pyramid),
+             (AlgebraSpec(Family.SP, 6), symplectic_partitions,
+              symplectic_pyramid),
+             (AlgebraSpec(Family.SO, 7), orthogonal_partitions,
+              orthogonal_pyramid),
+             (AlgebraSpec(Family.SO, 8), orthogonal_partitions,
+              orthogonal_pyramid)]
+    for spec, walk, pyramid in cases:
+        g = build_algebra(spec)
+        n = spec.size
+        elems = [nilpotent_of_pyramid(g, pyramid(p)) for p in walk(n)]
+        elems += [g.from_coordinates([rng.choice((0, 1, -1, 2, -3))
+                                      for _ in range(g.dim)])
+                  for _ in range(6)]
+        assert all(len({i for i, _ in x}) < len(x) for x in elems[-6:])
+        for x in elems:
+            ad_x = ad(x)
+            for y in elems:
+                m = ad_x(y)
+                assert dense(m, n) == bracket(dense(x, n), dense(y, n))
+                assert all(type(v) is int and v for v in m.values())
+                assert g.contains(m)
 
 
 def test_contains_matches_coordinate_roundtrip():
@@ -324,7 +353,7 @@ def test_bracket_degree_additivity():
     for _ in range(40):
         a = rng.randrange(g.dim)
         b = rng.randrange(g.dim)
-        m = sparse_bracket(g.elements[a], g.elements[b])
+        m = ad(g.elements[a])(g.elements[b])
         for k in g.sparse_coordinates(m):
             assert degrees[k] == degrees[a] + degrees[b]
 
