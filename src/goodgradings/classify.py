@@ -125,11 +125,6 @@ class GoodGradingFamily:
         return len(self.entries)
 
 
-def _reject_zero(p: Partition):
-    if p.is_zero_orbit():
-        raise ValueError("the zero orbit has no good element")
-
-
 def _entry(H: GradingElement, blocks: AdBlocks, pyr: Pyramid, source: tuple,
            is_dynkin: bool) -> GradingEntry:
     pair = is_good(H, blocks)
@@ -154,7 +149,8 @@ def good_gradings(spec: AlgebraSpec, p: Partition) -> GoodGradingFamily:
     coordinates, doubled: one shift per row for gl ("shifts"), one per
     center part for sp/so ("t").
     """
-    _reject_zero(p)
+    if p.is_zero_orbit():
+        raise ValueError("the zero orbit has no good element")
     if p.n != spec.size:
         raise ValueError("partition total != matrix size")
     torus = center_torus(spec, p)

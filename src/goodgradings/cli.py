@@ -4,7 +4,10 @@ Output is plain text for terminals or canonical JSON for programs.
 All rational values are serialized as exact fraction strings
 ("3/2", "-1"), written here from the library's doubled ints; floats
 never appear.  Exit codes: 0 success, 2 invalid input, 1 internal
-verification failure (a bug, never valid input).
+verification failure (a bug, never valid input).  One rule maps them: a
+`ValueError`, raised by the library or by this module's own checks,
+refuses the request (exit 2, "error: ..."), and a `VerificationError`
+or `ExceptionalDataError` is a failed cross-check (exit 1).
 """
 
 from __future__ import annotations
@@ -33,22 +36,11 @@ NODE_ORDER_NOTE = ("labels follow the chain alpha_1..alpha_rank; "
                    "for D the last two labels are the fork pair")
 
 
-class InputError(Exception):
-    pass
-
-
 def _parse_ints(s: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in s.split(","))
     except ValueError:
-        raise InputError(f"expected comma-separated integers, got {s!r}")
-
-
-def _parse_partition(s: str) -> Partition:
-    try:
-        return Partition.of(_parse_ints(s))
-    except ValueError as exc:
-        raise InputError(str(exc))
+        raise ValueError(f"expected comma-separated integers, got {s!r}")
 
 
 _FAMILY_LETTERS = {"A": Family.GL, "GL": Family.GL, "B": Family.SO,
@@ -77,17 +69,14 @@ def _letter_spec(letter: str, size: int) -> AlgebraSpec:
     odd size, D with even size, and dimension at most MAX_ALGEBRA_DIM."""
     letter = letter.upper()
     if letter not in _FAMILY_LETTERS:
-        raise InputError(f"unknown family {letter!r} (expected A/B/C/D or GL)")
+        raise ValueError(f"unknown family {letter!r} (expected A/B/C/D or GL)")
     if letter == "B" and size % 2 == 0:
-        raise InputError("family B needs an odd matrix size")
+        raise ValueError("family B needs an odd matrix size")
     if letter == "D" and size % 2 == 1:
-        raise InputError("family D needs an even matrix size")
-    try:
-        spec = AlgebraSpec(_FAMILY_LETTERS[letter], size)
-    except ValueError as exc:
-        raise InputError(str(exc))
+        raise ValueError("family D needs an even matrix size")
+    spec = AlgebraSpec(_FAMILY_LETTERS[letter], size)
     if spec.dim > MAX_ALGEBRA_DIM:
-        raise InputError(f"algebra dimension {spec.dim} exceeds {MAX_ALGEBRA_DIM}")
+        raise ValueError(f"algebra dimension {spec.dim} exceeds {MAX_ALGEBRA_DIM}")
     return spec
 
 
@@ -96,9 +85,9 @@ def _family_spec(letter: str, p: Partition) -> AlgebraSpec:
     # C is reported as not symplectic rather than as an odd matrix size
     family = _FAMILY_LETTERS.get(letter.upper())
     if family is Family.SP and not p.is_symplectic():
-        raise InputError(f"{p} is not a symplectic partition")
+        raise ValueError(f"{p} is not a symplectic partition")
     if family is Family.SO and not p.is_orthogonal():
-        raise InputError(f"{p} is not an orthogonal partition")
+        raise ValueError(f"{p} is not an orthogonal partition")
     spec = _letter_spec(letter, p.n)
     # gl counts its pyramids by the product formula, before any is built;
     # within the dimension limit no sp/so orbit has more than 67 (so_48,
@@ -106,7 +95,7 @@ def _family_spec(letter: str, p: Partition) -> AlgebraSpec:
     if spec.family is Family.GL:
         count = pyramid_count_formula(p)
         if count > MAX_PYRAMIDS:
-            raise InputError(f"{p} has {count} pyramids, more than {MAX_PYRAMIDS}")
+            raise ValueError(f"{p} has {count} pyramids, more than {MAX_PYRAMIDS}")
     return spec
 
 
@@ -160,21 +149,13 @@ def _family_payload(fam: GoodGradingFamily) -> dict:
 
 
 def _good_gradings(args) -> GoodGradingFamily:
-    p = _parse_partition(args.partition)
-    spec = _family_spec(args.family, p)
-    try:
-        return good_gradings(spec, p)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    p = Partition.of(_parse_ints(args.partition))
+    return good_gradings(_family_spec(args.family, p), p)
 
 
 def _pyramids(args) -> tuple[Partition, list]:
-    p = _parse_partition(args.partition)
-    spec = _family_spec(args.family, p)
-    try:
-        return p, center_torus(spec, p).pyramids
-    except ValueError as exc:
-        raise InputError(str(exc))
+    p = Partition.of(_parse_ints(args.partition))
+    return p, center_torus(_family_spec(args.family, p), p).pyramids
 
 
 def _cmd_classify(args):
@@ -192,9 +173,12 @@ def _cmd_classify(args):
 
 def _cmd_verify(args):
     fam = _good_gradings(args)
-    # the sweep runs on a validated orbit: any error it raises is a bug,
-    # a grading found twice included
-    brute = set(sweep_oracle(fam))
+    # the sweep runs on an orbit good_gradings accepted: any error it
+    # raises is a bug, a grading found twice included
+    try:
+        brute = set(sweep_oracle(fam))
+    except ValueError as exc:
+        raise VerificationError(str(exc)) from exc
     enumerated = fam.gradings()
     match = enumerated == brute
     results = {
@@ -230,7 +214,7 @@ def _cmd_pyramids(args):
 def _cmd_series(args):
     order = args.order
     if not 1 <= order <= MAX_SERIES_ORDER:
-        raise InputError(f"order must be between 1 and {MAX_SERIES_ORDER}")
+        raise ValueError(f"order must be between 1 and {MAX_SERIES_ORDER}")
     closed = pyramid_count_series(order)
     direct = pyramid_counts_by_partition(order)
     unimodal = unimodal_count_series(order)
@@ -263,14 +247,11 @@ def _cmd_richardson(args):
     q = args.q
     type_a = _FAMILY_LETTERS.get(args.family.upper()) is Family.GL
     if q < 0 and not type_a:  # before q sizes the algebra
-        raise InputError("N - q must be even and q >= 0")
+        raise ValueError("N - q must be even and q >= 0")
     spec = _letter_spec(args.family,
                         sum(blocks) if type_a else 2 * sum(blocks) + q)
-    try:
-        par = ParabolicSpec(spec, blocks, q)
-        good = richardson_is_good(par)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    par = ParabolicSpec(spec, blocks, q)
+    good = richardson_is_good(par)
     reason = _richardson_reason(par, good)
     results = {"composition": list(blocks), "q": q, "good": good,
                "reason": reason}
@@ -281,10 +262,7 @@ def _cmd_richardson(args):
 
 
 def _cmd_exceptional(args):
-    try:
-        entry = exceptional_lookup(args.algebra, args.orbit)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    entry = exceptional_lookup(args.algebra, args.orbit)
     chars = entry.expanded_characteristics() if args.expand_symmetry \
         else entry.characteristics
     results = {
@@ -310,7 +288,7 @@ def _cmd_exceptional(args):
 def _cmd_render(args):
     _, pyrs = _pyramids(args)
     if not 0 <= args.index < len(pyrs):
-        raise InputError(f"pyramid index out of range (0..{len(pyrs) - 1})")
+        raise ValueError(f"pyramid index out of range (0..{len(pyrs) - 1})")
     picture = render_pyramid(pyrs[args.index])
     return {"index": args.index, "render": picture}, [picture]
 
@@ -372,7 +350,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         results, lines, *code = args.func(args)
-    except InputError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (VerificationError, ExceptionalDataError) as exc:

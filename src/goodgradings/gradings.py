@@ -137,13 +137,9 @@ def jordan_type(e: Sparse, n: int) -> Partition:
                                for vec in images])[1]))
     if ranks[-1] != 0:
         raise ValueError("matrix is not nilpotent")
-    # counts[k-1] = rank(e^{k-1}) - rank(e^k) = number of blocks of size >= k
-    counts = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
-    sizes: list[int] = []
-    for size in range(len(counts), 0, -1):
-        mult = counts[size - 1] - (counts[size] if size < len(counts) else 0)
-        sizes.extend([size] * mult)
-    return Partition.of(s for s in sizes if s > 0)
+    # rank(e^{k-1}) - rank(e^k) counts the blocks of size >= k: the
+    # conjugate of the Jordan type
+    return Partition(tuple(a - b for a, b in zip(ranks, ranks[1:]))).dual()
 
 
 def nilpotent_of_pyramid(g: AlgebraBasis, pyr: Pyramid) -> Sparse:

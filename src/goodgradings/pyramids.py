@@ -438,7 +438,7 @@ def render_pyramid(pyr: Pyramid) -> str:
     boxes = pyr.boxes()
     xmin = min(x for x, _ in boxes)
     lines = []
-    for r in sorted(pyr.rows, key=lambda r: -r.y):
+    for r in reversed(pyr.rows):  # rows are sorted by y
         chars: list[str] = []
         for x in r.coords():
             col = x - xmin

@@ -102,6 +102,99 @@ def test_invalid_input_exit_2(capsys):
     assert code == 2
 
 
+# every refusal the CLI or the library makes, with its full stderr line:
+# the CLI's own checks and the library's ValueError both exit 2
+REFUSALS = [
+    ("classify --family Q --partition 2,1",
+     "unknown family 'Q' (expected A/B/C/D or GL)"),
+    ("classify --family B --partition 3,1",
+     "family B needs an odd matrix size"),
+    ("classify --family D --partition 3", "family D needs an even matrix size"),
+    ("classify --family C --partition 2,1",
+     "(2,1) is not a symplectic partition"),
+    ("classify --family B --partition 2,1",
+     "(2,1) is not an orthogonal partition"),
+    ("classify --family A --partition 2,x",
+     "expected comma-separated integers, got '2,x'"),
+    ("classify --family A --partition 0,1", "parts must be positive"),
+    ("classify --family A --partition 1,1,1",
+     "the zero orbit has no good element"),
+    ("classify --family B --partition 1,1,1",
+     "the zero orbit has no good element"),
+    ("classify --family A --partition 37",
+     "algebra dimension 1369 exceeds 1300"),
+    ("classify --family A --partition 6,5,4,3,2,1",
+     "(6,5,4,3,2,1) has 243 pyramids, more than 242"),
+    ("verify --family A --partition 1,1", "the zero orbit has no good element"),
+    ("verify --family C --partition 3", "(3) is not a symplectic partition"),
+    ("verify --family D --partition 51,1",
+     "algebra dimension 1326 exceeds 1300"),
+    ("pyramids --family D --partition 2,1",
+     "(2,1) is not an orthogonal partition"),
+    ("pyramids --family B --partition 53",
+     "algebra dimension 1378 exceeds 1300"),
+    ("render --family C --partition 2,2 --index 9",
+     "pyramid index out of range (0..2)"),
+    ("render --family C --partition 2,2 --index -1",
+     "pyramid index out of range (0..2)"),
+    ("render --family B --partition 4", "(4) is not an orthogonal partition"),
+    ("series --order 0", "order must be between 1 and 46"),
+    ("series --order 47", "order must be between 1 and 46"),
+    ("series --order -3", "order must be between 1 and 46"),
+    ("richardson --family A --composition a",
+     "expected comma-separated integers, got 'a'"),
+    ("richardson --family C --composition 1 --q -2",
+     "N - q must be even and q >= 0"),
+    ("richardson --family A --composition 1,1 --q -1",
+     "type A parabolics have q = 0"),
+    ("richardson --family A --composition 3", "the degree-2 piece is zero"),
+    ("richardson --family B --composition 2 --q 0",
+     "family B needs an odd matrix size"),
+    ("richardson --family D --composition 1 --q 1",
+     "family D needs an even matrix size"),
+    ("richardson --family Q --composition 1,1",
+     "unknown family 'Q' (expected A/B/C/D or GL)"),
+    ("richardson --family A --composition 37",
+     "algebra dimension 1369 exceeds 1300"),
+    ("richardson --family C --composition 0,1",
+     "composition parts must be positive"),
+    ("richardson --family B --composition 1 --q 2",
+     "family B needs an odd matrix size"),
+    ("exceptional --algebra X --orbit A1", "unknown exceptional algebra 'X'"),
+    ("exceptional --algebra F4 --orbit E8", "unknown orbit label 'E8' for F4"),
+    ("exceptional --algebra E6 --orbit nope",
+     "unknown orbit label 'nope' for E6"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS,
+                         ids=[argv for argv, _ in REFUSALS])
+def test_every_refusal_exits_2_with_its_message(capsys, argv, message):
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, *argv.split(), "--format", fmt)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), fmt
+
+
+def test_refusals_cover_every_command():
+    [sub] = [a for a in cli.build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    assert {argv.split()[0] for argv, _ in REFUSALS} == set(sub.choices)
+
+
+def test_a_sweep_value_error_is_an_internal_failure(capsys, monkeypatch):
+    # the sweep runs on an orbit good_gradings accepted, so a ValueError
+    # from it is a bug: exit 1, no report, never the exit 2 of a refusal
+    def broken(fam):
+        raise ValueError("a block spans two degrees")
+    monkeypatch.setattr(cli, "sweep_oracle", broken)
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "verify", "--family", "C",
+                                 "--partition", "2,2", "--format", fmt)
+        assert (code, out) == (1, ""), fmt
+        assert err == ("internal verification failure: "
+                       "a block spans two degrees\n"), fmt
+
+
 def test_verify_subcommand(capsys):
     code, out, _ = run_cli(capsys, "verify", "--family", "C",
                            "--partition", "2,2", "--format", "json")
