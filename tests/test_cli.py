@@ -86,22 +86,6 @@ def test_classify_text(capsys):
     assert "3 good grading(s)" in out
 
 
-def test_invalid_input_exit_2(capsys):
-    code, _, err = run_cli(capsys, "classify", "--family", "C",
-                           "--partition", "2,1")
-    assert code == 2
-    assert "symplectic" in err
-    code, _, err = run_cli(capsys, "classify", "--family", "B",
-                           "--partition", "3,1")
-    assert code == 2
-    code, _, err = run_cli(capsys, "classify", "--family", "Q",
-                           "--partition", "2,1")
-    assert code == 2
-    code, _, err = run_cli(capsys, "classify", "--family", "A",
-                           "--partition", "2,x")
-    assert code == 2
-
-
 # every refusal the CLI or the library makes, with its full stderr line:
 # the CLI's own checks and the library's ValueError both exit 2
 REFUSALS = [
@@ -173,12 +157,6 @@ def test_every_refusal_exits_2_with_its_message(capsys, argv, message):
     for fmt in ("text", "json"):
         code, out, err = run_cli(capsys, *argv.split(), "--format", fmt)
         assert (code, out, err) == (2, "", f"error: {message}\n"), fmt
-
-
-def test_refusals_cover_every_command():
-    [sub] = [a for a in cli.build_parser()._actions
-             if isinstance(a, argparse._SubParsersAction)]
-    assert {argv.split()[0] for argv, _ in REFUSALS} == set(sub.choices)
 
 
 def test_a_sweep_value_error_is_an_internal_failure(capsys, monkeypatch):
